@@ -83,7 +83,7 @@ def cmd_solve(args):
         [tuple(centers[i]) + (float(pair.chi.ravel()[i]),) for i in range(centers.shape[0])],
     )
     _write_summary(cfg, "solve_report.txt", report.summary_lines())
-    return EXIT_OK
+    return EXIT_OK if report.constraints.passed else EXIT_CERTIFICATION
 
 
 def cmd_check_profile(args):

@@ -225,6 +225,9 @@ def _build_solver(raw):
     kwargs = {}
     if "solver.eps" in raw:
         kwargs["eps"] = _one_float(raw, "solver.eps")
+        # the continuation schedule doubles eps up to M/16: it must start positive
+        if not (np.isfinite(kwargs["eps"]) and kwargs["eps"] > 0.0):
+            raise ConfigError(f"solver.eps must be a finite number > 0, got {kwargs['eps']}")
     if "solver.inner_tol" in raw:
         kwargs["inner_tol"] = _one_float(raw, "solver.inner_tol")
     if "solver.outer_tol" in raw:
@@ -235,6 +238,9 @@ def _build_solver(raw):
         kwargs["max_outer"] = _one_int(raw, "solver.max_outer")
     if "solver.relax" in raw:
         kwargs["relax"] = _one_float(raw, "solver.relax")
+        # relax = 0 never moves chi, so the first sweep would read as converged
+        if not 0.0 < kwargs["relax"] <= 1.0:
+            raise ConfigError(f"solver.relax must lie in (0, 1], got {kwargs['relax']}")
     return solver.SolverConfig(**kwargs)
 
 

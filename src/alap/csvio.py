@@ -7,12 +7,16 @@ bytes.
 
 import csv
 
+import numpy as np
+
 
 def format_value(v):
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        # numpy scalars repr as 'np.float64(...)'; the Python float keeps
+        # the shortest round-trip digits
+        return repr(float(v))
     return str(v)
 
 

@@ -23,10 +23,13 @@ at a loose inexact-Newton forcing.
 Outer loop: chi is tied to u through the cut-off min(u/eps, 1) evaluated
 at cell centers, under-relaxed to damp free-boundary oscillation, with the
 penalization width continued down a geometric schedule, until the L1
-change of chi at the final width drops below tolerance. The published pair
-is projected into [0, M]; mid-iteration heads may transiently leave the
-bounds, and the converged head re-enters them on its own up to a sub-cell
-tail at the interface.
+change of chi at the final width drops below tolerance. Each outer sweep
+takes a single damped Newton step on the head, since the next chi update
+moves its target again; the final pair is then polished strictly to
+inner_tol at the converged chi. The published pair is projected into
+[0, M]; mid-iteration heads may transiently leave the bounds, and the
+converged head re-enters them on its own up to a sub-cell tail at the
+interface.
 """
 
 import time
@@ -62,7 +65,6 @@ class SolverConfig:
     mu_factor: float = 1e-8
     cond_floor: float = 1e-6
     step_clamp: float = 0.25
-    sweep_inner_cap: int = 12
 
     def resolved(self, grid, profile, fieldh):
         eps = self.eps
@@ -402,9 +404,12 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     Returns (SolutionPair, SolveReport). The head is initialized by one
     linear (power p = 2) solve of the boundary data with chi = 0, chi by
     the cut-off of that head; each outer step under-relaxes chi toward
-    min(u/eps, 1) and re-solves the head, with eps continued down a
-    geometric schedule to its configured value. Stops when the L1 change
-    of chi at the final eps drops below the outer tolerance.
+    min(u/eps, 1) and takes one damped Newton step on the head, with eps
+    continued down a geometric schedule to its configured value. Stops when
+    the L1 change of chi at the final eps drops below the outer tolerance,
+    then solves the head strictly at the converged chi. Raises
+    NonConvergenceError naming the stop reason (a plateau at the final
+    width, or the max_outer budget) otherwise.
     """
     if domain is not grid.domain:
         raise ValueError("domain must be the grid's domain")
@@ -423,15 +428,14 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     stages = _penalization_stages(cfg.eps, domain.m_ceiling)
     cross_area = grid.cell_volume / float(np.min(grid.spacing)) * max(grid.counts)
     chi = _chi_target(grid, u, stages[0])
-    u, inner_used, rmax, _ = _newton_loop(
-        grid, profile, fieldh, chi, cfg, u, cfg.sweep_inner_cap
-    )
+    u, inner_used, rmax, _ = _newton_loop(grid, profile, fieldh, chi, cfg, u, 1)
     report.inner_iterations += inner_used
 
-    # sweeps run capped best-effort Newton: an unconverged head mid-sweep
-    # only means the wetting front is still moving, which the chi
-    # relaxation continues anyway; the converged state is polished strictly
+    # each sweep takes one damped Newton step: the chi relaxation moves the
+    # target again right after, so the head only has to track the moving
+    # front (inexact Newton); the converged pair is polished strictly below
     converged = False
+    plateau = False
     cellvol = grid.cell_volume
     outer_total = 0
     for eps_k in stages:
@@ -444,9 +448,7 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             chi_new = (1.0 - stage_relax) * chi + stage_relax * target
             dchi = float(np.sum(np.abs(chi_new - chi)) * cellvol)
             chi = chi_new
-            u, inner_used, rmax, _ = _newton_loop(
-                grid, profile, fieldh, chi, cfg, u, cfg.sweep_inner_cap
-            )
+            u, inner_used, rmax, _ = _newton_loop(grid, profile, fieldh, chi, cfg, u, 1)
             outer_total += 1
             report.inner_iterations += inner_used
             report.outer_iterations = outer_total
@@ -463,6 +465,7 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
                     # when the penalization layer spans several cells);
                     # stronger damping restores contraction
                     if stage_relax <= 0.05:
+                        plateau = True
                         break
                     stage_relax = max(0.05, 0.5 * stage_relax)
                     history.clear()
@@ -490,8 +493,11 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     )
     report.constraints = pair.validate(domain.m_ceiling, comp_bound=cfg.eps)
     if not converged:
+        if plateau:
+            reason = f"outer loop plateaued at the final penalization width after {outer_total} sweeps"
+        else:
+            reason = f"outer loop exhausted {cfg.max_outer} iterations"
         raise NonConvergenceError(
-            f"outer loop exhausted {cfg.max_outer} iterations; chi change {report.final_chi_change:.3e}",
-            report=report,
+            f"{reason}; chi change {report.final_chi_change:.3e}", report=report
         )
     return pair, report

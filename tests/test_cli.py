@@ -1,9 +1,11 @@
+import csv
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from alap import cli, config
+from alap import cli, config, solver
 from alap.errors import ConfigError
 
 DAM_CONFIG = """
@@ -55,6 +57,76 @@ def test_config_rejects_bad_values():
         config.load(text="schema_version = 1\nprofile.family = power\nprofile.p = frog\n")
     with pytest.raises(ConfigError):
         config.load(text="schema_version = 1\nprofile.family = power\nprofile.p = 0.5\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "solver.eps = 0",
+        "solver.eps = -1",
+        "solver.eps = nan",
+        "solver.eps = inf",
+        "solver.relax = 0",
+        "solver.relax = -0.5",
+        "solver.relax = 1.5",
+        "solver.relax = nan",
+    ],
+)
+def test_bad_solver_inputs_rejected_at_load(tmp_path, monkeypatch, line):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started with an invalid solver config")
+
+    monkeypatch.setattr(solver, "solve_problem", no_solve)
+    with pytest.raises(ConfigError):
+        config.load(text=DAM_CONFIG + "\n" + line + "\n")
+    cfg_path = write_config(tmp_path, DAM_CONFIG + "\n" + line + "\n")
+    out = str(tmp_path / "out_bad")
+    assert cli.main(["solve", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+
+
+def test_good_solver_inputs_accepted_at_load():
+    cfg = config.load(text=DAM_CONFIG + "\nsolver.eps = 0.01\nsolver.relax = 1\n")
+    assert cfg.solver_config.eps == 0.01
+    assert cfg.solver_config.relax == 1.0
+
+
+def test_cli_solve_failed_constraints_exit_3(tmp_path, monkeypatch):
+    real_solve = solver.solve_problem
+
+    def failing_constraints(*args, **kwargs):
+        pair, report = real_solve(*args, **kwargs)
+        report.constraints = dataclasses.replace(report.constraints, passed=False)
+        return pair, report
+
+    monkeypatch.setattr(solver, "solve_problem", failing_constraints)
+    out = str(tmp_path / "out_fail")
+    code = cli.main(["solve", "--config", write_config(tmp_path), "--out", out])
+    assert code == cli.EXIT_CERTIFICATION
+    for name in ("u.csv", "chi.csv", "solve_report.txt"):
+        assert os.path.exists(os.path.join(out, name))
+
+
+def test_cli_csv_cells_parse_as_floats(tmp_path):
+    cfg_path = write_config(tmp_path)
+    trace_args = ["--h", "0.5", "--omega-count", "3"]
+    contents = []
+    for tag in ("a", "b"):
+        out = str(tmp_path / f"floats_{tag}")
+        assert cli.main(["solve", "--config", cfg_path, "--out", out]) == 0
+        assert cli.main(["trace", "--config", cfg_path, "--out", out] + trace_args) == 0
+        files = {}
+        for name in ("u.csv", "chi.csv", "trace.csv"):
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = fh.read()
+        contents.append(files)
+    # same inputs, same bytes
+    assert contents[0] == contents[1]
+    for name, data in contents[0].items():
+        rows = list(csv.reader(data.decode("utf-8").splitlines()))[1:]
+        assert rows, name
+        for row in rows:
+            for cell in row:
+                float(cell)
 
 
 def test_cli_solve_writes_outputs(tmp_path):

@@ -199,3 +199,41 @@ def test_solve_problem_domain_mismatch():
     grid = geometry.build_grid(dom, (9, 9))
     with pytest.raises(ValueError):
         solver.solve_problem(grid, profiles.make_power(2.0), fields.make_constant_field([0.0, 1.0]), other)
+
+
+def test_final_stage_plateau_names_the_stop_reason(monkeypatch):
+    # a chi target that flips every sweep is a limit cycle no damping cures
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (17, 17))
+    prof = profiles.make_power(2.0)
+    f = fields.make_constant_field([0.0, 1.0])
+    calls = []
+
+    def flipping_target(grid, u, eps):
+        calls.append(eps)
+        return np.full(grid.cell_counts, float(len(calls) % 2))
+
+    monkeypatch.setattr(solver, "_chi_target", flipping_target)
+    with pytest.raises(NonConvergenceError) as info:
+        solver.solve_problem(grid, prof, f, dom)
+    report = info.value.report
+    message = str(info.value)
+    assert "plateau" in message and "exhausted" not in message
+    assert report.outer_iterations < solver.SolverConfig().max_outer
+    assert f"after {report.outer_iterations} sweeps" in message
+    assert f"chi change {report.final_chi_change:.3e}" in message
+    assert not report.converged
+
+
+def test_p3_dam_sweeps_take_one_newton_step_each():
+    # sweeps track the moving front with one damped step; only the warm-up
+    # p=2 solve and the strict final polish take several
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (65, 65))
+    prof = profiles.make_power(3.0)
+    f = fields.make_constant_field([0.0, float(prof.a(1.0))])
+    pair, report = solver.solve_problem(grid, prof, f, dom)
+    assert report.converged
+    assert report.inner_iterations < 2 * report.outer_iterations
+    assert report.final_residual <= solver.SolverConfig().resolved(grid, prof, f).inner_tol
+    assert np.max(np.abs(pair.u - dam_exact(grid))) <= grid.spacing[1]
