@@ -171,36 +171,52 @@ def cmd_check_barriers(args):
     return EXIT_OK if all_pass else EXIT_CERTIFICATION
 
 
+def _parse(cfg, key, default, kind):
+    try:
+        return [kind(v) for v in cfg.raw.get(key, [default])]
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _orbit_levels(cfg, args, key, default):
+    """Orbit levels from --h or the config key; each must lie strictly
+    inside the domain's last-coordinate range, or no orbit can start."""
+    levels = [args.level] if args.level is not None else _parse(cfg, key, default, float)
+    lo, hi = float(cfg.domain.lower[-1]), float(cfg.domain.upper[-1])
+    for level in levels:
+        if not lo < level < hi:
+            source = "--h" if args.level is not None else key
+            raise ConfigError(f"{source} = {level} must lie strictly between {lo} and {hi}")
+    return levels
+
+
+def _omega_count(cfg, override, key, default):
+    count = override if override is not None else _parse(cfg, key, default, int)[0]
+    if count < 1:
+        source = "--omega-count" if override is not None else key
+        raise ConfigError(f"{source} = {count} must be at least 1")
+    return count
+
+
 def cmd_trace(args):
     cfg = _load(args)
     _require(cfg, "domain", "fieldh")
-    level = args.level if args.level is not None else float(cfg.raw.get("trace.level", ["0.5"])[0])
-    count = args.omega_count if args.omega_count is not None else int(
-        cfg.raw.get("trace.omega_count", ["9"])[0]
-    )
-    dom = cfg.domain
+    levels = _orbit_levels(cfg, args, "trace.level", "0.5")
+    if len(levels) != 1:
+        raise ConfigError(f"trace.level takes one value, got {len(levels)}")
+    level = levels[0]
+    count = _omega_count(cfg, args.omega_count, "trace.omega_count", "9")
+    dom, fieldh = cfg.domain, cfg.fieldh
     span = dom.upper - dom.lower
-    omegas = [
-        tuple(dom.lower[:-1] + span[:-1] * (j + 0.5) / count) for j in range(count)
-    ]
+    omegas = np.array([dom.lower[:-1] + span[:-1] * (j + 0.5) / count for j in range(count)])
+    orbit_list = orbits_mod.integrate_orbits(fieldh, omegas, level, dom)
+    times = np.array([np.linspace(orbit.t_minus, orbit.t_plus, 32) for orbit in orbit_list])
+    numeric = orbits_mod.jacobian_numeric_batch(fieldh, omegas, level, times, dom)
     rows = []
-    def one(om):
-        orbit = orbits_mod.integrate_orbit(cfg.fieldh, np.asarray(om), level, dom)
-        local = []
-        ts = np.linspace(orbit.t_minus, orbit.t_plus, 32)
-        for t in ts:
-            x = orbits_mod.orbit_point(cfg.fieldh, orbit, float(t))
-            ya = orbits_mod.jacobian_analytic(cfg.fieldh, orbit, float(t))
-            yn = orbits_mod.jacobian_numeric(cfg.fieldh, np.asarray(om), level, float(t), dom)
-            local.append(tuple(om) + (float(t),) + tuple(map(float, x)) + (ya, yn))
-        return local
-    if args.parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for chunk in pool.map(one, omegas):
-                rows.extend(chunk)
-    else:
-        for om in omegas:
-            rows.extend(one(om))
+    for om, orbit, ts, yn in zip(omegas, orbit_list, times, numeric):
+        xs = orbits_mod.orbit_point(fieldh, orbit, ts)
+        ya = orbits_mod.jacobian_analytic(fieldh, orbit, ts)
+        rows.extend(tuple(om) + (t,) + tuple(x) + (a, n) for t, x, a, n in zip(ts, xs, ya, yn))
     csvio.write_csv(
         os.path.join(cfg.out_dir, "trace.csv"),
         [f"omega{k+1}" for k in range(dom.dim - 1)]
@@ -212,21 +228,24 @@ def cmd_trace(args):
     return EXIT_OK
 
 
-def _fb_levels(cfg, args):
-    if args.level is not None:
-        return [args.level]
-    return [float(v) for v in cfg.raw.get("fb.levels", ["0.2"])]
+def _fb_setup(cfg, args):
+    """Validated fb levels and the omega grid, read before any solve."""
+    _require(cfg, "domain", "resolution", "profile", "fieldh")
+    levels = _orbit_levels(cfg, args, "fb.levels", "0.2")
+    count = _omega_count(cfg, None, "fb.omega_count", "33")
+    dom = cfg.domain
+    span = dom.upper - dom.lower
+    omegas = np.array([dom.lower[0] + span[0] * (j + 0.5) / count for j in range(count)])
+    return levels, omegas
 
 
 def cmd_extract_fb(args):
     cfg = _load(args)
+    levels, omegas = _fb_setup(cfg, args)
     grid, pair, _ = _run_solve(cfg)
     dom = cfg.domain
-    count = int(cfg.raw.get("fb.omega_count", ["33"])[0])
-    span = dom.upper - dom.lower
     rows = []
-    for level in _fb_levels(cfg, args):
-        omegas = np.array([dom.lower[0] + span[0] * (j + 0.5) / count for j in range(count)])
+    for level in levels:
         graph = free_boundary.extract_graph(pair, grid, cfg.fieldh, level, omegas, dom)
         tol = free_boundary.default_lsc_tol(
             dom.delta / orbits_mod.STEP_DIVISOR,
@@ -255,21 +274,21 @@ def _grad_max(grid, u):
 
 def cmd_verify_fb(args):
     cfg = _load(args)
+    levels, omegas = _fb_setup(cfg, args)
     grid, pair, report = _run_solve(cfg)
     dom = cfg.domain
-    count = int(cfg.raw.get("fb.omega_count", ["33"])[0])
-    span = dom.upper - dom.lower
     rcfg = cfg.solver_config.resolved(grid, cfg.profile, cfg.fieldh)
     summary = []
     ok = True
-    for level in _fb_levels(cfg, args):
-        omegas = np.array([dom.lower[0] + span[0] * (j + 0.5) / count for j in range(count)])
-        family = orbits_mod.OrbitFamily(cfg.fieldh, dom, level)
-        orbit_list = [family.orbit((float(om),)) for om in omegas]
+    for level in levels:
+        # one batch of orbits per level serves every certificate below
+        orbit_list = orbits_mod.OrbitFamily(cfg.fieldh, dom, level).orbits(omegas)
         tol_chi = free_boundary.default_chi_monotone_tol(rcfg.eps, pair.eps_u, dom.m_ceiling)
         mono = free_boundary.certify_chi_monotone(pair, grid, orbit_list, tol_chi)
         rewet = free_boundary.certify_no_rewetting(pair, grid, cfg.fieldh, orbit_list)
-        graph = free_boundary.extract_graph(pair, grid, cfg.fieldh, level, omegas, dom)
+        graph = free_boundary.extract_graph(
+            pair, grid, cfg.fieldh, level, omegas, dom, orbits=orbit_list
+        )
         tol_lsc = free_boundary.default_lsc_tol(
             dom.delta / orbits_mod.STEP_DIVISOR,
             float(np.max(grid.spacing)),
@@ -425,7 +444,10 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (overrides config)")
-        p.add_argument("--parallel", action="store_true", help="parallelize independent work items")
+        p.add_argument(
+            "--parallel", action="store_true",
+            help="run the work items of check-barriers and growth in threads; ignored elsewhere",
+        )
         if name in ("trace", "extract-fb", "verify-fb"):
             p.add_argument("--h", dest="level", type=float, default=None, help="orbit level")
         if name == "trace":

@@ -136,8 +136,12 @@ class FreeBoundaryGraph:
     lsc_ok: np.ndarray
 
 
-def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9):
+def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9, orbits=None):
     """Wet-interval suprema with flags, plus the interval-identity check.
+
+    ``orbits`` are the orbits through ``omegas`` at ``level``, in order (as
+    from ``OrbitFamily.orbits``); when None they are integrated here as one
+    batch with exit resolution ``refine_tol``.
 
     The identity check verifies that samples more than one orbit step below
     the graph value are wet and samples above it are dry; a violation
@@ -145,15 +149,15 @@ def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9
     structure and points to an unconverged solve.
     """
     omegas = np.asarray(omegas, dtype=float)
-    if omegas.ndim == 1 and domain.dim == 2:
-        om_list = [(float(w),) for w in omegas]
-    else:
-        om_list = [tuple(map(float, w)) for w in np.atleast_2d(omegas)]
-    family = OrbitFamily(fieldh, domain, level, tol=refine_tol)
+    if orbits is None:
+        if omegas.ndim == 1 and domain.dim == 2:
+            om_list = [(float(w),) for w in omegas]
+        else:
+            om_list = [tuple(map(float, w)) for w in np.atleast_2d(omegas)]
+        orbits = OrbitFamily(fieldh, domain, level, tol=refine_tol).orbits(om_list)
     values, tmin, tmax = [], [], []
     set_empty, touching, identity = [], [], []
-    for om in om_list:
-        orbit = family.orbit(om)
+    for orbit in orbits:
         u_vals, _ = sample_along_orbit(solution, grid, orbit)
         phi = wet_interval_sup(solution, grid, fieldh, orbit, refine_tol)
         wet = u_vals > solution.eps_u

@@ -7,8 +7,11 @@ both time directions through faces below and above the level.
 
 Integration is classic fixed-step fourth-order Runge-Kutta with step
 delta(Omega)/2048 and bisection on the exit time; fixed steps keep every
-report bit-reproducible. The flow map T_h(t, omega) = X(t, omega) has the
-closed-form Jacobian determinant
+report bit-reproducible. One engine marches a whole batch of seeds as an
+(m, n) array, forward and backward, so every RK4 stage is one field
+evaluation for the batch; each row takes exactly the steps and exit
+bisection a lone orbit would. The flow map T_h(t, omega) = X(t, omega) has
+the closed-form Jacobian determinant
 
     Y_h(t, omega) = -H_n(omega, h) exp( int_0^t div H(X(s)) ds )
 
@@ -17,7 +20,7 @@ from 2(n-1)+1 independent orbit integrations.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +50,7 @@ class Orbit:
     face_minus: str
     face_plus: str
     step: float
+    _cum_div: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def seed(self):
@@ -57,8 +61,19 @@ class Orbit:
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         return max(0, min(idx, len(self.times) - 1))
 
+    def cumulative_divergence(self, fieldh):
+        """Cumulative Simpson integral of div H over the samples, built once
+        per divergence function and kept with the orbit."""
+        key = fieldh.div_fn
+        if key not in self._cum_div:
+            vals = fieldh.divergence(self.points)
+            self._cum_div[key] = _cumulative_divergence(vals, self.step)
+        return self._cum_div[key]
+
 
 def _rk4_step(fieldh, x, dt):
+    """One RK4 step of the rows of ``x``; ``dt`` is a float or an (m, 1)
+    column of per-row steps."""
     k1 = fieldh(x)
     k2 = fieldh(x + 0.5 * dt * k1)
     k3 = fieldh(x + 0.5 * dt * k2)
@@ -66,112 +81,8 @@ def _rk4_step(fieldh, x, dt):
     return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _exit_face(domain, x):
-    best, best_d = None, math.inf
-    for k in range(domain.dim):
-        for side, plane in (("min", domain.lower[k]), ("max", domain.upper[k])):
-            d = abs(float(x[k]) - plane)
-            if d < best_d:
-                best, best_d = f"{'xyz'[k]}{side}", d
-    return best
-
-
-def _march(fieldh, domain, x0, dt, tol_len, max_steps):
-    """Fixed-step march until the box is left; bisect the crossing step."""
-    inside = domain.contains
-    xs = [x0.copy()]
-    x = x0.copy()
-    steps = 0
-    while True:
-        x_next = _rk4_step(fieldh, x, dt)
-        if not inside(x_next):
-            lo, hi = 0.0, dt
-            while (hi - lo) * max(fieldh.h_upper, 1e-30) > tol_len:
-                mid = 0.5 * (lo + hi)
-                if inside(_rk4_step(fieldh, x, mid)):
-                    lo = mid
-                else:
-                    hi = mid
-            t_exit = steps * dt + hi
-            x_exit = _rk4_step(fieldh, x, hi)
-            return np.array(xs), steps, t_exit, x_exit
-        xs.append(x_next.copy())
-        x = x_next
-        steps += 1
-        if steps > max_steps:
-            raise StepFailureError("orbit march exceeded its step budget")
-
-
-def integrate_orbit(fieldh, omega, level, domain, tol=1e-9):
-    """Maximal orbit through (omega, level) with exit-time bisection.
-
-    ``tol`` controls the positional resolution of the exit points,
-    tol * delta(Omega).
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    seed = np.concatenate([omega, [float(level)]])
-    if not domain.contains(seed):
-        raise ValueError(f"seed {seed} lies outside the domain")
-    if not fieldh.transversal:
-        raise ValueError("orbit tracing needs a transversal-mode field (H_n > 0)")
-    delta = domain.delta
-    dt = delta / STEP_DIVISOR
-    tol_len = tol * delta
-    max_steps = STEP_DIVISOR * 64
-
-    reversed_field = type(fieldh)(
-        kind=fieldh.kind,
-        dim=fieldh.dim,
-        eval_fn=lambda x: -fieldh.eval_fn(x),
-        div_fn=fieldh.div_fn,
-        h_upper=fieldh.h_upper,
-        h_lower=fieldh.h_lower,
-        lipschitz_const=fieldh.lipschitz_const,
-        params=fieldh.params,
-    )
-    fwd_pts, fwd_steps, t_plus, exit_plus = _march(fieldh, domain, seed, dt, tol_len, max_steps)
-    bwd_pts, bwd_steps, t_back, exit_minus = _march(
-        reversed_field, domain, seed, dt, tol_len, max_steps
-    )
-    t_minus = -t_back
-    times = np.concatenate([-dt * np.arange(bwd_steps, 0, -1), dt * np.arange(fwd_steps + 1)])
-    pts = np.concatenate([bwd_pts[:0:-1], fwd_pts], axis=0)
-    return Orbit(
-        omega=tuple(omega),
-        level=float(level),
-        times=times,
-        points=pts,
-        t_minus=float(t_minus),
-        t_plus=float(t_plus),
-        exit_minus=exit_minus,
-        exit_plus=exit_plus,
-        face_minus=_exit_face(domain, exit_minus),
-        face_plus=_exit_face(domain, exit_plus),
-        step=dt,
-    )
-
-
-def orbit_point(fieldh, orbit, t):
-    """Dense output X(t): re-step from the nearest stored state."""
-    if t < orbit.t_minus - 1e-15 or t > orbit.t_plus + 1e-15:
-        raise DomainExitError(f"t = {t} outside ({orbit.t_minus}, {orbit.t_plus})")
-    if t <= orbit.times[0]:
-        base_idx = 0
-    else:
-        base_idx = orbit.state_before(min(t, orbit.times[-1]))
-    x = orbit.points[base_idx].copy()
-    rest = t - orbit.times[base_idx]
-    if rest == 0.0:
-        return x
-    sign_field = fieldh if rest > 0 else _reversed(fieldh)
-    remaining = abs(rest)
-    while remaining > orbit.step:
-        x = _rk4_step(sign_field, x, orbit.step)
-        remaining -= orbit.step
-    return _rk4_step(sign_field, x, remaining)
-
-
 def _reversed(fieldh):
+    """The field -H, whose forward orbits are the backward orbits of H."""
     return type(fieldh)(
         kind=fieldh.kind,
         dim=fieldh.dim,
@@ -184,29 +95,187 @@ def _reversed(fieldh):
     )
 
 
+def _exit_face(domain, x):
+    best, best_d = None, math.inf
+    for k in range(domain.dim):
+        for side, plane in (("min", domain.lower[k]), ("max", domain.upper[k])):
+            d = abs(float(x[k]) - plane)
+            if d < best_d:
+                best, best_d = f"{'xyz'[k]}{side}", d
+    return best
+
+
+def _march(fieldh, domain, seeds, dt, tol_len, max_steps):
+    """Fixed-step march of every row of ``seeds`` until it leaves the box.
+
+    Rows step together and drop out when their next step would leave; each
+    row's crossing step is then bisected on its own bracket, halving until
+    the bracket length times h_upper is below ``tol_len``. Returns
+    (samples, steps, t_exit, x_exit): ``samples[k, i]`` is row i after k
+    steps, valid for k <= steps[i].
+    """
+    x = np.array(seeds, dtype=float)
+    steps = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
+    samples = [x.copy()]
+    while live.size:
+        x_next = _rk4_step(fieldh, x[live], dt)
+        stay = domain.contains(x_next)
+        live = live[stay]
+        if not live.size:
+            break
+        x[live] = x_next[stay]
+        steps[live] += 1
+        samples.append(x.copy())
+        if steps[live[0]] > max_steps:
+            raise StepFailureError("orbit march exceeded its step budget")
+    speed = max(fieldh.h_upper, 1e-30)
+    lo = np.zeros(len(x))
+    hi = np.full(len(x), dt)
+    while True:
+        rows = np.nonzero((hi - lo) * speed > tol_len)[0]
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        inside = domain.contains(_rk4_step(fieldh, x[rows], mid[:, None]))
+        lo[rows] = np.where(inside, mid, lo[rows])
+        hi[rows] = np.where(inside, hi[rows], mid)
+    x_exit = _rk4_step(fieldh, x, hi[:, None])
+    return np.stack(samples), steps, steps * dt + hi, x_exit
+
+
+def _omega_rows(omegas, dim):
+    """Omegas as an (m, dim-1) array; in 2D a flat sequence of scalars
+    is one omega per entry."""
+    rows = np.asarray(omegas, dtype=float)
+    if rows.ndim == 1 and dim == 2:
+        rows = rows[:, None]
+    if rows.ndim != 2 or rows.shape[1] != dim - 1:
+        raise ValueError(f"omegas need shape (m, {dim - 1}), got {rows.shape}")
+    return rows
+
+
+def integrate_orbits(fieldh, omegas, level, domain, tol=1e-9):
+    """Maximal orbits through (omega, level) for every omega, as one batch.
+
+    ``omegas`` holds one point of the level per row (shape (m, n-1), or a
+    flat sequence of scalars in 2D). All seeds march forward, then all
+    backward along the reversed field; ``tol`` sets the positional
+    resolution of the exit points, tol * delta(Omega). Returns a list of
+    Orbit in the order of ``omegas``.
+    """
+    omegas = _omega_rows(omegas, domain.dim)
+    seeds = np.concatenate([omegas, np.full((len(omegas), 1), float(level))], axis=1)
+    outside = ~domain.contains(seeds)
+    if np.any(outside):
+        raise ValueError(f"seed {seeds[np.argmax(outside)]} lies outside the domain")
+    if not fieldh.transversal:
+        raise ValueError("orbit tracing needs a transversal-mode field (H_n > 0)")
+    if not len(seeds):
+        return []
+    delta = domain.delta
+    dt = delta / STEP_DIVISOR
+    tol_len = tol * delta
+    max_steps = STEP_DIVISOR * 64
+    fwd_pts, fwd_steps, t_plus, exit_plus = _march(fieldh, domain, seeds, dt, tol_len, max_steps)
+    bwd_pts, bwd_steps, t_back, exit_minus = _march(
+        _reversed(fieldh), domain, seeds, dt, tol_len, max_steps
+    )
+    out = []
+    for i, omega in enumerate(omegas):
+        nf, nb = fwd_steps[i], bwd_steps[i]
+        out.append(
+            Orbit(
+                omega=tuple(omega),
+                level=float(level),
+                times=np.concatenate([-dt * np.arange(nb, 0, -1), dt * np.arange(nf + 1)]),
+                points=np.concatenate([bwd_pts[nb:0:-1, i], fwd_pts[: nf + 1, i]], axis=0),
+                t_minus=float(-t_back[i]),
+                t_plus=float(t_plus[i]),
+                exit_minus=exit_minus[i].copy(),
+                exit_plus=exit_plus[i].copy(),
+                face_minus=_exit_face(domain, exit_minus[i]),
+                face_plus=_exit_face(domain, exit_plus[i]),
+                step=dt,
+            )
+        )
+    return out
+
+
+def integrate_orbit(fieldh, omega, level, domain, tol=1e-9):
+    """Maximal orbit through (omega, level): a batch of one seed."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    if omega.shape != (domain.dim - 1,):
+        raise ValueError(f"omega needs {domain.dim - 1} coordinates, got {omega.shape}")
+    return integrate_orbits(fieldh, omega[None, :], level, domain, tol)[0]
+
+
+def _check_times(orbit, ts):
+    bad = (ts < orbit.t_minus - 1e-15) | (ts > orbit.t_plus + 1e-15)
+    if np.any(bad):
+        raise DomainExitError(f"t = {ts[bad][0]} outside ({orbit.t_minus}, {orbit.t_plus})")
+
+
+def _sample_index(orbit, ts):
+    """Per time, the index of the stored state it re-steps from: the last
+    sample at or before it, clamped to the stored range."""
+    times = orbit.times
+    clamped = np.clip(ts, times[0], times[-1])
+    return np.clip(np.searchsorted(times, clamped, side="right") - 1, 0, len(times) - 1)
+
+
+def _restep(fieldh, x, remaining, step):
+    """Advance each row of ``x`` by its own time ``remaining`` >= 0: full
+    steps while more than one step is left, then one partial step."""
+    remaining = remaining.copy()
+    while True:
+        far = remaining > step
+        if not np.any(far):
+            return _rk4_step(fieldh, x, remaining[:, None])
+        x[far] = _rk4_step(fieldh, x[far], step)
+        remaining[far] -= step
+
+
+def orbit_point(fieldh, orbit, t):
+    """Dense output X(t): re-step from the nearest stored state.
+
+    ``t`` is a time or an array of times; all times re-step as one batch,
+    forward and backward groups each along their own field.
+    """
+    ts = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(ts)
+    _check_times(orbit, flat)
+    idx = _sample_index(orbit, flat)
+    x = orbit.points[idx]
+    rest = flat - orbit.times[idx]
+    for rows, field_dir in ((rest > 0.0, fieldh), (rest < 0.0, _reversed(fieldh))):
+        if np.any(rows):
+            x[rows] = _restep(field_dir, x[rows], np.abs(rest[rows]), orbit.step)
+    return x[0] if ts.ndim == 0 else x
+
+
 def flow_map(fieldh, level, t, omega, domain):
     """T_h(t, omega) = X(t, omega); DomainExitError outside the interval."""
     orbit = integrate_orbit(fieldh, omega, level, domain)
     return orbit_point(fieldh, orbit, t)
 
 
-def _cumulative_divergence(fieldh, orbit):
-    """Cumulative Simpson integral of div H along the stored samples."""
-    vals = fieldh.divergence(orbit.points)
-    times = orbit.times
-    n = len(times)
+def _cumulative_divergence(vals, h):
+    """Cumulative composite Simpson integral of samples ``vals`` spaced ``h``.
+
+    Even samples accumulate whole Simpson panels in sequence, odd ones add
+    the half-panel rule to the panel start, and a trailing odd interval is
+    closed by the trapezoid rule.
+    """
+    n = len(vals)
     cum = np.zeros(n)
-    if n == 1:
-        return cum
-    h = orbit.step
-    simpson_pairs = (n - 1) // 2
-    for j in range(simpson_pairs):
-        i = 2 * j
-        cum[i + 1] = cum[i] + h / 12.0 * (5.0 * vals[i] + 8.0 * vals[i + 1] - vals[i + 2])
-        cum[i + 2] = cum[i] + h / 3.0 * (vals[i] + 4.0 * vals[i + 1] + vals[i + 2])
-    if (n - 1) % 2 == 1:
-        i = n - 2
-        cum[i + 1] = cum[i] + 0.5 * h * (vals[i] + vals[i + 1])
+    end = 2 * ((n - 1) // 2)
+    if end:
+        v0, v1, v2 = vals[0:end:2], vals[1:end:2], vals[2 : end + 1 : 2]
+        cum[2 : end + 1 : 2] = np.add.accumulate(h / 3.0 * (v0 + 4.0 * v1 + v2))
+        cum[1:end:2] = cum[0 : end - 1 : 2] + h / 12.0 * (5.0 * v0 + 8.0 * v1 - v2)
+    if end < n - 1:
+        cum[n - 1] = cum[n - 2] + 0.5 * h * (vals[n - 2] + vals[n - 1])
     return cum
 
 
@@ -214,65 +283,89 @@ def jacobian_analytic(fieldh, orbit, t):
     """Closed-form determinant -H_n(seed) exp(int_0^t div H along the orbit).
 
     The divergence integral is accumulated by composite Simpson over the
-    stored fixed-step samples, with local quadratic interpolation between
-    them.
+    stored fixed-step samples (cached on the orbit), closed by the
+    trapezoid rule from the last sample to t. ``t`` is a time or an array
+    of times.
     """
-    if t < orbit.t_minus - 1e-15 or t > orbit.t_plus + 1e-15:
-        raise DomainExitError(f"t = {t} outside ({orbit.t_minus}, {orbit.t_plus})")
-    cum = _cumulative_divergence(fieldh, orbit)
-    times = orbit.times
+    ts = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(ts)
+    _check_times(orbit, flat)
+    cum = orbit.cumulative_divergence(fieldh)
     # the stored samples start at the backward exit; the formula integrates
     # from the seed time 0, which is a stored sample by construction
-    idx_seed = orbit.state_before(0.0)
-    t_clamped = min(max(t, times[0]), times[-1])
-    idx = orbit.state_before(t_clamped)
-    integral = cum[idx] - cum[idx_seed]
-    rest = t - times[idx]
-    if rest != 0.0:
-        d0 = float(fieldh.divergence(orbit.points[idx]))
-        x_rest = orbit_point(fieldh, orbit, t)
-        d1 = float(fieldh.divergence(x_rest))
-        integral += 0.5 * rest * (d0 + d1)
+    idx = _sample_index(orbit, flat)
+    integral = cum[idx] - cum[orbit.state_before(0.0)]
+    rest = flat - orbit.times[idx]
+    moved = rest != 0.0
+    if np.any(moved):
+        d0 = fieldh.divergence(orbit.points[idx[moved]])
+        d1 = fieldh.divergence(orbit_point(fieldh, orbit, flat[moved]))
+        integral[moved] += 0.5 * rest[moved] * (d0 + d1)
     hn_seed = float(fieldh(orbit.seed)[-1])
-    return -hn_seed * math.exp(integral)
+    vals = [-hn_seed * math.exp(v) for v in integral]
+    return vals[0] if ts.ndim == 0 else np.array(vals)
 
 
-def _rk4_batch(fieldh, points, total_t, step):
-    """Integrate several seeds for the same signed time with fixed steps."""
-    x = np.asarray(points, dtype=float).copy()
-    field = fieldh if total_t >= 0 else _reversed(fieldh)
-    remaining = abs(total_t)
-    while remaining > step:
-        x = _rk4_step(field, x, step)
-        remaining -= step
-    return _rk4_step(field, x, remaining)
+def jacobian_numeric_batch(fieldh, omegas, level, times, domain, fd_step=1e-5):
+    """Finite-difference determinants at ``times[i, j]`` on the orbit of omega i.
+
+    The time column is the field value at X(t); the omega columns are
+    central differences of 2(n-1) shifted seeds. Every seed of every omega
+    marches as one array: once forward through the nonnegative times and
+    once backward through the negative ones, and each time is reached by
+    the same full steps and final partial step as a march from the seed
+    alone. The column order (time first) gives (-1)**(n-1) H_n at t = 0, so
+    the sign is normalized to the closed form's convention of -H_n in
+    every dimension. Returns an array shaped like ``times``.
+    """
+    dim = fieldh.dim
+    omegas = _omega_rows(omegas, dim)
+    times = np.asarray(times, dtype=float).reshape(len(omegas), -1)
+    step = domain.delta / STEP_DIVISOR
+    shifts = np.zeros((2 * dim - 1, dim))
+    for k in range(dim - 1):
+        shifts[1 + 2 * k, k] = fd_step
+        shifts[2 + 2 * k, k] = -fd_step
+    seeds = np.concatenate([omegas, np.full((len(omegas), 1), float(level))], axis=1)
+    batch = (seeds[:, None, :] + shifts[None, :, :]).reshape(-1, dim)
+    per_omega = len(shifts)
+    ends = np.empty(times.shape + (per_omega, dim))
+    backward = times < 0.0
+    for chosen, field_dir in ((~backward, fieldh), (backward, _reversed(fieldh))):
+        if not np.any(chosen):
+            continue
+        remaining = np.abs(times[chosen])
+        full = np.zeros(remaining.shape, dtype=int)
+        while True:
+            far = remaining > step
+            if not np.any(far):
+                break
+            remaining[far] -= step
+            full[far] += 1
+        states = [batch]
+        for _ in range(int(full.max())):
+            states.append(_rk4_step(field_dir, states[-1], step))
+        states = np.stack(states).reshape(len(states), len(omegas), per_omega, dim)
+        rows, cols = np.nonzero(chosen)
+        start = states[full, rows].reshape(-1, dim)
+        dts = np.repeat(remaining, per_omega)[:, None]
+        ends[rows, cols] = _rk4_step(field_dir, start, dts).reshape(-1, per_omega, dim)
+    hvals = fieldh(ends[..., 0, :].reshape(-1, dim)).reshape(times.shape + (dim,))
+    diffs = [
+        (ends[..., 1 + 2 * k, :] - ends[..., 2 + 2 * k, :]) / (2.0 * fd_step)
+        for k in range(dim - 1)
+    ]
+    jac = np.stack([hvals] + diffs, axis=-1)
+    orientation = 1.0 if dim % 2 == 0 else -1.0
+    return orientation * np.linalg.det(jac)
 
 
 def jacobian_numeric(fieldh, omega, level, t, domain, fd_step=1e-5):
-    """Finite-difference determinant of (t, omega) -> X(t, omega).
-
-    The time column is the field value at X(t); the omega columns are
-    central differences over 2(n-1) extra orbit integrations. The column
-    order (time first) gives (-1)**(n-1) H_n at t = 0, so the sign is
-    normalized to the closed form's convention of -H_n in every dimension.
-    """
+    """Finite-difference determinant of (t, omega) -> X(t, omega) at one
+    time: a batch of one omega and one time."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    dim = fieldh.dim
-    seed = np.concatenate([omega, [float(level)]])
-    step = domain.delta / STEP_DIVISOR
-    seeds = [seed]
-    for k in range(dim - 1):
-        e = np.zeros(dim)
-        e[k] = fd_step
-        seeds.append(seed + e)
-        seeds.append(seed - e)
-    ends = _rk4_batch(fieldh, np.array(seeds), t, step)
-    cols = [fieldh(ends[0])]
-    for k in range(dim - 1):
-        cols.append((ends[1 + 2 * k] - ends[2 + 2 * k]) / (2.0 * fd_step))
-    jac = np.stack(cols, axis=-1)
-    orientation = 1.0 if dim % 2 == 0 else -1.0
-    return orientation * float(np.linalg.det(jac))
+    dets = jacobian_numeric_batch(fieldh, omega[None, :], level, [[t]], domain, fd_step)
+    return float(dets[0, 0])
 
 
 @dataclass(frozen=True)
@@ -305,11 +398,9 @@ def certify_jacobian_bounds(fieldh, orbits, times_per_orbit=16):
     fwd, full = [], []
     for orbit in orbits:
         ts = np.linspace(orbit.t_minus, orbit.t_plus, times_per_orbit)
-        for t in ts:
-            v = -jacobian_analytic(fieldh, orbit, float(t))
-            full.append(v)
-            if t >= 0.0:
-                fwd.append(v)
+        vals = -jacobian_analytic(fieldh, orbit, ts)
+        full.extend(vals)
+        fwd.extend(vals[ts >= 0.0])
         fwd.append(-jacobian_analytic(fieldh, orbit, 0.0))
     fwd = np.asarray(fwd)
     full = np.asarray(full)
@@ -326,7 +417,7 @@ def certify_jacobian_bounds(fieldh, orbits, times_per_orbit=16):
 
 
 class OrbitFamily:
-    """Lazy, memoized orbits of one field at a fixed level."""
+    """Memoized orbits of one field at a fixed level, integrated in batches."""
 
     def __init__(self, fieldh, domain, level, tol=1e-9):
         self.fieldh = fieldh
@@ -335,13 +426,17 @@ class OrbitFamily:
         self.tol = tol
         self._cache = {}
 
+    def orbits(self, omegas):
+        """Orbits through every omega; the uncached ones march as one batch."""
+        keys = [tuple(np.atleast_1d(np.asarray(w, dtype=float))) for w in omegas]
+        missing = list(dict.fromkeys(k for k in keys if k not in self._cache))
+        if missing:
+            batch = integrate_orbits(self.fieldh, missing, self.level, self.domain, self.tol)
+            self._cache.update(zip(missing, batch))
+        return [self._cache[k] for k in keys]
+
     def orbit(self, omega):
-        key = tuple(np.atleast_1d(np.asarray(omega, dtype=float)))
-        if key not in self._cache:
-            self._cache[key] = integrate_orbit(
-                self.fieldh, np.asarray(key), self.level, self.domain, self.tol
-            )
-        return self._cache[key]
+        return self.orbits([omega])[0]
 
     def interval(self, omega):
         orb = self.orbit(omega)

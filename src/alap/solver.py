@@ -124,10 +124,16 @@ def _face_point_axes(grid, k):
     return axes
 
 
-def _face_field_values(grid, fieldh, k):
-    mesh = np.meshgrid(*_face_point_axes(grid, k), indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    return fieldh(pts)[..., k]
+def _face_field_values(grid, fieldh):
+    """Normal drift H_k at the axis-k face midpoints, one array per axis.
+
+    H is fixed for a whole solve, so a solve evaluates it here once.
+    """
+    out = []
+    for k in range(grid.dim):
+        mesh = np.meshgrid(*_face_point_axes(grid, k), indexing="ij")
+        out.append(fieldh(np.stack(mesh, axis=-1))[..., k])
+    return out
 
 
 def _face_chi(grid, chi, k):
@@ -147,7 +153,12 @@ def _face_chi(grid, chi, k):
     return out
 
 
-def _normal_fluxes(grid, profile, fieldh, u, chi):
+def _drift_fluxes(grid, chi, hface):
+    """Normal drift fluxes chi_face * H_k on the faces of every axis."""
+    return [_face_chi(grid, chi, k) * hface[k] for k in range(grid.dim)]
+
+
+def _normal_fluxes(grid, profile, u, drift):
     grads = geometry.gradient_at_faces(grid, u)
     fluxes = []
     for k in range(grid.dim):
@@ -157,18 +168,22 @@ def _normal_fluxes(grid, profile, fieldh, u, chi):
         pos = mag > 0.0
         scale[pos] = profile.a(mag[pos]) / mag[pos]
         f = scale * g[..., k]
-        f += _face_chi(grid, chi, k) * _face_field_values(grid, fieldh, k)
+        f += drift[k]
         fluxes.append(f)
-    return fluxes, grads
+    return fluxes
 
 
-def residual(grid, profile, fieldh, u, chi):
+def residual(grid, profile, fieldh, u, chi, drift=None):
     """Weak-form residual of div(flux(grad u) + chi H) at interior nodes.
 
     Zero on boundary nodes. The returned values carry the dual cell volume,
     so they match integration of the flux against nodal hat functions.
+    ``drift`` holds the face drift fluxes of this chi and field (as from
+    ``_drift_fluxes``); they are evaluated here when None.
     """
-    fluxes, _ = _normal_fluxes(grid, profile, fieldh, u, chi)
+    if drift is None:
+        drift = _drift_fluxes(grid, chi, _face_field_values(grid, fieldh))
+    fluxes = _normal_fluxes(grid, profile, u, drift)
     out = np.zeros(grid.counts)
     vol = grid.cell_volume
     for k in range(grid.dim):
@@ -277,8 +292,12 @@ def _pcg(apply_op, precond, rhs, interior, rtol, maxiter):
     return x
 
 
-def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps):
+def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps, hface=None):
     """Damped Newton on the full residual; returns (u, steps, rmax, ok).
+
+    ``hface`` holds the face values of H from ``_face_field_values``
+    (evaluated here when None); with chi frozen the drift fluxes are fixed
+    for the whole loop.
 
     The head equation holds at every interior node, dry or wet: flux is
     conserved, never absorbed, so the iterates may transiently leave
@@ -293,12 +312,15 @@ def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps):
     u = np.asarray(u_init, dtype=float).copy()
     chi = np.asarray(chi, dtype=float)
     steps_used = 0
-    res = residual(grid, profile, fieldh, u, chi)
+    if hface is None:
+        hface = _face_field_values(grid, fieldh)
+    drift = _drift_fluxes(grid, chi, hface)
+    res = residual(grid, profile, fieldh, u, chi, drift)
     for _ in range(max_steps):
         rmax = float(np.max(np.abs(res)))
         if rmax <= cfg.inner_tol:
             return u, steps_used, rmax, True
-        _, grads = _normal_fluxes(grid, profile, fieldh, u, chi)
+        grads = geometry.gradient_at_faces(grid, u)
         cond = _conductances(grid, profile, grads, mu, cfg.cond_floor)
         c_ref = float(np.median(np.concatenate([c.ravel() for c in cond])))
         precond = _SpectralPreconditioner(grid, max(c_ref, cfg.cond_floor))
@@ -317,7 +339,7 @@ def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps):
         accepted = False
         while lam >= cfg.damping_min:
             u_trial = u + lam * d
-            res_trial = residual(grid, profile, fieldh, u_trial, chi)
+            res_trial = residual(grid, profile, fieldh, u_trial, chi, drift)
             if float(np.linalg.norm(res_trial)) <= (1.0 - 1e-4 * lam) * rnorm:
                 accepted = True
                 break
@@ -330,17 +352,18 @@ def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps):
     return u, steps_used, rmax, rmax <= cfg.inner_tol
 
 
-def solve_u_given_chi(grid, profile, fieldh, chi, config, u_init):
+def solve_u_given_chi(grid, profile, fieldh, chi, config, u_init, hface=None):
     """Head solve with frozen chi: damped inexact Newton.
 
     ``u_init`` must carry the Dirichlet values on boundary nodes. The
     returned head satisfies |residual|_max <= inner_tol at every interior
     node. Raises NonConvergenceError when the iteration budget runs out or
-    the line search stalls.
+    the line search stalls. ``hface`` (from ``_face_field_values``) is
+    evaluated here when None.
     """
     cfg = config.resolved(grid, profile, fieldh)
     u, steps, rmax, converged = _newton_loop(
-        grid, profile, fieldh, chi, cfg, u_init, cfg.max_inner
+        grid, profile, fieldh, chi, cfg, u_init, cfg.max_inner, hface
     )
     if not converged:
         raise NonConvergenceError(
@@ -349,11 +372,12 @@ def solve_u_given_chi(grid, profile, fieldh, chi, config, u_init):
     return u, steps, rmax
 
 
-def energy(grid, profile, fieldh, u, chi):
+def energy(grid, profile, fieldh, u, chi, hcells=None):
     """Diagnostic functional sum_cells [A(|grad u|) + chi H . grad u] vol.
 
     Gradients are taken at cell centers; stationarity in u at frozen chi
-    reproduces the head equation up to quadrature placement.
+    reproduces the head equation up to quadrature placement. ``hcells``
+    holds H at the cell centers; it is evaluated here when None.
     """
     u = np.asarray(u, dtype=float)
     dim = grid.dim
@@ -371,8 +395,9 @@ def energy(grid, profile, fieldh, u, chi):
         comps.append(g)
     grad = np.stack(comps, axis=-1)
     mag = np.sqrt(np.sum(grad * grad, axis=-1))
-    hvals = fieldh(grid.cell_centers())
-    dens = profile.big_a(mag) + np.asarray(chi) * np.sum(hvals * grad, axis=-1)
+    if hcells is None:
+        hcells = fieldh(grid.cell_centers())
+    dens = profile.big_a(mag) + np.asarray(chi) * np.sum(hcells * grad, axis=-1)
     return float(np.sum(dens) * grid.cell_volume)
 
 
@@ -419,16 +444,19 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     t0 = time.perf_counter()
     report = SolveReport()
 
+    # H is fixed for the whole solve: evaluate it once on faces and cells
+    hface = _face_field_values(grid, fieldh)
+    hcells = fieldh(grid.cell_centers())
     u_bc = grid.dirichlet_array()
     laplace = profiles.make_power(2.0)
     chi0 = np.zeros(grid.cell_counts)
-    u, inner_used, _ = solve_u_given_chi(grid, laplace, fieldh, chi0, cfg, u_bc)
+    u, inner_used, _ = solve_u_given_chi(grid, laplace, fieldh, chi0, cfg, u_bc, hface)
     report.inner_iterations += inner_used
 
     stages = _penalization_stages(cfg.eps, domain.m_ceiling)
     cross_area = grid.cell_volume / float(np.min(grid.spacing)) * max(grid.counts)
     chi = _chi_target(grid, u, stages[0])
-    u, inner_used, rmax, _ = _newton_loop(grid, profile, fieldh, chi, cfg, u, 1)
+    u, inner_used, rmax, _ = _newton_loop(grid, profile, fieldh, chi, cfg, u, 1, hface)
     report.inner_iterations += inner_used
 
     # each sweep takes one damped Newton step: the chi relaxation moves the
@@ -448,13 +476,13 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             chi_new = (1.0 - stage_relax) * chi + stage_relax * target
             dchi = float(np.sum(np.abs(chi_new - chi)) * cellvol)
             chi = chi_new
-            u, inner_used, rmax, _ = _newton_loop(grid, profile, fieldh, chi, cfg, u, 1)
+            u, inner_used, rmax, _ = _newton_loop(grid, profile, fieldh, chi, cfg, u, 1, hface)
             outer_total += 1
             report.inner_iterations += inner_used
             report.outer_iterations = outer_total
             report.final_residual = rmax
             report.final_chi_change = dchi
-            report.energy_history.append(energy(grid, profile, fieldh, u, chi))
+            report.energy_history.append(energy(grid, profile, fieldh, u, chi, hcells))
             if dchi <= stage_tol:
                 converged = final_stage
                 break
@@ -478,7 +506,7 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             break
     if converged:
         try:
-            u, inner_used, rmax = solve_u_given_chi(grid, profile, fieldh, chi, cfg, u)
+            u, inner_used, rmax = solve_u_given_chi(grid, profile, fieldh, chi, cfg, u, hface)
             report.inner_iterations += inner_used
             report.final_residual = rmax
         except NonConvergenceError as exc:

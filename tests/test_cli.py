@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from alap import cli, config, solver
+from alap import cli, config, orbits, solver
 from alap.errors import ConfigError
 
 DAM_CONFIG = """
@@ -242,3 +242,35 @@ def test_cli_check_barriers_parallel_matches_serial(tmp_path):
         with open(os.path.join(out, "barriers.csv"), "rb") as fh:
             outs.append(fh.read())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, extra, config_line",
+    [
+        ("trace", ["--h", "1.5"], ""),
+        ("trace", ["--h", "0"], ""),
+        ("trace", [], "trace.level = -0.25"),
+        ("trace", ["--omega-count", "0"], ""),
+        ("trace", [], "trace.omega_count = 0"),
+        ("trace", [], "trace.omega_count = many"),
+        ("trace", [], "trace.level = 0.2 0.3"),
+        ("verify-fb", ["--h", "2"], ""),
+        ("verify-fb", [], "fb.levels = 0.2 1.0"),
+        ("verify-fb", [], "fb.omega_count = 0"),
+        ("extract-fb", ["--h", "nan"], ""),
+        ("extract-fb", [], "fb.omega_count = -3"),
+    ],
+)
+def test_bad_orbit_inputs_exit_4_before_any_work(tmp_path, monkeypatch, capsys,
+                                                  command, extra, config_line):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with an invalid orbit input")
+
+    monkeypatch.setattr(solver, "solve_problem", no_work)
+    monkeypatch.setattr(orbits, "integrate_orbits", no_work)
+    text = DAM_CONFIG.replace("fb.levels = 0.2\n", "").replace("fb.omega_count = 9\n", "")
+    cfg_path = write_config(tmp_path, text + "\n" + config_line + "\n")
+    out = tmp_path / "out_bad"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out)] + extra) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not any(name.endswith(".csv") for name in os.listdir(out))

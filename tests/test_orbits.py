@@ -232,3 +232,258 @@ def test_orbit_and_jacobian_3d():
     assert ya == pytest.approx(-hn * math.exp(0.15 * t), rel=1e-9)
     yn = orbits.jacobian_numeric(f, [0.4, 0.6], 0.3, t, dom)
     assert abs(ya - yn) / abs(ya) < 1e-6
+
+
+# --- batched engine against a lone-orbit reference -------------------------
+
+
+def _ref_rk4(fieldh, x, dt):
+    k1 = fieldh(x)
+    k2 = fieldh(x + 0.5 * dt * k1)
+    k3 = fieldh(x + 0.5 * dt * k2)
+    k4 = fieldh(x + dt * k3)
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _ref_march(fieldh, sign, domain, x0, dt, tol_len):
+    """One seed, one direction: fixed steps, then bisect the crossing step."""
+
+    def step(x, h):
+        return _ref_rk4(lambda y: sign * fieldh(y), x, h)
+
+    xs, x = [x0.copy()], x0.copy()
+    while True:
+        x_next = step(x, dt)
+        if not domain.contains(x_next):
+            lo, hi = 0.0, dt
+            while (hi - lo) * fieldh.h_upper > tol_len:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if domain.contains(step(x, mid)) else (lo, mid)
+            return np.array(xs), (len(xs) - 1) * dt + hi, step(x, hi)
+        xs.append(x_next)
+        x = x_next
+
+
+def _ref_orbit(fieldh, omega, level, domain, tol=1e-9):
+    seed = np.array(list(omega) + [level], dtype=float)
+    dt = domain.delta / orbits.STEP_DIVISOR
+    fwd, t_plus, exit_plus = _ref_march(fieldh, 1.0, domain, seed, dt, tol * domain.delta)
+    bwd, t_back, exit_minus = _ref_march(fieldh, -1.0, domain, seed, dt, tol * domain.delta)
+    times = np.concatenate(
+        [-dt * np.arange(len(bwd) - 1, 0, -1), dt * np.arange(len(fwd))]
+    )
+    return times, np.concatenate([bwd[:0:-1], fwd]), -t_back, t_plus, exit_minus, exit_plus
+
+
+def _faces(domain, x):
+    d = np.concatenate([np.abs(x - domain.lower), np.abs(x - domain.upper)])
+    k = int(np.argmin(d))
+    return "xyz"[k % domain.dim] + ("min" if k < domain.dim else "max")
+
+
+def cube_domain():
+    return geometry.box_domain(
+        [0, 0, 0], [1, 1, 1], ["zmax"], geometry.BoundaryData("zero"), 1.0
+    )
+
+
+ENGINE_CASES = {
+    # straight orbits, no divergence
+    "constant": lambda: (unit_square(), fields.make_constant_field([0.3, 1.0]),
+                         [(w,) for w in np.linspace(0.05, 0.95, 7)], 0.4),
+    # curved orbits with div H = 0.2 > 0
+    "affine": lambda: (*spiral_affine(), [(w,) for w in np.linspace(0.05, 0.95, 7)], 0.4),
+    "affine_3d": lambda: (
+        cube_domain(),
+        fields.make_affine_field(np.diag([0.05, 0.0, 0.1]), np.array([0.0, 0.1, 1.0]),
+                                 cube_domain()),
+        [(a, b) for a in (0.2, 0.5, 0.8) for b in (0.3, 0.7)],
+        0.3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_batched_march_is_bit_identical_to_lone_orbits(case):
+    dom, f, omegas, level = ENGINE_CASES[case]()
+    batch = orbits.integrate_orbits(f, omegas, level, dom)
+    assert len(batch) == len(omegas)
+    for om, orb in zip(omegas, batch):
+        times, pts, t_minus, t_plus, x_minus, x_plus = _ref_orbit(f, om, level, dom)
+        assert orb.omega == om and orb.level == level
+        assert np.array_equal(orb.times, times)
+        assert np.array_equal(orb.points, pts)
+        assert (orb.t_minus, orb.t_plus) == (t_minus, t_plus)
+        assert np.array_equal(orb.exit_minus, x_minus)
+        assert np.array_equal(orb.exit_plus, x_plus)
+        assert (orb.face_minus, orb.face_plus) == (_faces(dom, x_minus), _faces(dom, x_plus))
+
+
+def test_batched_march_with_full_coefficients_within_four_ulps():
+    # off-diagonal coefficients make H a genuine matrix product, whose BLAS
+    # summation order may differ between one row and a batch of rows
+    dom = unit_square()
+    f = fields.make_affine_field(np.array([[0.1, 0.05], [0.02, 0.2]]), np.array([0.1, 1.0]), dom)
+    omegas = [(w,) for w in np.linspace(0.05, 0.95, 7)]
+    bound = 4.0 * np.spacing(1.0)  # four ulps of the unit box scale
+    for om, orb in zip(omegas, orbits.integrate_orbits(f, omegas, 0.3, dom)):
+        times, pts, t_minus, t_plus, x_minus, x_plus = _ref_orbit(f, om, 0.3, dom)
+        assert np.array_equal(orb.times, times)
+        assert np.max(np.abs(orb.points - pts)) <= bound
+        assert abs(orb.t_minus - t_minus) <= bound and abs(orb.t_plus - t_plus) <= bound
+        assert np.max(np.abs(orb.exit_minus - x_minus)) <= bound
+        assert np.max(np.abs(orb.exit_plus - x_plus)) <= bound
+
+
+def _ref_cumulative_simpson(vals, h):
+    n = len(vals)
+    cum = np.zeros(n)
+    for j in range((n - 1) // 2):
+        i = 2 * j
+        cum[i + 1] = cum[i] + h / 12.0 * (5.0 * vals[i] + 8.0 * vals[i + 1] - vals[i + 2])
+        cum[i + 2] = cum[i] + h / 3.0 * (vals[i] + 4.0 * vals[i + 1] + vals[i + 2])
+    if (n - 1) % 2 == 1:
+        cum[n - 1] = cum[n - 2] + 0.5 * h * (vals[n - 2] + vals[n - 1])
+    return cum
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10, 1001, 1002])
+def test_vectorized_simpson_equals_the_loop(n):
+    vals = np.random.default_rng(n).uniform(0.0, 2.0, n)
+    h = 1.0 / 2048
+    assert np.array_equal(orbits._cumulative_divergence(vals, h), _ref_cumulative_simpson(vals, h))
+
+
+def _ref_flow(fieldh, x, t, step):
+    """A lone march of the rows of x from time 0 to t, as the oracle did."""
+    sign = 1.0 if t >= 0 else -1.0
+    remaining = abs(t)
+    while remaining > step:
+        x = _ref_rk4(lambda y: sign * fieldh(y), x, step)
+        remaining -= step
+    return _ref_rk4(lambda y: sign * fieldh(y), x, remaining)
+
+
+def _ref_point(fieldh, orb, t):
+    """Dense output as a lone re-step from the last stored state <= t."""
+    times = orb.times
+    i = 0 if t <= times[0] else int(np.searchsorted(times, min(t, times[-1]), side="right")) - 1
+    rest = t - times[i]
+    return orb.points[i] if rest == 0.0 else _ref_flow(fieldh, orb.points[i], rest, orb.step)
+
+
+def _ref_jacobian(fieldh, orb, t):
+    cum = _ref_cumulative_simpson(fieldh.divergence(orb.points), orb.step)
+    times = orb.times
+    i = int(np.searchsorted(times, min(max(t, times[0]), times[-1]), side="right")) - 1
+    integral = cum[i] - cum[int(np.searchsorted(times, 0.0, side="right")) - 1]
+    rest = t - times[i]
+    if rest != 0.0:
+        d0 = float(fieldh.divergence(orb.points[i]))
+        d1 = float(fieldh.divergence(_ref_point(fieldh, orb, t)))
+        integral += 0.5 * rest * (d0 + d1)
+    return -float(fieldh(orb.seed)[-1]) * math.exp(integral)
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_one_pass_dense_output_and_jacobians_match_lone_marches(case):
+    dom, f, omegas, level = ENGINE_CASES[case]()
+    omegas = omegas[:3]
+    batch = orbits.integrate_orbits(f, omegas, level, dom)
+    times = np.array([np.linspace(o.t_minus, o.t_plus, 9) for o in batch])
+    numeric = orbits.jacobian_numeric_batch(f, omegas, level, times, dom)
+    step = dom.delta / orbits.STEP_DIVISOR
+    for om, orb, ts, dets in zip(omegas, batch, times, numeric):
+        xs = orbits.orbit_point(f, orb, ts)
+        ya = orbits.jacobian_analytic(f, orb, ts)
+        for t, x, y, det in zip(ts, xs, ya, dets):
+            assert np.array_equal(x, _ref_point(f, orb, float(t)))
+            assert y == _ref_jacobian(f, orb, float(t))
+            seed = np.array(list(om) + [level])
+            rows = [seed]
+            for k in range(dom.dim - 1):
+                e = np.zeros(dom.dim)
+                e[k] = 1e-5
+                rows += [seed + e, seed - e]
+            ends = [_ref_flow(f, r, float(t), step) for r in rows]
+            cols = [f(ends[0])] + [
+                (ends[1 + 2 * k] - ends[2 + 2 * k]) / 2e-5 for k in range(dom.dim - 1)
+            ]
+            orientation = 1.0 if dom.dim % 2 == 0 else -1.0
+            assert det == orientation * float(np.linalg.det(np.stack(cols, axis=-1)))
+
+
+def test_cumulative_divergence_is_cached_per_orbit():
+    dom, f = spiral_affine()
+    orb = orbits.integrate_orbit(f, [0.3], 0.4, dom)
+    calls = []
+
+    def counting_div(x):
+        calls.append(np.shape(x))
+        return f.div_fn(x)
+
+    counted = fields.FieldH(kind=f.kind, dim=f.dim, eval_fn=f.eval_fn, div_fn=counting_div,
+                            h_upper=f.h_upper, h_lower=f.h_lower,
+                            lipschitz_const=f.lipschitz_const, params=f.params)
+    ts = np.linspace(orb.t_minus, orb.t_plus, 16)
+    first = orbits.jacobian_analytic(counted, orb, ts)
+    again = [orbits.jacobian_analytic(counted, orb, float(t)) for t in ts]
+    assert np.array_equal(first, again)
+    # the divergence along all stored samples is taken once, not per time
+    assert calls.count(orb.points.shape) == 1
+
+
+SMALL_DAM = """
+schema_version = 1
+seed = 5
+domain.lower = 0 0
+domain.upper = 1 1
+domain.t_faces = ymax
+domain.m = 0.6
+domain.g.kind = hydrostatic
+domain.g.level = 0.6
+grid.resolution = 33 33
+profile.family = power
+profile.p = 2
+field.kind = constant
+field.c = 0 1
+fb.levels = 0.1 0.2 0.3
+fb.omega_count = 9
+"""
+
+
+def test_verify_fb_integrates_each_seed_once(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from alap import cli
+
+    marches = []
+    real_march = orbits._march
+
+    def counting_march(fieldh, domain, seeds, *args):
+        marches.append([tuple(s) for s in np.asarray(seeds)])
+        return real_march(fieldh, domain, seeds, *args)
+
+    monkeypatch.setattr(orbits, "_march", counting_march)
+    cfg = tmp_path / "dam.cfg"
+    cfg.write_text(SMALL_DAM, encoding="utf-8")
+    assert cli.main(["verify-fb", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    # one forward and one backward batch per level, each seed in one of each
+    assert len(marches) == 2 * 3
+    per_seed = Counter(seed for batch in marches for seed in batch)
+    assert len(per_seed) == 3 * 9
+    assert set(per_seed.values()) == {2}
+
+
+def test_trace_csv_is_byte_identical_across_runs(tmp_path):
+    from alap import cli
+
+    cfg = tmp_path / "dam.cfg"
+    cfg.write_text(SMALL_DAM, encoding="utf-8")
+    blobs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert cli.main(["trace", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+        blobs.append((out / "trace.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert blobs[0].count(b"\n") == 1 + 9 * 32

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,24 @@ def test_p3_dam_sweeps_take_one_newton_step_each():
     assert report.inner_iterations < 2 * report.outer_iterations
     assert report.final_residual <= solver.SolverConfig().resolved(grid, prof, f).inner_tol
     assert np.max(np.abs(pair.u - dam_exact(grid))) <= grid.spacing[1]
+
+
+def test_solve_evaluates_the_field_once():
+    # H is fixed for a solve: once on each axis's faces and once on cells,
+    # however many sweeps, Newton steps and residuals the solve takes
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (17, 17))
+    base = fields.make_constant_field([0.0, 1.0])
+    calls = []
+
+    def counting_eval(x):
+        calls.append(x.shape)
+        return base.eval_fn(x)
+
+    f = dataclasses.replace(base, eval_fn=counting_eval)
+    pair, report = solver.solve_problem(grid, profiles.make_power(2.0), f, dom)
+    plain_pair, plain_report = solver.solve_problem(grid, profiles.make_power(2.0), base, dom)
+    assert report.outer_iterations > 1
+    assert len(calls) == grid.dim + 1
+    assert np.array_equal(pair.u, plain_pair.u) and np.array_equal(pair.chi, plain_pair.chi)
+    assert report.energy_history == plain_report.energy_history
