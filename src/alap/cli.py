@@ -190,10 +190,18 @@ def _orbit_levels(cfg, args, key, default):
     return levels
 
 
+def _single(values, key):
+    if len(values) != 1:
+        raise ConfigError(f"{key} takes one value, got {len(values)}")
+    return values[0]
+
+
 def _omega_count(cfg, override, key, default):
-    count = override if override is not None else _parse(cfg, key, default, int)[0]
+    if override is not None:
+        count, source = override, "--omega-count"
+    else:
+        count, source = _single(_parse(cfg, key, default, int), key), key
     if count < 1:
-        source = "--omega-count" if override is not None else key
         raise ConfigError(f"{source} = {count} must be at least 1")
     return count
 
@@ -201,10 +209,7 @@ def _omega_count(cfg, override, key, default):
 def cmd_trace(args):
     cfg = _load(args)
     _require(cfg, "domain", "fieldh")
-    levels = _orbit_levels(cfg, args, "trace.level", "0.5")
-    if len(levels) != 1:
-        raise ConfigError(f"trace.level takes one value, got {len(levels)}")
-    level = levels[0]
+    level = _single(_orbit_levels(cfg, args, "trace.level", "0.5"), "trace.level")
     count = _omega_count(cfg, args.omega_count, "trace.omega_count", "9")
     dom, fieldh = cfg.domain, cfg.fieldh
     span = dom.upper - dom.lower

@@ -140,8 +140,9 @@ def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9
     """Wet-interval suprema with flags, plus the interval-identity check.
 
     ``orbits`` are the orbits through ``omegas`` at ``level``, in order (as
-    from ``OrbitFamily.orbits``); when None they are integrated here as one
-    batch with exit resolution ``refine_tol``.
+    from ``OrbitFamily.orbits``), with their exit resolution already set;
+    when None they are integrated here as one batch with exit resolution
+    ``refine_tol``.
 
     The identity check verifies that samples more than one orbit step below
     the graph value are wet and samples above it are dry; a violation
@@ -149,12 +150,14 @@ def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9
     structure and points to an unconverged solve.
     """
     omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim == 1 and domain.dim == 2:
+        om_list = [(float(w),) for w in omegas]
+    else:
+        om_list = [tuple(map(float, w)) for w in np.atleast_2d(omegas)]
     if orbits is None:
-        if omegas.ndim == 1 and domain.dim == 2:
-            om_list = [(float(w),) for w in omegas]
-        else:
-            om_list = [tuple(map(float, w)) for w in np.atleast_2d(omegas)]
         orbits = OrbitFamily(fieldh, domain, level, tol=refine_tol).orbits(om_list)
+    elif [o.omega for o in orbits] != om_list or any(o.level != level for o in orbits):
+        raise ValueError("the given orbits do not start at the omegas on this level")
     values, tmin, tmax = [], [], []
     set_empty, touching, identity = [], [], []
     for orbit in orbits:

@@ -20,7 +20,7 @@ from 2(n-1)+1 independent orbit integrations.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class Orbit:
     face_minus: str
     face_plus: str
     step: float
-    _cum_div: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def seed(self):
@@ -60,15 +59,6 @@ class Orbit:
         """Index of the last stored sample with time <= t."""
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         return max(0, min(idx, len(self.times) - 1))
-
-    def cumulative_divergence(self, fieldh):
-        """Cumulative Simpson integral of div H over the samples, built once
-        per divergence function and kept with the orbit."""
-        key = fieldh.div_fn
-        if key not in self._cum_div:
-            vals = fieldh.divergence(self.points)
-            self._cum_div[key] = _cumulative_divergence(vals, self.step)
-        return self._cum_div[key]
 
 
 def _rk4_step(fieldh, x, dt):
@@ -224,16 +214,27 @@ def _sample_index(orbit, ts):
     return np.clip(np.searchsorted(times, clamped, side="right") - 1, 0, len(times) - 1)
 
 
-def _restep(fieldh, x, remaining, step):
-    """Advance each row of ``x`` by its own time ``remaining`` >= 0: full
-    steps while more than one step is left, then one partial step."""
-    remaining = remaining.copy()
+def _split_steps(remaining, step):
+    """How a march of ``step`` reaches each time of ``remaining`` >= 0: full
+    steps while more than one step is left, then one partial step. Returns
+    (full step counts, partial step lengths)."""
+    rest = np.array(remaining, dtype=float)
+    full = np.zeros(rest.shape, dtype=int)
     while True:
-        far = remaining > step
+        far = rest > step
         if not np.any(far):
-            return _rk4_step(fieldh, x, remaining[:, None])
-        x[far] = _rk4_step(fieldh, x[far], step)
-        remaining[far] -= step
+            return full, rest
+        rest[far] -= step
+        full[far] += 1
+
+
+def _restep(fieldh, x, remaining, step):
+    """Advance each row of ``x`` by its own time ``remaining`` >= 0."""
+    full, rest = _split_steps(remaining, step)
+    for k in range(int(full.max())):
+        rows = full > k
+        x[rows] = _rk4_step(fieldh, x[rows], step)
+    return _rk4_step(fieldh, x, rest[:, None])
 
 
 def orbit_point(fieldh, orbit, t):
@@ -283,14 +284,13 @@ def jacobian_analytic(fieldh, orbit, t):
     """Closed-form determinant -H_n(seed) exp(int_0^t div H along the orbit).
 
     The divergence integral is accumulated by composite Simpson over the
-    stored fixed-step samples (cached on the orbit), closed by the
-    trapezoid rule from the last sample to t. ``t`` is a time or an array
-    of times.
+    stored fixed-step samples, once per call, closed by the trapezoid rule
+    from the last sample to t. ``t`` is a time or an array of times.
     """
     ts = np.asarray(t, dtype=float)
     flat = np.atleast_1d(ts)
     _check_times(orbit, flat)
-    cum = orbit.cumulative_divergence(fieldh)
+    cum = _cumulative_divergence(fieldh.divergence(orbit.points), orbit.step)
     # the stored samples start at the backward exit; the formula integrates
     # from the seed time 0, which is a stored sample by construction
     idx = _sample_index(orbit, flat)
@@ -312,11 +312,13 @@ def jacobian_numeric_batch(fieldh, omegas, level, times, domain, fd_step=1e-5):
     The time column is the field value at X(t); the omega columns are
     central differences of 2(n-1) shifted seeds. Every seed of every omega
     marches as one array: once forward through the nonnegative times and
-    once backward through the negative ones, and each time is reached by
-    the same full steps and final partial step as a march from the seed
-    alone. The column order (time first) gives (-1)**(n-1) H_n at t = 0, so
-    the sign is normalized to the closed form's convention of -H_n in
-    every dimension. Returns an array shaped like ``times``.
+    once backward through the negative ones. Each time is reached by the
+    same full steps and final partial step as a march from the seed alone,
+    taken off the march when its step count comes up; an omega leaves the
+    march after its last time. The column order (time first) gives
+    (-1)**(n-1) H_n at t = 0, so the sign is normalized to the closed
+    form's convention of -H_n in every dimension. Returns an array shaped
+    like ``times``.
     """
     dim = fieldh.dim
     omegas = _omega_rows(omegas, dim)
@@ -334,22 +336,28 @@ def jacobian_numeric_batch(fieldh, omegas, level, times, domain, fd_step=1e-5):
     for chosen, field_dir in ((~backward, fieldh), (backward, _reversed(fieldh))):
         if not np.any(chosen):
             continue
-        remaining = np.abs(times[chosen])
-        full = np.zeros(remaining.shape, dtype=int)
-        while True:
-            far = remaining > step
-            if not np.any(far):
-                break
-            remaining[far] -= step
-            full[far] += 1
-        states = [batch]
-        for _ in range(int(full.max())):
-            states.append(_rk4_step(field_dir, states[-1], step))
-        states = np.stack(states).reshape(len(states), len(omegas), per_omega, dim)
         rows, cols = np.nonzero(chosen)
-        start = states[full, rows].reshape(-1, dim)
-        dts = np.repeat(remaining, per_omega)[:, None]
-        ends[rows, cols] = _rk4_step(field_dir, start, dts).reshape(-1, per_omega, dim)
+        full, rest = _split_steps(np.abs(times[rows, cols]), step)
+        last = np.zeros(len(omegas), dtype=int)
+        np.maximum.at(last, rows, full)
+        x = batch.reshape(len(omegas), per_omega, dim).copy()
+        live = np.unique(rows)
+        k = 0
+        while True:
+            due = full == k
+            if np.any(due):
+                start = x[rows[due]].reshape(-1, dim)
+                dts = np.repeat(rest[due], per_omega)[:, None]
+                ends[rows[due], cols[due]] = _rk4_step(field_dir, start, dts).reshape(
+                    -1, per_omega, dim
+                )
+            live = live[last[live] > k]
+            if not live.size:
+                break
+            x[live] = _rk4_step(field_dir, x[live].reshape(-1, dim), step).reshape(
+                -1, per_omega, dim
+            )
+            k += 1
     hvals = fieldh(ends[..., 0, :].reshape(-1, dim)).reshape(times.shape + (dim,))
     diffs = [
         (ends[..., 1 + 2 * k, :] - ends[..., 2 + 2 * k, :]) / (2.0 * fd_step)
@@ -398,10 +406,11 @@ def certify_jacobian_bounds(fieldh, orbits, times_per_orbit=16):
     fwd, full = [], []
     for orbit in orbits:
         ts = np.linspace(orbit.t_minus, orbit.t_plus, times_per_orbit)
-        vals = -jacobian_analytic(fieldh, orbit, ts)
-        full.extend(vals)
-        fwd.extend(vals[ts >= 0.0])
-        fwd.append(-jacobian_analytic(fieldh, orbit, 0.0))
+        # the seed time 0 closes the forward range
+        vals = -jacobian_analytic(fieldh, orbit, np.append(ts, 0.0))
+        full.extend(vals[:-1])
+        fwd.extend(vals[:-1][ts >= 0.0])
+        fwd.append(vals[-1])
     fwd = np.asarray(fwd)
     full = np.asarray(full)
     hi = float(np.max(full))

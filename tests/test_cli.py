@@ -254,9 +254,11 @@ def test_cli_check_barriers_parallel_matches_serial(tmp_path):
         ("trace", [], "trace.omega_count = 0"),
         ("trace", [], "trace.omega_count = many"),
         ("trace", [], "trace.level = 0.2 0.3"),
+        ("trace", [], "trace.omega_count = 9 33"),
         ("verify-fb", ["--h", "2"], ""),
         ("verify-fb", [], "fb.levels = 0.2 1.0"),
         ("verify-fb", [], "fb.omega_count = 0"),
+        ("verify-fb", [], "fb.omega_count = 9 33"),
         ("extract-fb", ["--h", "nan"], ""),
         ("extract-fb", [], "fb.omega_count = -3"),
     ],

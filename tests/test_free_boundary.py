@@ -117,6 +117,19 @@ def test_extract_graph_flat_with_identity():
     assert not graph.boundary_touching.any()
 
 
+def test_extract_graph_takes_given_orbits_and_rejects_mismatched_ones():
+    dom, grid, pair = dam_setup()
+    f = vertical_field()
+    omegas = np.array([0.3, 0.5, 0.7])
+    given = orbits.integrate_orbits(f, omegas, 0.2, dom)
+    own = fb.extract_graph(pair, grid, f, 0.2, omegas, dom)
+    shared = fb.extract_graph(pair, grid, f, 0.2, omegas, dom, orbits=given)
+    assert np.array_equal(own.values, shared.values)
+    for bad_omegas, bad_level in ((omegas[::-1], 0.2), (omegas[:2], 0.2), (omegas, 0.3)):
+        with pytest.raises(ValueError, match="do not start"):
+            fb.extract_graph(pair, grid, f, bad_level, bad_omegas, dom, orbits=given)
+
+
 def test_extract_graph_dry_solution_flags_empty():
     dom, grid, pair = dam_setup()
     dry = geometry.SolutionPair(

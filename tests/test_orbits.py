@@ -413,26 +413,6 @@ def test_one_pass_dense_output_and_jacobians_match_lone_marches(case):
             assert det == orientation * float(np.linalg.det(np.stack(cols, axis=-1)))
 
 
-def test_cumulative_divergence_is_cached_per_orbit():
-    dom, f = spiral_affine()
-    orb = orbits.integrate_orbit(f, [0.3], 0.4, dom)
-    calls = []
-
-    def counting_div(x):
-        calls.append(np.shape(x))
-        return f.div_fn(x)
-
-    counted = fields.FieldH(kind=f.kind, dim=f.dim, eval_fn=f.eval_fn, div_fn=counting_div,
-                            h_upper=f.h_upper, h_lower=f.h_lower,
-                            lipschitz_const=f.lipschitz_const, params=f.params)
-    ts = np.linspace(orb.t_minus, orb.t_plus, 16)
-    first = orbits.jacobian_analytic(counted, orb, ts)
-    again = [orbits.jacobian_analytic(counted, orb, float(t)) for t in ts]
-    assert np.array_equal(first, again)
-    # the divergence along all stored samples is taken once, not per time
-    assert calls.count(orb.points.shape) == 1
-
-
 SMALL_DAM = """
 schema_version = 1
 seed = 5
