@@ -111,11 +111,11 @@ def cmd_check_barriers(args):
     cfg = _load(args)
     _require(cfg, "profile", "domain", "fieldh")
     prof, dom = cfg.profile, cfg.domain
-    radius = float(cfg.raw.get("barriers.radius", ["0.25"])[0])
-    margin_frac = float(cfg.raw.get("barriers.margin", ["0.4"])[0])
-    floor = float(cfg.raw.get("barriers.floor", ["1.0"])[0])
-    kappa_count = int(cfg.raw.get("barriers.kappa_count", ["5"])[0])
-    scales = [float(s) for s in cfg.raw.get("barriers.hopf_scales", ["0.1", "1.0"])]
+    radius = _knob(cfg, "barriers.radius", "0.25", float)
+    margin_frac = _knob(cfg, "barriers.margin", "0.4", float)
+    floor = _knob(cfg, "barriers.floor", "1.0", float)
+    kappa_count = _knob(cfg, "barriers.kappa_count", "5", int)
+    scales = _parse(cfg, "barriers.hopf_scales", "0.1 1.0", float)
     center = tuple(0.5 * (dom.lower + dom.upper))
     jobs = []
 
@@ -172,8 +172,9 @@ def cmd_check_barriers(args):
 
 
 def _parse(cfg, key, default, kind):
+    """Values of ``key``, or of the whitespace-separated ``default``."""
     try:
-        return [kind(v) for v in cfg.raw.get(key, [default])]
+        return [kind(v) for v in cfg.raw.get(key, default.split())]
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -196,11 +197,22 @@ def _single(values, key):
     return values[0]
 
 
+def _knob(cfg, key, default, kind):
+    return _single(_parse(cfg, key, default, kind), key)
+
+
+def _point(cfg, key, default, count):
+    values = _parse(cfg, key, default, float)
+    if len(values) != count:
+        raise ConfigError(f"{key} takes {count} values, got {len(values)}")
+    return values
+
+
 def _omega_count(cfg, override, key, default):
     if override is not None:
         count, source = override, "--omega-count"
     else:
-        count, source = _single(_parse(cfg, key, default, int), key), key
+        count, source = _knob(cfg, key, default, int), key
     if count < 1:
         raise ConfigError(f"{source} = {count} must be at least 1")
     return count
@@ -273,8 +285,11 @@ def cmd_extract_fb(args):
 
 
 def _grad_max(grid, u):
-    grads = geometry.gradient_at_faces(grid, u)
-    return max(float(np.max(np.sqrt(np.sum(g * g, axis=-1)))) for g in grads)
+    peaks = []
+    for g in geometry.gradient_at_faces(grid, u):
+        comps = np.moveaxis(g, -1, 0)
+        peaks.append(float(np.max(np.sqrt(geometry.component_dot(comps, comps)))))
+    return max(peaks)
 
 
 def cmd_verify_fb(args):
@@ -320,16 +335,16 @@ def cmd_growth(args):
     cfg = _load(args)
     _require(cfg, "domain", "resolution", "profile", "fieldh")
     dim = cfg.domain.dim
-    raw_res = cfg.raw.get("growth.resolutions")
+    raw_res = _parse(cfg, "growth.resolutions", "", int)
     if raw_res:
         if len(raw_res) % dim != 0:
             raise ConfigError("growth.resolutions must hold groups of one resolution per axis")
-        res_list = [
-            tuple(int(v) for v in raw_res[i : i + dim]) for i in range(0, len(raw_res), dim)
-        ]
+        if min(raw_res) < 3:
+            raise ConfigError("growth.resolutions entries must be >= 3")
+        res_list = [tuple(raw_res[i : i + dim]) for i in range(0, len(raw_res), dim)]
     else:
         res_list = [cfg.resolution]
-    count = int(cfg.raw.get("growth.ball_count", ["5"])[0])
+    count = _knob(cfg, "growth.ball_count", "5", int)
 
     def one(res):
         grid = cfg.grid(res)
@@ -360,13 +375,21 @@ def cmd_growth(args):
 
 def cmd_boundary_growth(args):
     cfg = _load(args)
-    grid, pair, _ = _run_solve(cfg)
+    _require(cfg, "domain", "resolution", "profile", "fieldh")
     dom = cfg.domain
-    face = cfg.raw.get("boundary_growth.face", ["ymax"])[0]
-    lo = [float(v) for v in cfg.raw.get("boundary_growth.anchor_lo", ["0.3"])]
-    hi = [float(v) for v in cfg.raw.get("boundary_growth.anchor_hi", ["0.7"])]
-    sphere_r = float(cfg.raw.get("boundary_growth.sphere_radius", ["0.09"])[0])
-    tube = float(cfg.raw.get("boundary_growth.tube_width", ["0.2"])[0])
+    face = _knob(cfg, "boundary_growth.face", "ymax", str)
+    try:
+        axis, _ = geometry.face_axis_side(face)
+    except ValueError as exc:
+        raise ConfigError(f"boundary_growth.face: {exc}") from exc
+    if axis >= dom.dim:
+        raise ConfigError(f"boundary_growth.face = {face} is not a face of a {dom.dim}D domain")
+    # the patch spans the face's dim - 1 free coordinates
+    lo = _point(cfg, "boundary_growth.anchor_lo", "0.3", dom.dim - 1)
+    hi = _point(cfg, "boundary_growth.anchor_hi", "0.7", dom.dim - 1)
+    sphere_r = _knob(cfg, "boundary_growth.sphere_radius", "0.09", float)
+    tube = _knob(cfg, "boundary_growth.tube_width", "0.2", float)
+    grid, pair, _ = _run_solve(cfg)
     rep = harness.boundary_growth_report(
         pair, grid, dom, face, lo, hi, sphere_r, cfg.profile, cfg.fieldh, tube
     )
@@ -390,8 +413,8 @@ def cmd_boundary_growth(args):
 
 def cmd_harnack(args):
     cfg = _load(args)
+    count = _knob(cfg, "growth.ball_count", "5", int)
     grid, pair, _ = _run_solve(cfg)
-    count = int(cfg.raw.get("growth.ball_count", ["5"])[0])
     balls = harness.find_touching_balls(pair, grid, count)
     shrunk = harness._shrunk(balls)
     rep = harness.harnack_check(pair, grid, shrunk, cfg.profile, cfg.fieldh)
@@ -406,9 +429,10 @@ def cmd_harnack(args):
 
 def cmd_rescale(args):
     cfg = _load(args)
+    _require(cfg, "domain", "resolution", "profile", "fieldh")
+    center = _point(cfg, "rescale.center", "0.5 0.25", cfg.domain.dim)
+    radius = _knob(cfg, "rescale.radius", "0.2", float)
     grid, pair, _ = _run_solve(cfg)
-    center = [float(v) for v in cfg.raw.get("rescale.center", ["0.5", "0.25"])]
-    radius = float(cfg.raw.get("rescale.radius", ["0.2"])[0])
     rep = harness.rescale_check(pair, grid, center, radius, cfg.profile, cfg.fieldh)
     _write_summary(
         cfg,

@@ -244,6 +244,22 @@ def _build_solver(raw):
     return solver.SolverConfig(**kwargs)
 
 
+def _check_grid(domain, resolution):
+    """The grid must fit the domain, and the data g must lie in [0, M] on
+    its boundary nodes off the marked portion T."""
+    try:
+        grid = geometry.build_grid(domain, resolution)
+    except ValueError as exc:
+        raise ConfigError(f"grid.resolution: {exc}") from exc
+    nodes = grid.nodes()[grid.boundary_mask()]
+    try:
+        domain.validate_boundary_data(nodes[~domain.on_marked_boundary(nodes)])
+    except ValueError as exc:
+        raise ConfigError(
+            f"domain.g: {exc} on the grid's boundary nodes (M = domain.m = {domain.m_ceiling})"
+        ) from exc
+
+
 def load(path=None, text=None):
     """Load and validate a config file (or literal text)."""
     if text is None:
@@ -253,9 +269,14 @@ def load(path=None, text=None):
     domain = _build_domain(raw)
     resolution = None
     if "grid.resolution" in raw:
-        resolution = tuple(int(v) for v in raw["grid.resolution"])
+        try:
+            resolution = tuple(int(v) for v in raw["grid.resolution"])
+        except ValueError as exc:
+            raise ConfigError("key 'grid.resolution': expected integers") from exc
         if any(c < 3 for c in resolution):
             raise ConfigError("grid.resolution entries must be >= 3")
+    if domain is not None and resolution is not None:
+        _check_grid(domain, resolution)
     cfg = RunConfig(
         raw=raw,
         seed=_one_int(raw, "seed", "0"),

@@ -224,14 +224,14 @@ def build_grid(domain, resolution):
     return Grid(domain=domain, counts=counts, spacing=spacing, axes=axes)
 
 
-def gradient_at_faces(grid, u):
-    """Full gradient vectors at face midpoints, one array per axis.
+def face_gradient_components(grid, u):
+    """Full gradient at face midpoints as per-axis component arrays.
 
-    For axis k the returned array has the node shape reduced by one along
-    k and a trailing component axis. The normal component is the exact
-    face difference; transverse components average the nodal central
-    differences of the two face endpoints (one-sided at the boundary).
-    Exact for affine u.
+    Entry k lists the ``dim`` components of the gradient on the axis-k
+    faces; each has the node shape reduced by one along k. The normal
+    component (entry k of that list) is the exact face difference;
+    transverse components average the nodal central differences of the two
+    face endpoints (one-sided at the boundary). Exact for affine u.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != grid.counts:
@@ -250,7 +250,31 @@ def gradient_at_faces(grid, u):
                 comps.append(np.diff(u, axis=k) / grid.spacing[k])
             else:
                 comps.append(0.5 * (nodal[j][tuple(sl0)] + nodal[j][tuple(sl1)]))
-        out.append(np.stack(comps, axis=-1))
+        out.append(comps)
+    return out
+
+
+def gradient_at_faces(grid, u):
+    """Full gradient vectors at face midpoints, one array per axis.
+
+    For axis k the returned array has the node shape reduced by one along
+    k and a trailing component axis: the components of
+    ``face_gradient_components`` stacked.
+    """
+    return [np.stack(comps, axis=-1) for comps in face_gradient_components(grid, u)]
+
+
+def component_dot(a, b):
+    """Sum of a[j] * b[j] over the components j, added in axis order.
+
+    ``a`` and ``b`` are sequences of equally shaped component arrays (an
+    array iterates over its first axis). This is the same sum, bit for bit,
+    as ``np.sum(A * B, axis=-1)`` over the stacked vectors, without
+    stacking them or reducing over a short trailing axis.
+    """
+    out = a[0] * b[0]
+    for aj, bj in zip(a[1:], b[1:]):
+        out += aj * bj
     return out
 
 

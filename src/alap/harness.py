@@ -304,7 +304,8 @@ def rescale_check(solution, grid, x0, radius, profile, fieldh, tol=1e-6):
         sl1[k] = slice(1, None)
         face_in_half = half[tuple(sl0)] & half[tuple(sl1)]
         if np.any(face_in_half):
-            mags = np.sqrt(np.sum(grads[k][face_in_half] ** 2, axis=-1))
+            comps = np.moveaxis(grads[k][face_in_half], -1, 0)
+            mags = np.sqrt(geometry.component_dot(comps, comps))
             gmax = max(gmax, float(np.max(mags)))
     return RescaleReport(
         radius=float(radius),

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
+from alap import geometry
 from alap.errors import DegenerateInputError
 from alap.quadrature import gauss_primitive
 
@@ -158,6 +158,10 @@ def make_logpower(alpha, beta, gamma):
         return gauss_primitive(a, t)
 
     def _inv_scalar(s):
+        # imported here: scipy.optimize takes a large share of the package
+        # import time and serves this inverse alone
+        from scipy.optimize import brentq
+
         if s <= 0.0:
             return 0.0
         hi = 2.0 * max(1.0, s) ** (1.0 / alpha)
@@ -206,10 +210,9 @@ def flux(profile, g):
     ``g`` has shape (..., n); the leading axes are batch axes.
     """
     g = np.asarray(g, dtype=float)
-    mag = np.sqrt(np.sum(g * g, axis=-1))
-    scale = np.zeros_like(mag)
-    pos = mag > 0.0
-    scale[pos] = profile.a(mag[pos]) / mag[pos]
+    comps = np.moveaxis(g, -1, 0)
+    mag = np.sqrt(geometry.component_dot(comps, comps))
+    scale = np.divide(profile.a(mag), mag, out=np.zeros_like(mag), where=mag > 0.0)
     return g * scale[..., None]
 
 

@@ -158,32 +158,39 @@ def _drift_fluxes(grid, chi, hface):
     return [_face_chi(grid, chi, k) * hface[k] for k in range(grid.dim)]
 
 
-def _normal_fluxes(grid, profile, u, drift):
-    grads = geometry.gradient_at_faces(grid, u)
+def _normal_fluxes(grid, profile, faces, drift):
+    """Face fluxes a(|G|) G_k/|G| + drift_k on the axis-k faces, per axis.
+
+    ``faces`` holds the face gradient components of u (as from
+    ``geometry.face_gradient_components``). The diffusive part is 0 where
+    G vanishes; every built-in a is finite and 0 at 0.
+    """
     fluxes = []
     for k in range(grid.dim):
-        g = grads[k]
-        mag = np.sqrt(np.sum(g * g, axis=-1))
-        scale = np.zeros_like(mag)
-        pos = mag > 0.0
-        scale[pos] = profile.a(mag[pos]) / mag[pos]
-        f = scale * g[..., k]
+        comps = faces[k]
+        mag = np.sqrt(geometry.component_dot(comps, comps))
+        scale = np.divide(profile.a(mag), mag, out=np.zeros_like(mag), where=mag > 0.0)
+        f = scale * comps[k]
         f += drift[k]
         fluxes.append(f)
     return fluxes
 
 
-def residual(grid, profile, fieldh, u, chi, drift=None):
+def residual(grid, profile, fieldh, u, chi, drift=None, faces=None):
     """Weak-form residual of div(flux(grad u) + chi H) at interior nodes.
 
     Zero on boundary nodes. The returned values carry the dual cell volume,
     so they match integration of the flux against nodal hat functions.
     ``drift`` holds the face drift fluxes of this chi and field (as from
-    ``_drift_fluxes``); they are evaluated here when None.
+    ``_drift_fluxes``) and ``faces`` the face gradient components of u (as
+    from ``geometry.face_gradient_components``); each is evaluated here
+    when None.
     """
     if drift is None:
         drift = _drift_fluxes(grid, chi, _face_field_values(grid, fieldh))
-    fluxes = _normal_fluxes(grid, profile, u, drift)
+    if faces is None:
+        faces = geometry.face_gradient_components(grid, u)
+    fluxes = _normal_fluxes(grid, profile, faces, drift)
     out = np.zeros(grid.counts)
     vol = grid.cell_volume
     for k in range(grid.dim):
@@ -194,7 +201,7 @@ def residual(grid, profile, fieldh, u, chi, drift=None):
     return out
 
 
-def _conductances(grid, profile, grads, mu, rel_floor):
+def _conductances(grid, profile, faces, mu, rel_floor):
     """Regularized SPD face conductances d(flux_n)/d(normal difference).
 
     The gradient magnitude is smoothed by mu; on top of that a floor
@@ -205,10 +212,9 @@ def _conductances(grid, profile, grads, mu, rel_floor):
     cond = []
     cmax = 0.0
     for k in range(grid.dim):
-        g = grads[k]
-        mag2 = np.sum(g * g, axis=-1)
-        m = np.sqrt(mag2 + mu * mu)
-        dn2 = (g[..., k] / m) ** 2
+        comps = faces[k]
+        m = np.sqrt(geometry.component_dot(comps, comps) + mu * mu)
+        dn2 = (comps[k] / m) ** 2
         c = profile.da(m) * dn2 + profile.a(m) / m * (1.0 - dn2)
         if not np.all(np.isfinite(c)):
             raise SingularJacobianError("non-finite face conductance in Newton operator")
@@ -315,13 +321,15 @@ def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps, hface=None)
     if hface is None:
         hface = _face_field_values(grid, fieldh)
     drift = _drift_fluxes(grid, chi, hface)
-    res = residual(grid, profile, fieldh, u, chi, drift)
+    # each iterate's face gradient is built once, for its residual, and
+    # reused by the Newton operator once the iterate is accepted
+    faces = geometry.face_gradient_components(grid, u)
+    res = residual(grid, profile, fieldh, u, chi, drift, faces=faces)
     for _ in range(max_steps):
         rmax = float(np.max(np.abs(res)))
         if rmax <= cfg.inner_tol:
             return u, steps_used, rmax, True
-        grads = geometry.gradient_at_faces(grid, u)
-        cond = _conductances(grid, profile, grads, mu, cfg.cond_floor)
+        cond = _conductances(grid, profile, faces, mu, cfg.cond_floor)
         c_ref = float(np.median(np.concatenate([c.ravel() for c in cond])))
         precond = _SpectralPreconditioner(grid, max(c_ref, cfg.cond_floor))
 
@@ -339,14 +347,15 @@ def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps, hface=None)
         accepted = False
         while lam >= cfg.damping_min:
             u_trial = u + lam * d
-            res_trial = residual(grid, profile, fieldh, u_trial, chi, drift)
+            faces_trial = geometry.face_gradient_components(grid, u_trial)
+            res_trial = residual(grid, profile, fieldh, u_trial, chi, drift, faces=faces_trial)
             if float(np.linalg.norm(res_trial)) <= (1.0 - 1e-4 * lam) * rnorm:
                 accepted = True
                 break
             lam *= 0.5
         if not accepted:
             return u, steps_used, rmax, False
-        u, res = u_trial, res_trial
+        u, res, faces = u_trial, res_trial, faces_trial
         steps_used += 1
     rmax = float(np.max(np.abs(res)))
     return u, steps_used, rmax, rmax <= cfg.inner_tol
@@ -393,11 +402,11 @@ def energy(grid, profile, fieldh, u, chi, hcells=None):
             sl1[j] = slice(1, None)
             g = 0.5 * (g[tuple(sl0)] + g[tuple(sl1)])
         comps.append(g)
-    grad = np.stack(comps, axis=-1)
-    mag = np.sqrt(np.sum(grad * grad, axis=-1))
+    mag = np.sqrt(geometry.component_dot(comps, comps))
     if hcells is None:
         hcells = fieldh(grid.cell_centers())
-    dens = profile.big_a(mag) + np.asarray(chi) * np.sum(hcells * grad, axis=-1)
+    h_dot_grad = geometry.component_dot(np.moveaxis(hcells, -1, 0), comps)
+    dens = profile.big_a(mag) + np.asarray(chi) * h_dot_grad
     return float(np.sum(dens) * grid.cell_volume)
 
 

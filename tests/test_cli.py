@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -276,3 +278,80 @@ def test_bad_orbit_inputs_exit_4_before_any_work(tmp_path, monkeypatch, capsys,
     assert cli.main([command, "--config", cfg_path, "--out", str(out)] + extra) == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not any(name.endswith(".csv") for name in os.listdir(out))
+
+
+@pytest.mark.parametrize(
+    "command, config_line",
+    [
+        ("growth", "growth.ball_count = five"),
+        ("harnack", "growth.ball_count = five"),
+        ("growth", "growth.resolutions = 17 seventeen"),
+        ("growth", "growth.resolutions = 17 2"),
+        ("rescale", "rescale.radius = big"),
+        ("rescale", "rescale.radius = 0.1 0.2"),
+        ("rescale", "rescale.center = 0.5"),
+        ("check-barriers", "barriers.radius = wide"),
+        ("check-barriers", "barriers.kappa_count = 2.5"),
+        ("check-barriers", "barriers.hopf_scales = 0.1 tiny"),
+        ("boundary-growth", "boundary_growth.face = sideways"),
+        ("boundary-growth", "boundary_growth.face = zmax"),
+        ("boundary-growth", "boundary_growth.anchor_lo = left"),
+        ("boundary-growth", "boundary_growth.anchor_hi = 0.6 0.7"),
+        ("boundary-growth", "boundary_growth.sphere_radius = round"),
+        ("boundary-growth", "boundary_growth.tube_width = thin"),
+    ],
+)
+def test_bad_knob_values_exit_4_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                  command, config_line):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started with an invalid knob")
+
+    monkeypatch.setattr(solver, "solve_problem", no_solve)
+    cfg_path = write_config(tmp_path, DAM_CONFIG + "\n" + config_line + "\n")
+    out = tmp_path / "out_bad"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not os.listdir(out)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("domain.g.level = 0.6", "domain.g.level = 0.9"),
+        ("domain.m = 0.6", "domain.m = 0.5"),
+        ("grid.resolution = 33 33", "grid.resolution = 33 33 33"),
+        ("grid.resolution = 33 33", "grid.resolution = 33 big"),
+    ],
+)
+def test_bad_grid_or_boundary_data_rejected_at_load(tmp_path, monkeypatch, old, new):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started with an invalid config")
+
+    monkeypatch.setattr(solver, "solve_problem", no_solve)
+    text = DAM_CONFIG.replace(old, new)
+    with pytest.raises(ConfigError):
+        config.load(text=text)
+    out = str(tmp_path / "out_bad")
+    assert cli.main(["solve", "--config", write_config(tmp_path, text), "--out", out]) == cli.EXIT_CONFIG
+
+
+def test_shipped_configs_load():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    paths = [
+        os.path.join(root, folder, name)
+        for folder in ("configs", os.path.join("perfbench", "configs"))
+        for name in sorted(os.listdir(os.path.join(root, folder)))
+        if name.endswith(".cfg")
+    ]
+    assert len(paths) >= 5
+    for path in paths:
+        cfg = config.load(path)
+        assert cfg.domain is not None and cfg.resolution is not None
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only the log-power inverse, so it loads on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, alap.cli; sys.exit(int('scipy.optimize' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -148,3 +148,61 @@ def test_boundary_data_kinds():
     assert val[2] == 0.0
     with pytest.raises(ValueError):
         geometry.BoundaryData("nope").value(np.zeros((1, 2)), dom)
+
+
+def _stacked_face_gradient(grid, u):
+    # the stacked formula the face kernel was built on, kept as the reference
+    dim = grid.dim
+    nodal = [np.gradient(u, grid.spacing[j], axis=j, edge_order=2) for j in range(dim)]
+    out = []
+    for k in range(dim):
+        sl0 = [slice(None)] * dim
+        sl1 = [slice(None)] * dim
+        sl0[k] = slice(None, -1)
+        sl1[k] = slice(1, None)
+        comps = []
+        for j in range(dim):
+            if j == k:
+                comps.append(np.diff(u, axis=k) / grid.spacing[k])
+            else:
+                comps.append(0.5 * (nodal[j][tuple(sl0)] + nodal[j][tuple(sl1)]))
+        out.append(np.stack(comps, axis=-1))
+    return out
+
+
+def _rough_head(grid, seed):
+    rng = np.random.default_rng(seed)
+    nodes = grid.nodes()
+    u = np.sin(3.0 * nodes[..., 0]) * np.exp(nodes[..., -1]) + 1e-3 * rng.standard_normal(grid.counts)
+    u[tuple(slice(1, 6) for _ in range(grid.dim))] = 0.25
+    return u
+
+
+@pytest.mark.parametrize("counts", [(17, 13), (7, 6, 5)])
+def test_face_components_stack_to_the_reference_gradient(counts):
+    lower = [0.0] * len(counts)
+    dom = geometry.box_domain(lower, [1.0] * len(counts), [], geometry.BoundaryData("zero"), 1.0)
+    grid = geometry.build_grid(dom, counts)
+    u = _rough_head(grid, 3)
+    faces = geometry.face_gradient_components(grid, u)
+    stacked = geometry.gradient_at_faces(grid, u)
+    for k, (comps, g, ref) in enumerate(zip(faces, stacked, _stacked_face_gradient(grid, u))):
+        assert len(comps) == grid.dim
+        assert np.array_equal(np.stack(comps, axis=-1), ref)
+        assert np.array_equal(g, ref)
+        # sums over the components in order are the trailing-axis sums
+        assert np.array_equal(geometry.component_dot(comps, comps), np.sum(ref * ref, axis=-1))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_component_dot_is_the_trailing_axis_sum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    shape = (41, 37, n)
+    # magnitudes over 16 decades make any change of summation order show
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    b = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    a_comps = np.moveaxis(a, -1, 0)
+    b_comps = [b[..., j].copy() for j in range(n)]
+    assert np.array_equal(geometry.component_dot(a_comps, a_comps), np.sum(a * a, axis=-1))
+    assert np.array_equal(geometry.component_dot(a_comps, b_comps), np.sum(a * b, axis=-1))
+    assert np.array_equal(geometry.component_dot(b_comps, a_comps), np.sum(b * a, axis=-1))

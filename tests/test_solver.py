@@ -260,3 +260,152 @@ def test_solve_evaluates_the_field_once():
     assert len(calls) == grid.dim + 1
     assert np.array_equal(pair.u, plain_pair.u) and np.array_equal(pair.chi, plain_pair.chi)
     assert report.energy_history == plain_report.energy_history
+
+
+# --- face kernel against the stacked formulas it replaced --------------------
+# The references below are the solver's earlier formulas, which stack each
+# face gradient and reduce over its trailing component axis. The kernel must
+# reproduce them bit for bit.
+
+
+def _stacked_normal_fluxes(grid, profile, u, drift):
+    grads = geometry.gradient_at_faces(grid, u)
+    fluxes = []
+    for k in range(grid.dim):
+        g = grads[k]
+        mag = np.sqrt(np.sum(g * g, axis=-1))
+        scale = np.zeros_like(mag)
+        pos = mag > 0.0
+        scale[pos] = profile.a(mag[pos]) / mag[pos]
+        f = scale * g[..., k]
+        f += drift[k]
+        fluxes.append(f)
+    return fluxes
+
+
+def _stacked_residual(grid, profile, fieldh, u, chi):
+    drift = solver._drift_fluxes(grid, chi, solver._face_field_values(grid, fieldh))
+    fluxes = _stacked_normal_fluxes(grid, profile, u, drift)
+    out = np.zeros(grid.counts)
+    vol = grid.cell_volume
+    for k in range(grid.dim):
+        inner = [slice(None)] * grid.dim
+        inner[k] = slice(1, -1)
+        out[tuple(inner)] += np.diff(fluxes[k], axis=k) / grid.spacing[k] * vol
+    out[grid.boundary_mask()] = 0.0
+    return out
+
+
+def _stacked_conductances(grid, profile, grads, mu, rel_floor):
+    cond = []
+    cmax = 0.0
+    for k in range(grid.dim):
+        g = grads[k]
+        mag2 = np.sum(g * g, axis=-1)
+        m = np.sqrt(mag2 + mu * mu)
+        dn2 = (g[..., k] / m) ** 2
+        c = profile.da(m) * dn2 + profile.a(m) / m * (1.0 - dn2)
+        cmax = max(cmax, float(np.max(c)))
+        cond.append(c)
+    return [np.maximum(c, rel_floor * cmax) for c in cond]
+
+
+def _stacked_energy(grid, profile, fieldh, u, chi):
+    dim = grid.dim
+    comps = []
+    for k in range(dim):
+        g = np.diff(u, axis=k) / grid.spacing[k]
+        for j in range(dim):
+            if j == k:
+                continue
+            sl0 = [slice(None)] * dim
+            sl1 = [slice(None)] * dim
+            sl0[j] = slice(None, -1)
+            sl1[j] = slice(1, None)
+            g = 0.5 * (g[tuple(sl0)] + g[tuple(sl1)])
+        comps.append(g)
+    grad = np.stack(comps, axis=-1)
+    mag = np.sqrt(np.sum(grad * grad, axis=-1))
+    hcells = fieldh(grid.cell_centers())
+    dens = profile.big_a(mag) + chi * np.sum(hcells * grad, axis=-1)
+    return float(np.sum(dens) * grid.cell_volume)
+
+
+_KERNEL_PROFILES = {
+    "power2": lambda: profiles.make_power(2.0),
+    "power3": lambda: profiles.make_power(3.0),
+    "piecewise": lambda: profiles.make_piecewise(0.5, 2.0, 0.7),
+    "logpower": lambda: profiles.make_logpower(1.0, 2.0, 1.0),
+}
+
+
+def _kernel_case(dim):
+    lower, upper = [0.0] * dim, [1.0] * dim
+    dom = geometry.box_domain(
+        lower, upper, ["xmax"], geometry.BoundaryData("hydrostatic", (0.6,)), 0.6
+    )
+    grid = geometry.build_grid(dom, (17, 13) if dim == 2 else (9, 8, 7))
+    rng = np.random.default_rng(dim)
+    nodes = grid.nodes()
+    u = 0.6 - 0.5 * nodes[..., -1] + 0.1 * np.sin(4.0 * nodes[..., 0])
+    u += 1e-3 * rng.standard_normal(grid.counts)
+    # a constant patch leaves whole faces with a zero gradient
+    u[tuple(slice(1, 6) for _ in range(dim))] = 0.3
+    chi = rng.uniform(0.0, 1.0, grid.cell_counts)
+    coeff = 0.1 * np.eye(dim) + 0.03 * rng.uniform(-1.0, 1.0, (dim, dim))
+    fieldh = fields.make_affine_field(coeff, [0.0] * (dim - 1) + [1.0], dom)
+    return grid, fieldh, u, chi
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_PROFILES))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_face_kernel_matches_the_stacked_formulas_bit_for_bit(dim, name):
+    prof = _KERNEL_PROFILES[name]()
+    grid, fieldh, u, chi = _kernel_case(dim)
+    mu, floor = 1e-8, 1e-6
+    ref_res = _stacked_residual(grid, prof, fieldh, u, chi)
+    ref_cond = _stacked_conductances(grid, prof, geometry.gradient_at_faces(grid, u), mu, floor)
+    ref_energy = _stacked_energy(grid, prof, fieldh, u, chi)
+    zero_drift = [np.zeros(c.shape) for c in ref_cond]
+    with np.errstate(all="raise"):
+        faces = geometry.face_gradient_components(grid, u)
+        res = solver.residual(grid, prof, fieldh, u, chi)
+        res_given = solver.residual(grid, prof, fieldh, u, chi, faces=faces)
+        cond = solver._conductances(grid, prof, faces, mu, floor)
+        val = solver.energy(grid, prof, fieldh, u, chi)
+        fluxes = solver._normal_fluxes(grid, prof, faces, zero_drift)
+    assert np.array_equal(res, ref_res)
+    assert np.array_equal(res_given, ref_res)
+    assert all(np.array_equal(c, r) for c, r in zip(cond, ref_cond))
+    assert val == ref_energy
+    zero_faces = 0
+    for comps, flux in zip(faces, fluxes):
+        flat = np.all([c == 0.0 for c in comps], axis=0)
+        zero_faces += int(np.sum(flat))
+        assert np.all(flux[flat] == 0.0)
+    assert zero_faces > 0
+
+
+def test_newton_steps_build_one_face_gradient_per_residual(monkeypatch):
+    # the accepted trial's face gradient serves the next Newton operator
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (17, 17))
+    prof = profiles.make_power(3.0)
+    f = fields.make_constant_field([0.0, float(prof.a(1.0))])
+    builds, residuals = [], []
+    real_build, real_residual = geometry.face_gradient_components, solver.residual
+
+    def counting_build(*args, **kwargs):
+        builds.append(1)
+        return real_build(*args, **kwargs)
+
+    def counting_residual(*args, **kwargs):
+        residuals.append(1)
+        return real_residual(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "face_gradient_components", counting_build)
+    monkeypatch.setattr(solver, "residual", counting_residual)
+    pair, report = solver.solve_problem(grid, prof, f, dom)
+    assert report.converged
+    assert report.inner_iterations > 0
+    assert 0 < len(builds) <= len(residuals)
