@@ -326,16 +326,6 @@ def make_hopf_barrier(center, radius, kappa, dim, a0):
     )
 
 
-def hopf_barrier_value(barrier, x):
-    rho = barrier.rho(x)
-    lo = barrier.radius / 2.0 - 1e-12 * barrier.radius
-    hi = barrier.radius + 1e-12 * barrier.radius
-    if np.any(rho < lo) or np.any(rho > hi):
-        raise OutOfRingError("evaluation point outside the barrier ring")
-    v = np.exp(-barrier.alpha * rho**2) - np.exp(-barrier.alpha * barrier.radius**2)
-    return float(v[0]) if np.asarray(x).ndim == 1 else v
-
-
 def _hopf_pieces(barrier, rho):
     a, n = barrier.alpha, barrier.dim
     e = np.exp(-a * rho**2)

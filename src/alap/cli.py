@@ -16,7 +16,7 @@ from alap import barriers, config, csvio, fields, free_boundary, geometry, harne
 from alap import orbits as orbits_mod
 from alap import profiles as profiles_mod
 from alap import solver as solver_mod
-from alap.errors import ConfigError, NonConvergenceError
+from alap.errors import ConfigError, DryBallError, NonConvergenceError
 
 EXIT_OK = 0
 EXIT_NONCONVERGENCE = 2
@@ -46,10 +46,42 @@ def _require(cfg, *attrs):
             raise ConfigError(f"config is missing its {attr} section")
 
 
-def _run_solve(cfg):
+#: config sections that ``solver.solve_problem`` reads, through the grid,
+#: profile, field, domain and solver config built from them
+_SOLVE_SECTIONS = ("domain", "grid", "profile", "field", "solver")
+
+#: the last solve of this process, ``(key, (grid, pair, report))``
+_last_solve = None
+
+
+def _solved(cfg, resolution=None):
+    """(grid, pair, report) of the solve of ``cfg`` at ``resolution``
+    (default: the config's).
+
+    Commands run in one process on the same config and resolution share one
+    solve: a single-slot memo keyed by the resolution and the raw entries of
+    the sections the solve reads. Seed, output directory and certificate
+    knobs do not enter the key. The key also holds the solve function
+    itself, so a pair is reused only while the function that made it is
+    still the one bound (a wrapped or patched solver solves afresh). The
+    stored pair is read-only, so no command can change the pair the next
+    one certifies.
+    """
+    global _last_solve
     _require(cfg, "domain", "resolution", "profile", "fieldh")
-    grid = cfg.grid()
-    pair, report = solver_mod.solve_problem(grid, cfg.profile, cfg.fieldh, cfg.domain, cfg.solver_config)
+    solve = solver_mod.solve_problem
+    res = tuple(resolution if resolution is not None else cfg.resolution)
+    key = (solve, res, tuple(sorted(
+        (name, tuple(values)) for name, values in cfg.raw.items()
+        if name.split(".", 1)[0] in _SOLVE_SECTIONS
+    )))
+    if _last_solve is not None and _last_solve[0] == key:
+        return _last_solve[1]
+    grid = cfg.grid(res)
+    pair, report = solve(grid, cfg.profile, cfg.fieldh, cfg.domain, cfg.solver_config)
+    pair.u.flags.writeable = False
+    pair.chi.flags.writeable = False
+    _last_solve = (key, (grid, pair, report))
     return grid, pair, report
 
 
@@ -69,18 +101,17 @@ def cmd_solve(args):
         + ["divH", "divH_fd", "pass"],
         field_rep.rows,
     )
-    grid, pair, report = _run_solve(cfg)
-    nodes = grid.nodes().reshape(-1, grid.dim)
+    grid, pair, report = _solved(cfg)
+    coords = [f"x{k+1}" for k in range(grid.dim)]
     csvio.write_csv(
         os.path.join(cfg.out_dir, "u.csv"),
-        [f"x{k+1}" for k in range(grid.dim)] + ["u"],
-        [tuple(nodes[i]) + (float(pair.u.ravel()[i]),) for i in range(nodes.shape[0])],
+        coords + ["u"],
+        np.column_stack((grid.nodes().reshape(-1, grid.dim), pair.u.ravel())),
     )
-    centers = grid.cell_centers().reshape(-1, grid.dim)
     csvio.write_csv(
         os.path.join(cfg.out_dir, "chi.csv"),
-        [f"x{k+1}" for k in range(grid.dim)] + ["chi"],
-        [tuple(centers[i]) + (float(pair.chi.ravel()[i]),) for i in range(centers.shape[0])],
+        coords + ["chi"],
+        np.column_stack((grid.cell_centers().reshape(-1, grid.dim), pair.chi.ravel())),
     )
     _write_summary(cfg, "solve_report.txt", report.summary_lines())
     return EXIT_OK if report.constraints.passed else EXIT_CERTIFICATION
@@ -114,7 +145,7 @@ def cmd_check_barriers(args):
     radius = _knob(cfg, "barriers.radius", "0.25", float)
     margin_frac = _knob(cfg, "barriers.margin", "0.4", float)
     floor = _knob(cfg, "barriers.floor", "1.0", float)
-    kappa_count = _knob(cfg, "barriers.kappa_count", "5", int)
+    kappa_count = _count(cfg, "barriers.kappa_count", "5")
     scales = _parse(cfg, "barriers.hopf_scales", "0.1 1.0", float)
     center = tuple(0.5 * (dom.lower + dom.upper))
     jobs = []
@@ -208,14 +239,20 @@ def _point(cfg, key, default, count):
     return values
 
 
-def _omega_count(cfg, override, key, default):
-    if override is not None:
-        count, source = override, "--omega-count"
-    else:
-        count, source = _knob(cfg, key, default, int), key
+def _at_least_one(count, source):
     if count < 1:
         raise ConfigError(f"{source} = {count} must be at least 1")
     return count
+
+
+def _count(cfg, key, default):
+    return _at_least_one(_knob(cfg, key, default, int), key)
+
+
+def _omega_count(cfg, override, key, default):
+    if override is not None:
+        return _at_least_one(override, "--omega-count")
+    return _count(cfg, key, default)
 
 
 def cmd_trace(args):
@@ -259,7 +296,7 @@ def _fb_setup(cfg, args):
 def cmd_extract_fb(args):
     cfg = _load(args)
     levels, omegas = _fb_setup(cfg, args)
-    grid, pair, _ = _run_solve(cfg)
+    grid, pair, _ = _solved(cfg)
     dom = cfg.domain
     rows = []
     for level in levels:
@@ -295,7 +332,7 @@ def _grad_max(grid, u):
 def cmd_verify_fb(args):
     cfg = _load(args)
     levels, omegas = _fb_setup(cfg, args)
-    grid, pair, report = _run_solve(cfg)
+    grid, pair, report = _solved(cfg)
     dom = cfg.domain
     rcfg = cfg.solver_config.resolved(grid, cfg.profile, cfg.fieldh)
     summary = []
@@ -344,11 +381,10 @@ def cmd_growth(args):
         res_list = [tuple(raw_res[i : i + dim]) for i in range(0, len(raw_res), dim)]
     else:
         res_list = [cfg.resolution]
-    count = _knob(cfg, "growth.ball_count", "5", int)
+    count = _count(cfg, "growth.ball_count", "5")
 
     def one(res):
-        grid = cfg.grid(res)
-        pair, _ = solver_mod.solve_problem(grid, cfg.profile, cfg.fieldh, cfg.domain, cfg.solver_config)
+        grid, pair, _ = _solved(cfg, res)
         balls = harness.find_touching_balls(pair, grid, count)
         return res, harness.growth_report(pair, grid, balls, cfg.profile, cfg.fieldh)
 
@@ -389,7 +425,7 @@ def cmd_boundary_growth(args):
     hi = _point(cfg, "boundary_growth.anchor_hi", "0.7", dom.dim - 1)
     sphere_r = _knob(cfg, "boundary_growth.sphere_radius", "0.09", float)
     tube = _knob(cfg, "boundary_growth.tube_width", "0.2", float)
-    grid, pair, _ = _run_solve(cfg)
+    grid, pair, _ = _solved(cfg)
     rep = harness.boundary_growth_report(
         pair, grid, dom, face, lo, hi, sphere_r, cfg.profile, cfg.fieldh, tube
     )
@@ -413,8 +449,8 @@ def cmd_boundary_growth(args):
 
 def cmd_harnack(args):
     cfg = _load(args)
-    count = _knob(cfg, "growth.ball_count", "5", int)
-    grid, pair, _ = _run_solve(cfg)
+    count = _count(cfg, "growth.ball_count", "5")
+    grid, pair, _ = _solved(cfg)
     balls = harness.find_touching_balls(pair, grid, count)
     shrunk = harness._shrunk(balls)
     rep = harness.harnack_check(pair, grid, shrunk, cfg.profile, cfg.fieldh)
@@ -432,8 +468,13 @@ def cmd_rescale(args):
     _require(cfg, "domain", "resolution", "profile", "fieldh")
     center = _point(cfg, "rescale.center", "0.5 0.25", cfg.domain.dim)
     radius = _knob(cfg, "rescale.radius", "0.2", float)
-    grid, pair, _ = _run_solve(cfg)
-    rep = harness.rescale_check(pair, grid, center, radius, cfg.profile, cfg.fieldh)
+    if not radius > 0.0:
+        raise ConfigError(f"rescale.radius = {radius} must be > 0")
+    grid, pair, _ = _solved(cfg)
+    try:
+        rep = harness.rescale_check(pair, grid, center, radius, cfg.profile, cfg.fieldh)
+    except DryBallError as exc:
+        raise ConfigError(f"rescale.center = {center}, rescale.radius = {radius}: {exc}") from exc
     _write_summary(
         cfg,
         "rescale.txt",

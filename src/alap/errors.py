@@ -29,6 +29,10 @@ class StepFailureError(RuntimeError):
     """ODE step controller failed (should not occur for Lipschitz fields)."""
 
 
+class DryBallError(ValueError):
+    """The rescale ball reaches outside the discrete wet set."""
+
+
 class DomainExitError(ValueError):
     """Requested flow time lies outside the orbit's existence interval."""
 

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from alap import barriers, geometry, solver
+from alap.errors import DryBallError
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,7 @@ def rescale_check(solution, grid, x0, radius, profile, fieldh, tol=1e-6):
     x0 = np.asarray(x0, dtype=float)
     ball = _ball_mask(grid, x0, radius)
     if not np.all(solution.u[ball] > solution.eps_u):
-        raise ValueError("rescale ball must lie inside the wet set")
+        raise DryBallError("rescale ball must lie inside the wet set")
     res = solver.residual(grid, profile, fieldh, solution.u, solution.chi)
     nodes = grid.nodes()
     # interior of the ball: all face neighbors available and wet

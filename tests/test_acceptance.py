@@ -349,7 +349,7 @@ def test_criterion_10_growth_reports(solves):
     _report(10, ok, "; ".join(details))
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, monkeypatch):
     cfg_text = (
         "schema_version = 1\nseed = 7\n"
         "domain.lower = 0 0\ndomain.upper = 1 1\ndomain.t_faces = ymax\n"
@@ -362,6 +362,7 @@ def test_criterion_11_determinism(tmp_path):
     blobs = {"u.csv": [], "chi.csv": [], "ellipticity.csv": [], "free_boundary.csv": []}
     for tag in ("one", "two"):
         out = str(tmp_path / tag)
+        monkeypatch.setattr(cli, "_last_solve", None)  # each rerun solves afresh
         assert cli.main(["solve", "--config", str(cfg_path), "--out", out]) == 0
         assert cli.main(["check-profile", "--config", str(cfg_path), "--out", out]) == 0
         assert cli.main(["extract-fb", "--config", str(cfg_path), "--out", out]) == 0

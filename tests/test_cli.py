@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from alap import cli, config, orbits, solver
+from alap import cli, config, csvio, orbits, solver
 from alap.errors import ConfigError
 
 DAM_CONFIG = """
@@ -108,12 +108,13 @@ def test_cli_solve_failed_constraints_exit_3(tmp_path, monkeypatch):
         assert os.path.exists(os.path.join(out, name))
 
 
-def test_cli_csv_cells_parse_as_floats(tmp_path):
+def test_cli_csv_cells_parse_as_floats(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path)
     trace_args = ["--h", "0.5", "--omega-count", "3"]
     contents = []
     for tag in ("a", "b"):
         out = str(tmp_path / f"floats_{tag}")
+        monkeypatch.setattr(cli, "_last_solve", None)  # each rerun solves afresh
         assert cli.main(["solve", "--config", cfg_path, "--out", out]) == 0
         assert cli.main(["trace", "--config", cfg_path, "--out", out] + trace_args) == 0
         files = {}
@@ -129,6 +130,17 @@ def test_cli_csv_cells_parse_as_floats(tmp_path):
         for row in rows:
             for cell in row:
                 float(cell)
+
+
+def test_float_array_rows_write_the_bytes_of_mixed_rows(tmp_path):
+    rng = np.random.default_rng(3)
+    # more rows than one output block, and the float values with unusual reprs
+    table = rng.normal(size=(2 * csvio._BLOCK_ROWS + 3, 3)) * 10.0 ** rng.integers(-300, 300, (1, 3))
+    table[:6, 0] = [-0.0, 0.1, 1.0 / 3.0, np.nan, np.inf, -np.inf]
+    header = ["x1", "x2", "u"]
+    csvio.write_csv(tmp_path / "array.csv", header, table)
+    csvio.write_csv(tmp_path / "rows.csv", header, [tuple(row) for row in table])
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_cli_solve_writes_outputs(tmp_path):
@@ -215,11 +227,12 @@ def test_cli_boundary_growth(tmp_path):
     assert cli.main(["boundary-growth", "--config", cfg_path, "--out", out]) == 0
 
 
-def test_cli_deterministic_outputs(tmp_path):
+def test_cli_deterministic_outputs(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path)
     outs = []
     for tag in ("a", "b"):
         out = str(tmp_path / f"det_{tag}")
+        monkeypatch.setattr(cli, "_last_solve", None)  # each rerun solves afresh
         assert cli.main(["solve", "--config", cfg_path, "--out", out, "--seed", "7"]) == 0
         with open(os.path.join(out, "u.csv"), "rb") as fh:
             outs.append(fh.read())
@@ -285,13 +298,19 @@ def test_bad_orbit_inputs_exit_4_before_any_work(tmp_path, monkeypatch, capsys,
     [
         ("growth", "growth.ball_count = five"),
         ("harnack", "growth.ball_count = five"),
+        ("growth", "growth.ball_count = 0"),
+        ("harnack", "growth.ball_count = 0"),
         ("growth", "growth.resolutions = 17 seventeen"),
         ("growth", "growth.resolutions = 17 2"),
         ("rescale", "rescale.radius = big"),
         ("rescale", "rescale.radius = 0.1 0.2"),
         ("rescale", "rescale.center = 0.5"),
+        ("rescale", "rescale.radius = 0"),
+        ("rescale", "rescale.radius = -1"),
         ("check-barriers", "barriers.radius = wide"),
         ("check-barriers", "barriers.kappa_count = 2.5"),
+        ("check-barriers", "barriers.kappa_count = 0"),
+        ("check-barriers", "barriers.kappa_count = -1"),
         ("check-barriers", "barriers.hopf_scales = 0.1 tiny"),
         ("boundary-growth", "boundary_growth.face = sideways"),
         ("boundary-growth", "boundary_growth.face = zmax"),
@@ -312,6 +331,119 @@ def test_bad_knob_values_exit_4_before_any_solve(tmp_path, monkeypatch, capsys,
     assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not os.listdir(out)
+
+
+def test_rescale_ball_outside_wet_set_exits_4(tmp_path, capsys):
+    text = DAM_CONFIG + "\nrescale.center = 0.5 0.5\nrescale.radius = 0.2\n"
+    out = tmp_path / "out_dry"
+    assert cli.main(["rescale", "--config", write_config(tmp_path, text), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "rescale ball must lie inside the wet set" in err
+    assert not os.listdir(out)
+
+
+MEMO_CONFIG = DAM_CONFIG + "rescale.center = 0.5 0.25\nrescale.radius = 0.15\n"
+MEMO_COMMANDS = ("verify-fb", "growth", "harnack", "rescale", "boundary-growth")
+
+
+def count_solves(monkeypatch):
+    """Wrap solver.solve_problem; the returned list holds one entry per call."""
+    real_solve = solver.solve_problem
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].counts)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_problem", counted)
+    return calls
+
+
+def test_certificate_commands_share_one_solve(tmp_path, monkeypatch):
+    calls = count_solves(monkeypatch)
+    cfg_path = write_config(tmp_path, MEMO_CONFIG)
+    for command in MEMO_COMMANDS:
+        assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / command)]) == 0
+    assert calls == [(33, 33)]
+
+
+@pytest.mark.parametrize(
+    "old, new, command",
+    [
+        ("", "solver.eps = 0.002", "harnack"),
+        ("grid.resolution = 33 33", "grid.resolution = 17 17", "harnack"),
+        ("", "growth.resolutions = 17 17", "growth"),
+    ],
+)
+def test_solve_inputs_change_solves_again(tmp_path, monkeypatch, old, new, command):
+    calls = count_solves(monkeypatch)
+    first = write_config(tmp_path, MEMO_CONFIG)
+    assert cli.main([command, "--config", first, "--out", str(tmp_path / "a")]) == 0
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(MEMO_CONFIG.replace(old, "") + "\n" + new + "\n", encoding="utf-8")
+    assert cli.main([command, "--config", str(changed), "--out", str(tmp_path / "b")]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "extra, config_line",
+    [
+        ([], ""),  # only --out differs
+        (["--seed", "9"], ""),
+        ([], "growth.ball_count = 3"),
+        ([], "barriers.radius = 0.2"),
+        ([], "out_dir = elsewhere"),
+        ([], "trace.level = 0.3"),
+    ],
+)
+def test_other_inputs_reuse_the_solve(tmp_path, monkeypatch, extra, config_line):
+    calls = count_solves(monkeypatch)
+    first = write_config(tmp_path, MEMO_CONFIG)
+    assert cli.main(["growth", "--config", first, "--out", str(tmp_path / "a")]) == 0
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(MEMO_CONFIG + "\n" + config_line + "\n", encoding="utf-8")
+    assert cli.main(["growth", "--config", str(changed), "--out", str(tmp_path / "b")] + extra) == 0
+    assert len(calls) == 1
+
+
+def test_rebound_solver_solves_again(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, MEMO_CONFIG)
+    assert cli.main(["harnack", "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
+    calls = count_solves(monkeypatch)
+    assert cli.main(["harnack", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
+    assert calls == [(33, 33)]
+
+
+def test_memo_pair_is_read_only(tmp_path):
+    _, pair, _ = cli._solved(config.load(write_config(tmp_path, MEMO_CONFIG)))
+    with pytest.raises(ValueError):
+        pair.u[1, 1] = 0.0
+    with pytest.raises(ValueError):
+        pair.chi *= 0.5
+    assert cli._solved(config.load(write_config(tmp_path, MEMO_CONFIG)))[1] is pair
+
+
+def _files(folder):
+    out = {}
+    for name in sorted(os.listdir(folder)):
+        with open(os.path.join(folder, name), "rb") as fh:
+            # a memo hit repeats the stored report, wall time included
+            out[name] = [line for line in fh.read().splitlines() if not line.startswith(b"wall time")]
+    return out
+
+
+def test_memo_hit_writes_the_bytes_of_a_fresh_solve(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, MEMO_CONFIG)
+    commands = ("solve", "extract-fb") + MEMO_COMMANDS
+    for tag in ("fresh", "hit"):
+        for command in commands:
+            if tag == "fresh":
+                monkeypatch.setattr(cli, "_last_solve", None)
+            out = str(tmp_path / tag / command)
+            assert cli.main([command, "--config", cfg_path, "--out", out, "--seed", "3"]) == 0
+    for command in commands:
+        fresh = _files(tmp_path / "fresh" / command)
+        assert fresh and fresh == _files(tmp_path / "hit" / command), command
 
 
 @pytest.mark.parametrize(
