@@ -8,7 +8,6 @@ solver non-convergence, 3 on certification failure, 4 on config errors.
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -148,7 +147,6 @@ def cmd_check_barriers(args):
     kappa_count = _count(cfg, "barriers.kappa_count", "5")
     scales = _parse(cfg, "barriers.hopf_scales", "0.1 1.0", float)
     center = tuple(0.5 * (dom.lower + dom.upper))
-    jobs = []
 
     def radial_job():
         b = barriers.make_radial_barrier(center, radius, margin_frac * radius, floor, dom.dim, prof.a0)
@@ -181,12 +179,7 @@ def cmd_check_barriers(args):
         pts = x1 + (sphere_r + dists)[:, None] * raw
         return [barriers.certify_boundary_supersolution(bb, prof, cfg.fieldh, pts)]
 
-    jobs = [radial_job, hopf_job, boundary_job]
-    if args.parallel:
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            results = [item for chunk in pool.map(lambda f: f(), jobs) for item in chunk]
-    else:
-        results = [item for job in jobs for item in job()]
+    results = [item for job in (radial_job, hopf_job, boundary_job) for item in job()]
     rows = [r for rep in results for r in rep.rows()]
     csvio.write_csv(
         os.path.join(cfg.out_dir, "barriers.csv"),
@@ -388,11 +381,7 @@ def cmd_growth(args):
         balls = harness.find_touching_balls(pair, grid, count)
         return res, harness.growth_report(pair, grid, balls, cfg.profile, cfg.fieldh)
 
-    if args.parallel and len(res_list) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(res_list))) as pool:
-            reports = list(pool.map(one, res_list))
-    else:
-        reports = [one(res) for res in res_list]
+    reports = [one(res) for res in res_list]
     rows = []
     passed = True
     for res, rep in reports:
@@ -470,6 +459,11 @@ def cmd_rescale(args):
     radius = _knob(cfg, "rescale.radius", "0.2", float)
     if not radius > 0.0:
         raise ConfigError(f"rescale.radius = {radius} must be > 0")
+    if not np.any(harness.ball_interior(cfg.grid(), center, radius)):
+        raise ConfigError(
+            f"rescale.center = {center}, rescale.radius = {radius}: the ball holds no "
+            "interior grid node, so there is no equation to check"
+        )
     grid, pair, _ = _solved(cfg)
     try:
         rep = harness.rescale_check(pair, grid, center, radius, cfg.profile, cfg.fieldh)
@@ -516,7 +510,7 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None, help="sampling seed (overrides config)")
         p.add_argument(
             "--parallel", action="store_true",
-            help="run the work items of check-barriers and growth in threads; ignored elsewhere",
+            help="accepted for compatibility and ignored: every command runs serially",
         )
         if name in ("trace", "extract-fb", "verify-fb"):
             p.add_argument("--h", dest="level", type=float, default=None, help="orbit level")

@@ -89,6 +89,7 @@ class SolveReport:
     final_residual: float = np.inf
     final_chi_change: float = np.inf
     energy_history: list = field(default_factory=list)
+    stalled_sweeps: int = 0  # sweeps whose Newton line search stalled
     constraints: Optional[geometry.ComplementarityReport] = None
     converged: bool = False
     wall_time: float = 0.0
@@ -137,19 +138,25 @@ def _face_field_values(grid, fieldh):
 
 
 def _face_chi(grid, chi, k):
-    """Average cell chi onto axis-k faces (edge cells replicated outward)."""
+    """Average cell chi onto axis-k faces.
+
+    An inner face averages the cells on its two sides along each transverse
+    axis; a face on the box edge takes its edge cell's value, which is that
+    cell averaged with a copy of itself, exactly.
+    """
     out = np.asarray(chi, dtype=float)
     for j in range(grid.dim):
         if j == k:
             continue
-        pad = [(0, 0)] * out.ndim
-        pad[j] = (1, 1)
-        padded = np.pad(out, pad, mode="edge")
-        sl0 = [slice(None)] * out.ndim
-        sl1 = [slice(None)] * out.ndim
-        sl0[j] = slice(None, -1)
-        sl1[j] = slice(1, None)
-        out = 0.5 * (padded[tuple(sl0)] + padded[tuple(sl1)])
+        shape = list(out.shape)
+        shape[j] += 1
+        face = np.empty(shape)
+        # views with axis j first; writing through f fills face
+        c, f = np.moveaxis(out, j, 0), np.moveaxis(face, j, 0)
+        np.add(c[:-1], c[1:], out=f[1:-1])
+        f[1:-1] *= 0.5
+        f[0], f[-1] = c[0], c[-1]
+        out = face
     return out
 
 
@@ -158,46 +165,53 @@ def _drift_fluxes(grid, chi, hface):
     return [_face_chi(grid, chi, k) * hface[k] for k in range(grid.dim)]
 
 
-def _normal_fluxes(grid, profile, faces, drift):
-    """Face fluxes a(|G|) G_k/|G| + drift_k on the axis-k faces, per axis.
+def _diffusive_fluxes(grid, profile, faces):
+    """Diffusive face fluxes a(|G|) G_k/|G| on the axis-k faces, per axis.
 
     ``faces`` holds the face gradient components of u (as from
-    ``geometry.face_gradient_components``). The diffusive part is 0 where
-    G vanishes; every built-in a is finite and 0 at 0.
+    ``geometry.face_gradient_components``). The flux is 0 where G
+    vanishes; every built-in a is finite and 0 at 0.
     """
     fluxes = []
     for k in range(grid.dim):
         comps = faces[k]
         mag = np.sqrt(geometry.component_dot(comps, comps))
         scale = np.divide(profile.a(mag), mag, out=np.zeros_like(mag), where=mag > 0.0)
-        f = scale * comps[k]
-        f += drift[k]
-        fluxes.append(f)
+        scale *= comps[k]
+        fluxes.append(scale)
     return fluxes
 
 
-def residual(grid, profile, fieldh, u, chi, drift=None, faces=None):
+def _normal_fluxes(grid, profile, faces, drift):
+    """Face fluxes a(|G|) G_k/|G| + drift_k on the axis-k faces, per axis."""
+    return [f + d for f, d in zip(_diffusive_fluxes(grid, profile, faces), drift)]
+
+
+def residual(grid, profile, fieldh, u, chi, drift=None, faces=None, diffusive=None):
     """Weak-form residual of div(flux(grad u) + chi H) at interior nodes.
 
     Zero on boundary nodes. The returned values carry the dual cell volume,
     so they match integration of the flux against nodal hat functions.
     ``drift`` holds the face drift fluxes of this chi and field (as from
-    ``_drift_fluxes``) and ``faces`` the face gradient components of u (as
-    from ``geometry.face_gradient_components``); each is evaluated here
-    when None.
+    ``_drift_fluxes``), ``diffusive`` the diffusive face fluxes of u (as
+    from ``_diffusive_fluxes``) and ``faces`` the face gradient components
+    of u (as from ``geometry.face_gradient_components``); each is evaluated
+    here when None, and ``faces`` is read only to build ``diffusive``.
     """
     if drift is None:
         drift = _drift_fluxes(grid, chi, _face_field_values(grid, fieldh))
-    if faces is None:
-        faces = geometry.face_gradient_components(grid, u)
-    fluxes = _normal_fluxes(grid, profile, faces, drift)
+    if diffusive is None:
+        if faces is None:
+            faces = geometry.face_gradient_components(grid, u)
+        diffusive = _diffusive_fluxes(grid, profile, faces)
     out = np.zeros(grid.counts)
+    interior = tuple(slice(1, -1) for _ in range(grid.dim))
     vol = grid.cell_volume
     for k in range(grid.dim):
-        inner = [slice(None)] * grid.dim
-        inner[k] = slice(1, -1)
-        out[tuple(inner)] += np.diff(fluxes[k], axis=k) / grid.spacing[k] * vol
-    out[grid.boundary_mask()] = 0.0
+        # the axis-k faces that bound interior nodes' dual cells
+        cut = tuple(slice(None) if j == k else slice(1, -1) for j in range(grid.dim))
+        flux = diffusive[k][cut] + drift[k][cut]
+        out[interior] += np.diff(flux, axis=k) / grid.spacing[k] * vol
     return out
 
 
@@ -236,6 +250,17 @@ def _neg_jacobian_apply(grid, cond, v):
     return w
 
 
+def _laplacian_eigenvalues(grid):
+    """Eigenvalues of -Laplace_h on the interior nodes with homogeneous
+    Dirichlet data, on the grid of DST-I frequencies."""
+    lam = []
+    for k, count in enumerate(grid.counts):
+        m = count - 2
+        i = np.arange(1, m + 1)
+        lam.append(4.0 * np.sin(0.5 * np.pi * i / (m + 1)) ** 2 / grid.spacing[k] ** 2)
+    return sum(np.meshgrid(*lam, indexing="ij"))
+
+
 class _SpectralPreconditioner:
     """Exact inverse of the constant-coefficient surrogate operator.
 
@@ -243,18 +268,13 @@ class _SpectralPreconditioner:
     homogeneous Dirichlet data through discrete sine transforms; for a
     linear flux law this is the exact Newton operator, and for the
     degenerate laws it still clusters the spectrum far better than the
-    diagonal. Fully matrix-free and deterministic.
+    diagonal. Fully matrix-free and deterministic. ``laplacian`` holds the
+    eigenvalues from ``_laplacian_eigenvalues``.
     """
 
-    def __init__(self, grid, c_ref):
+    def __init__(self, grid, c_ref, laplacian):
         self.grid = grid
-        inner = [c - 2 for c in grid.counts]
-        lam = []
-        for k, m in enumerate(inner):
-            i = np.arange(1, m + 1)
-            lam.append(4.0 * np.sin(0.5 * np.pi * i / (m + 1)) ** 2 / grid.spacing[k] ** 2)
-        mesh = np.meshgrid(*lam, indexing="ij")
-        self.symbol = c_ref * grid.cell_volume * sum(mesh)
+        self.symbol = c_ref * grid.cell_volume * laplacian
         self.inner_slices = tuple(slice(1, -1) for _ in grid.counts)
 
     def apply(self, r):
@@ -265,115 +285,137 @@ class _SpectralPreconditioner:
         return out
 
 
-def _pcg(apply_op, precond, rhs, interior, rtol, maxiter):
+def _pcg(apply_op, precond, rhs, boundary, rtol, maxiter):
     """Preconditioned conjugate gradients on node arrays.
 
-    ``interior`` masks the unknowns; everything outside it stays zero.
+    ``boundary`` masks the nodes that are not unknowns; they stay zero.
     Returns the iterate once |residual|_2 <= rtol |rhs|_2 or the budget
     runs out.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    r[~interior] = 0.0
+    r[boundary] = 0.0
     target = rtol * float(np.linalg.norm(r))
     if target == 0.0:
         return x
     z = precond(r)
-    z[~interior] = 0.0
+    z[boundary] = 0.0
     p = z.copy()
     rz = float(np.sum(r * z))
     for _ in range(maxiter):
         ap = apply_op(p)
-        ap[~interior] = 0.0
+        ap[boundary] = 0.0
         alpha = rz / float(np.sum(p * ap))
         x += alpha * p
         r -= alpha * ap
         if float(np.linalg.norm(r)) <= target:
             break
         z = precond(r)
-        z[~interior] = 0.0
+        z[boundary] = 0.0
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     return x
 
 
-def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps, hface=None):
-    """Damped Newton on the full residual; returns (u, steps, rmax, ok).
+class _Head:
+    """The head iterate of one solve, with what its residual is built from.
 
-    ``hface`` holds the face values of H from ``_face_field_values``
-    (evaluated here when None); with chi frozen the drift fluxes are fixed
-    for the whole loop.
-
-    The head equation holds at every interior node, dry or wet: flux is
-    conserved, never absorbed, so the iterates may transiently leave
-    [0, M] while the coupled loop still drives them back (the converged
-    penalized pair is nonnegative on its own). Globalization: Armijo
-    backtracking on the residual 2-norm plus a per-node step clamp.
+    A solve fixes H, the boundary nodes and the Laplacian eigenvalues of the
+    preconditioner, so they are built here once. The head keeps its face
+    gradient components and diffusive face fluxes: each iterate's face
+    gradient is built once, and the next Newton loop (the next sweep, at a
+    new chi) starts from the accepted head's flux, adding the new drift to
+    it exactly as a residual built from u would. A new iterate replaces
+    the arrays of the last one as soon as it is accepted.
     """
-    dom = grid.domain
-    m_top = dom.m_ceiling
-    mu = cfg.mu_factor * m_top / dom.delta
-    interior = ~grid.boundary_mask()
-    u = np.asarray(u_init, dtype=float).copy()
-    chi = np.asarray(chi, dtype=float)
-    steps_used = 0
-    if hface is None:
-        hface = _face_field_values(grid, fieldh)
-    drift = _drift_fluxes(grid, chi, hface)
-    # each iterate's face gradient is built once, for its residual, and
-    # reused by the Newton operator once the iterate is accepted
-    faces = geometry.face_gradient_components(grid, u)
-    res = residual(grid, profile, fieldh, u, chi, drift, faces=faces)
-    for _ in range(max_steps):
+
+    def __init__(self, grid, fieldh, cfg, u):
+        self.grid, self.fieldh, self.cfg = grid, fieldh, cfg
+        self.hface = _face_field_values(grid, fieldh)
+        self.boundary = grid.boundary_mask()
+        self.laplacian = _laplacian_eigenvalues(grid)
+        self.u = np.asarray(u, dtype=float).copy()
+        self.faces = geometry.face_gradient_components(grid, self.u)
+        self.diffusive = None
+        self.flux_profile = None  # the profile ``diffusive`` was built with
+        self.stalled = False  # whether the last loop's line search stalled
+
+    def newton(self, profile, chi, max_steps):
+        """Damped Newton on the full residual; returns (u, steps, rmax, ok).
+
+        With chi frozen the drift fluxes are fixed for the whole loop. The
+        head equation holds at every interior node, dry or wet: flux is
+        conserved, never absorbed, so the iterates may transiently leave
+        [0, M] while the coupled loop still drives them back (the converged
+        penalized pair is nonnegative on its own). Globalization: Armijo
+        backtracking on the residual 2-norm plus a per-node step clamp. A
+        line search that backtracks below ``damping_min`` stops the loop
+        with ok False and sets ``stalled``.
+        """
+        grid, cfg = self.grid, self.cfg
+        dom = grid.domain
+        m_top = dom.m_ceiling
+        mu = cfg.mu_factor * m_top / dom.delta
+        chi = np.asarray(chi, dtype=float)
+        self.stalled = False
+        steps_used = 0
+        drift = _drift_fluxes(grid, chi, self.hface)
+        if self.flux_profile is not profile:
+            self.diffusive = _diffusive_fluxes(grid, profile, self.faces)
+            self.flux_profile = profile
+        res = residual(grid, profile, self.fieldh, self.u, chi, drift, diffusive=self.diffusive)
+        for _ in range(max_steps):
+            rmax = float(np.max(np.abs(res)))
+            if rmax <= cfg.inner_tol:
+                return self.u, steps_used, rmax, True
+            cond = _conductances(grid, profile, self.faces, mu, cfg.cond_floor)
+            c_ref = float(np.median(np.concatenate([c.ravel() for c in cond])))
+            precond = _SpectralPreconditioner(grid, max(c_ref, cfg.cond_floor), self.laplacian)
+
+            def apply_op(v, cond=cond):
+                return _neg_jacobian_apply(grid, cond, v)
+
+            d = _pcg(apply_op, precond.apply, res, self.boundary, cfg.cg_forcing, cfg.cg_maxiter)
+            if not np.all(np.isfinite(d)):
+                raise SingularJacobianError("CG produced non-finite Newton direction")
+            # trust-region style clamp: degenerate zones can request huge moves
+            step_max = cfg.step_clamp * m_top
+            np.clip(d, -step_max, step_max, out=d)
+            rnorm = float(np.linalg.norm(res))
+            lam = 1.0
+            accepted = False
+            while lam >= cfg.damping_min:
+                u_trial = self.u + lam * d
+                faces = geometry.face_gradient_components(grid, u_trial)
+                diffusive = _diffusive_fluxes(grid, profile, faces)
+                res_trial = residual(
+                    grid, profile, self.fieldh, u_trial, chi, drift, diffusive=diffusive
+                )
+                if float(np.linalg.norm(res_trial)) <= (1.0 - 1e-4 * lam) * rnorm:
+                    accepted = True
+                    break
+                lam *= 0.5
+            if not accepted:
+                self.stalled = True
+                return self.u, steps_used, rmax, False
+            self.u, self.faces, self.diffusive = u_trial, faces, diffusive
+            res = res_trial
+            steps_used += 1
         rmax = float(np.max(np.abs(res)))
-        if rmax <= cfg.inner_tol:
-            return u, steps_used, rmax, True
-        cond = _conductances(grid, profile, faces, mu, cfg.cond_floor)
-        c_ref = float(np.median(np.concatenate([c.ravel() for c in cond])))
-        precond = _SpectralPreconditioner(grid, max(c_ref, cfg.cond_floor))
-
-        def apply_op(v, cond=cond):
-            return _neg_jacobian_apply(grid, cond, v)
-
-        d = _pcg(apply_op, precond.apply, res, interior, cfg.cg_forcing, cfg.cg_maxiter)
-        if not np.all(np.isfinite(d)):
-            raise SingularJacobianError("CG produced non-finite Newton direction")
-        # trust-region style clamp: degenerate zones can request huge moves
-        step_max = cfg.step_clamp * m_top
-        np.clip(d, -step_max, step_max, out=d)
-        rnorm = float(np.linalg.norm(res))
-        lam = 1.0
-        accepted = False
-        while lam >= cfg.damping_min:
-            u_trial = u + lam * d
-            faces_trial = geometry.face_gradient_components(grid, u_trial)
-            res_trial = residual(grid, profile, fieldh, u_trial, chi, drift, faces=faces_trial)
-            if float(np.linalg.norm(res_trial)) <= (1.0 - 1e-4 * lam) * rnorm:
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            return u, steps_used, rmax, False
-        u, res, faces = u_trial, res_trial, faces_trial
-        steps_used += 1
-    rmax = float(np.max(np.abs(res)))
-    return u, steps_used, rmax, rmax <= cfg.inner_tol
+        return self.u, steps_used, rmax, rmax <= cfg.inner_tol
 
 
-def solve_u_given_chi(grid, profile, fieldh, chi, config, u_init, hface=None):
-    """Head solve with frozen chi: damped inexact Newton.
+def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps):
+    """Damped Newton on the full residual from ``u_init``; returns (u,
+    steps, rmax, ok) as ``_Head.newton`` does."""
+    return _Head(grid, fieldh, cfg, u_init).newton(profile, chi, max_steps)
 
-    ``u_init`` must carry the Dirichlet values on boundary nodes. The
-    returned head satisfies |residual|_max <= inner_tol at every interior
-    node. Raises NonConvergenceError when the iteration budget runs out or
-    the line search stalls. ``hface`` (from ``_face_field_values``) is
-    evaluated here when None.
-    """
-    cfg = config.resolved(grid, profile, fieldh)
-    u, steps, rmax, converged = _newton_loop(
-        grid, profile, fieldh, chi, cfg, u_init, cfg.max_inner, hface
-    )
+
+def _converged(result):
+    """(u, steps, rmax) of a Newton loop result that reached inner_tol;
+    raises NonConvergenceError otherwise."""
+    u, steps, rmax, converged = result
     if not converged:
         raise NonConvergenceError(
             f"inner Newton did not reach tolerance; residual {rmax:.3e}"
@@ -381,18 +423,33 @@ def solve_u_given_chi(grid, profile, fieldh, chi, config, u_init, hface=None):
     return u, steps, rmax
 
 
-def energy(grid, profile, fieldh, u, chi, hcells=None):
+def solve_u_given_chi(grid, profile, fieldh, chi, config, u_init):
+    """Head solve with frozen chi: damped inexact Newton.
+
+    ``u_init`` must carry the Dirichlet values on boundary nodes. The
+    returned head satisfies |residual|_max <= inner_tol at every interior
+    node. Raises NonConvergenceError when the iteration budget runs out or
+    the line search stalls.
+    """
+    cfg = config.resolved(grid, profile, fieldh)
+    return _converged(_newton_loop(grid, profile, fieldh, chi, cfg, u_init, cfg.max_inner))
+
+
+def energy(grid, profile, fieldh, u, chi, hcells=None, faces=None):
     """Diagnostic functional sum_cells [A(|grad u|) + chi H . grad u] vol.
 
     Gradients are taken at cell centers; stationarity in u at frozen chi
     reproduces the head equation up to quadrature placement. ``hcells``
-    holds H at the cell centers; it is evaluated here when None.
+    holds H at the cell centers; it is evaluated here when None. ``faces``
+    holds the face gradient components of u (as from
+    ``geometry.face_gradient_components``), whose normal differences are the
+    ones taken here from u when None.
     """
     u = np.asarray(u, dtype=float)
     dim = grid.dim
     comps = []
     for k in range(dim):
-        g = np.diff(u, axis=k) / grid.spacing[k]
+        g = np.diff(u, axis=k) / grid.spacing[k] if faces is None else faces[k][k]
         for j in range(dim):
             if j == k:
                 continue
@@ -453,20 +510,21 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     t0 = time.perf_counter()
     report = SolveReport()
 
-    # H is fixed for the whole solve: evaluate it once on faces and cells
-    hface = _face_field_values(grid, fieldh)
+    # H is fixed for the whole solve: evaluated once on faces (by the head)
+    # and once on cells
+    head = _Head(grid, fieldh, cfg, grid.dirichlet_array())
     hcells = fieldh(grid.cell_centers())
-    u_bc = grid.dirichlet_array()
     laplace = profiles.make_power(2.0)
     chi0 = np.zeros(grid.cell_counts)
-    u, inner_used, _ = solve_u_given_chi(grid, laplace, fieldh, chi0, cfg, u_bc, hface)
+    u, inner_used, _ = _converged(head.newton(laplace, chi0, cfg.max_inner))
     report.inner_iterations += inner_used
 
     stages = _penalization_stages(cfg.eps, domain.m_ceiling)
     cross_area = grid.cell_volume / float(np.min(grid.spacing)) * max(grid.counts)
     chi = _chi_target(grid, u, stages[0])
-    u, inner_used, rmax, _ = _newton_loop(grid, profile, fieldh, chi, cfg, u, 1, hface)
+    u, inner_used, rmax, _ = head.newton(profile, chi, 1)
     report.inner_iterations += inner_used
+    report.stalled_sweeps += head.stalled
 
     # each sweep takes one damped Newton step: the chi relaxation moves the
     # target again right after, so the head only has to track the moving
@@ -485,13 +543,16 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             chi_new = (1.0 - stage_relax) * chi + stage_relax * target
             dchi = float(np.sum(np.abs(chi_new - chi)) * cellvol)
             chi = chi_new
-            u, inner_used, rmax, _ = _newton_loop(grid, profile, fieldh, chi, cfg, u, 1, hface)
+            u, inner_used, rmax, _ = head.newton(profile, chi, 1)
             outer_total += 1
             report.inner_iterations += inner_used
+            report.stalled_sweeps += head.stalled
             report.outer_iterations = outer_total
             report.final_residual = rmax
             report.final_chi_change = dchi
-            report.energy_history.append(energy(grid, profile, fieldh, u, chi, hcells))
+            report.energy_history.append(
+                energy(grid, profile, fieldh, u, chi, hcells, faces=head.faces)
+            )
             if dchi <= stage_tol:
                 converged = final_stage
                 break
@@ -515,7 +576,7 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             break
     if converged:
         try:
-            u, inner_used, rmax = solve_u_given_chi(grid, profile, fieldh, chi, cfg, u, hface)
+            u, inner_used, rmax = _converged(head.newton(profile, chi, cfg.max_inner))
             report.inner_iterations += inner_used
             report.final_residual = rmax
         except NonConvergenceError as exc:

@@ -307,6 +307,8 @@ def test_bad_orbit_inputs_exit_4_before_any_work(tmp_path, monkeypatch, capsys,
         ("rescale", "rescale.center = 0.5"),
         ("rescale", "rescale.radius = 0"),
         ("rescale", "rescale.radius = -1"),
+        ("rescale", "rescale.center = 5 5"),  # the ball misses the box
+        ("rescale", "rescale.radius = 0.01"),  # the ball spans less than a cell
         ("check-barriers", "barriers.radius = wide"),
         ("check-barriers", "barriers.kappa_count = 2.5"),
         ("check-barriers", "barriers.kappa_count = 0"),
@@ -486,4 +488,12 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, alap.cli; sys.exit(int('scipy.optimize' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # scipy.ndimage serves only the distance transforms, so it loads on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, alap.cli; sys.exit(int('scipy.ndimage' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -147,6 +147,17 @@ def test_rescale_check_rejects_ball_near_free_boundary():
         harness.rescale_check(pair, grid, [0.5, 0.5], 0.2, prof, f)
 
 
+@pytest.mark.parametrize("center, radius", [([5.0, 5.0], 0.2), ([0.5, 0.25], 0.01)])
+def test_rescale_check_rejects_a_ball_without_interior_nodes(center, radius):
+    # a ball off the box, or narrower than a cell, leaves no equation to check
+    dom, grid, pair = dam_setup()
+    prof = profiles.make_power(2.0)
+    f = fields.make_constant_field([0.0, 1.0])
+    assert not np.any(harness.ball_interior(grid, center, radius))
+    with pytest.raises(ValueError, match="no interior grid node"):
+        harness.rescale_check(pair, grid, center, radius, prof, f)
+
+
 def test_growth_ratios_stable_under_refinement():
     prof = profiles.make_power(2.0)
     f = fields.make_constant_field([0.0, 1.0])

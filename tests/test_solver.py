@@ -409,3 +409,104 @@ def test_newton_steps_build_one_face_gradient_per_residual(monkeypatch):
     assert report.converged
     assert report.inner_iterations > 0
     assert 0 < len(builds) <= len(residuals)
+
+
+# --- the head carried across sweeps -------------------------------------------
+# A sweep starts from the face gradient and diffusive flux of the head the
+# last sweep accepted, and a solve builds its invariants once. The padded
+# average below is the chi face average the pad-free one replaced.
+
+
+def _padded_face_chi(grid, chi, k):
+    out = np.asarray(chi, dtype=float)
+    for j in range(grid.dim):
+        if j == k:
+            continue
+        pad = [(0, 0)] * out.ndim
+        pad[j] = (1, 1)
+        padded = np.pad(out, pad, mode="edge")
+        sl0 = [slice(None)] * out.ndim
+        sl1 = [slice(None)] * out.ndim
+        sl0[j] = slice(None, -1)
+        sl1[j] = slice(1, None)
+        out = 0.5 * (padded[tuple(sl0)] + padded[tuple(sl1)])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_PROFILES))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_carried_head_matches_a_head_built_from_u_bit_for_bit(dim, name):
+    prof = _KERNEL_PROFILES[name]()
+    grid, fieldh, u, chi = _kernel_case(dim)
+    new_chi = np.random.default_rng(7 + dim).uniform(0.0, 1.0, grid.cell_counts)
+    with np.errstate(all="raise"):
+        hface = solver._face_field_values(grid, fieldh)
+        face_chi = [solver._face_chi(grid, new_chi, k) for k in range(dim)]
+        faces = geometry.face_gradient_components(grid, u)
+        diffusive = solver._diffusive_fluxes(grid, prof, faces)
+        carried = solver.residual(
+            grid, prof, fieldh, u, new_chi, solver._drift_fluxes(grid, new_chi, hface),
+            diffusive=diffusive,
+        )
+        built = solver.residual(grid, prof, fieldh, u, new_chi)
+        carried_energy = solver.energy(grid, prof, fieldh, u, new_chi, faces=faces)
+        built_energy = solver.energy(grid, prof, fieldh, u, new_chi)
+    assert all(
+        np.array_equal(c, _padded_face_chi(grid, new_chi, k)) for k, c in enumerate(face_chi)
+    )
+    assert np.array_equal(carried, built)
+    assert np.array_equal(built, _stacked_residual(grid, prof, fieldh, u, new_chi))
+    assert carried_energy == built_energy == _stacked_energy(grid, prof, fieldh, u, new_chi)
+
+
+def test_solve_builds_one_face_gradient_per_head_iterate(monkeypatch):
+    # a sweep's first residual reuses the accepted head's face gradient, so
+    # only a new head value (the boundary data, then each trial) builds one
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (17, 17))
+    prof = profiles.make_power(3.0)
+    f = fields.make_constant_field([0.0, float(prof.a(1.0))])
+    builds, heads = [], set()
+    real_build, real_residual = geometry.face_gradient_components, solver.residual
+
+    def counting_build(*args, **kwargs):
+        builds.append(1)
+        return real_build(*args, **kwargs)
+
+    def recording_residual(grid, profile, fieldh, u, *args, **kwargs):
+        heads.add(np.asarray(u).tobytes())
+        return real_residual(grid, profile, fieldh, u, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "face_gradient_components", counting_build)
+    monkeypatch.setattr(solver, "residual", recording_residual)
+    pair, report = solver.solve_problem(grid, prof, f, dom)
+    assert report.converged and report.outer_iterations > 1
+    assert len(builds) == len(heads)
+
+
+def test_stalled_sweep_is_counted(monkeypatch):
+    # a planted stall: while one sweep runs, every trial head's face
+    # gradient is inflated, so no damping passes the Armijo test
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (17, 17))
+    prof = profiles.make_power(2.0)
+    f = fields.make_constant_field([0.0, 1.0])
+    _, plain = solver.solve_problem(grid, prof, f, dom)
+    assert plain.stalled_sweeps == 0
+    sweeps = []
+    real_target, real_build = solver._chi_target, geometry.face_gradient_components
+
+    def counting_target(*args):
+        sweeps.append(1)
+        return real_target(*args)
+
+    def inflated_build(grid, u):
+        faces = real_build(grid, u)
+        if len(sweeps) == 4:
+            faces = [[1e3 * c for c in comps] for comps in faces]
+        return faces
+
+    monkeypatch.setattr(solver, "_chi_target", counting_target)
+    monkeypatch.setattr(geometry, "face_gradient_components", inflated_build)
+    _, report = solver.solve_problem(grid, prof, f, dom)
+    assert report.stalled_sweeps == 1
