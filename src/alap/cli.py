@@ -331,13 +331,17 @@ def cmd_verify_fb(args):
     summary = []
     ok = True
     for level in levels:
-        # one batch of orbits per level serves every certificate below
+        # one batch of orbits per level, each sampled once, serves every
+        # certificate below
         orbit_list = orbits_mod.OrbitFamily(cfg.fieldh, dom, level).orbits(omegas)
+        samples = [free_boundary.sample_along_orbit(pair, grid, o) for o in orbit_list]
         tol_chi = free_boundary.default_chi_monotone_tol(rcfg.eps, pair.eps_u, dom.m_ceiling)
-        mono = free_boundary.certify_chi_monotone(pair, grid, orbit_list, tol_chi)
-        rewet = free_boundary.certify_no_rewetting(pair, grid, cfg.fieldh, orbit_list)
+        mono = free_boundary.certify_chi_monotone(pair, grid, orbit_list, tol_chi, samples=samples)
+        rewet = free_boundary.certify_no_rewetting(
+            pair, grid, cfg.fieldh, orbit_list, samples=samples
+        )
         graph = free_boundary.extract_graph(
-            pair, grid, cfg.fieldh, level, omegas, dom, orbits=orbit_list
+            pair, grid, cfg.fieldh, level, omegas, dom, orbits=orbit_list, samples=samples
         )
         tol_lsc = free_boundary.default_lsc_tol(
             dom.delta / orbits_mod.STEP_DIVISOR,

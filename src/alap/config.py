@@ -228,14 +228,20 @@ def _build_solver(raw):
         # the continuation schedule doubles eps up to M/16: it must start positive
         if not (np.isfinite(kwargs["eps"]) and kwargs["eps"] > 0.0):
             raise ConfigError(f"solver.eps must be a finite number > 0, got {kwargs['eps']}")
-    if "solver.inner_tol" in raw:
-        kwargs["inner_tol"] = _one_float(raw, "solver.inner_tol")
-    if "solver.outer_tol" in raw:
-        kwargs["outer_tol"] = _one_float(raw, "solver.outer_tol")
-    if "solver.max_inner" in raw:
-        kwargs["max_inner"] = _one_int(raw, "solver.max_inner")
-    if "solver.max_outer" in raw:
-        kwargs["max_outer"] = _one_int(raw, "solver.max_outer")
+    # a tolerance of inf passes any sweep, one of nan or <= 0 none; a
+    # budget below one never steps
+    for name in ("inner_tol", "outer_tol"):
+        key = f"solver.{name}"
+        if key in raw:
+            kwargs[name] = _one_float(raw, key)
+            if not (np.isfinite(kwargs[name]) and kwargs[name] > 0.0):
+                raise ConfigError(f"{key} must be a finite number > 0, got {kwargs[name]}")
+    for name in ("max_inner", "max_outer"):
+        key = f"solver.{name}"
+        if key in raw:
+            kwargs[name] = _one_int(raw, key)
+            if kwargs[name] < 1:
+                raise ConfigError(f"{key} must be an integer >= 1, got {kwargs[name]}")
     if "solver.relax" in raw:
         kwargs["relax"] = _one_float(raw, "solver.relax")
         # relax = 0 never moves chi, so the first sweep would read as converged

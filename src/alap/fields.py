@@ -59,7 +59,9 @@ def make_constant_field(c):
         raise ValueError(f"constant field needs positive last component, got {c[-1]}")
 
     def eval_fn(x):
-        return np.broadcast_to(c, x.shape).copy()
+        out = np.empty(x.shape)
+        out[...] = c
+        return out
 
     def div_fn(x):
         return np.zeros(x.shape[:-1])

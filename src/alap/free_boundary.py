@@ -36,6 +36,16 @@ def sample_along_orbit(solution, grid, orbit, count=None):
     return u_vals, chi_vals
 
 
+def _samples_of(solution, grid, orbits, samples):
+    """Per-orbit (u-samples, chi-samples): ``samples`` when given (as from
+    ``sample_along_orbit`` on each orbit, in order), else sampled here."""
+    if samples is None:
+        return [sample_along_orbit(solution, grid, orbit) for orbit in orbits]
+    if len(samples) != len(orbits):
+        raise ValueError(f"{len(samples)} sample sets for {len(orbits)} orbits")
+    return samples
+
+
 def _resample(orbit, count):
     ts = np.linspace(orbit.times[0], orbit.times[-1], count)
     idx = np.searchsorted(orbit.times, ts, side="right") - 1
@@ -57,20 +67,21 @@ class MonotonicityReport:
     passed: bool
 
 
-def certify_chi_monotone(solution, grid, orbits, tol=None):
+def certify_chi_monotone(solution, grid, orbits, tol=None, samples=None):
     """Largest uptick of chi along each orbit against the tolerance.
 
     The uptick of one orbit is max_j (chi_j - min_{i<=j} chi_i) over its
     samples in time order. ``tol`` defaults to the standard formula at the
-    default penalization width 4 * eps_u.
+    default penalization width 4 * eps_u. ``samples`` holds each orbit's
+    (u-samples, chi-samples) as from ``sample_along_orbit``; the orbits are
+    sampled here when None.
     """
     if tol is None:
         tol = default_chi_monotone_tol(
             4.0 * solution.eps_u, solution.eps_u, grid.domain.m_ceiling
         )
     upticks = []
-    for orbit in orbits:
-        _, chi_vals = sample_along_orbit(solution, grid, orbit)
+    for _, chi_vals in _samples_of(solution, grid, orbits, samples):
         running = np.minimum.accumulate(chi_vals)
         upticks.append(float(np.max(chi_vals - running)))
     worst = max(upticks) if upticks else 0.0
@@ -82,16 +93,19 @@ def certify_chi_monotone(solution, grid, orbits, tol=None):
     )
 
 
-def wet_interval_sup(solution, grid, fieldh, orbit, refine_tol=1e-9, stride=1):
+def wet_interval_sup(solution, grid, fieldh, orbit, refine_tol=1e-9, stride=1, u_vals=None):
     """Largest orbit time with head above the wet threshold.
 
     Scans the stored samples (every ``stride``-th one) for the last wet
     sample, bisects between it and the first dry scan sample after it down
     to refine_tol * delta(Omega) in position, and returns the entry time
     t_minus when no sample is wet. The bisection makes the result
-    insensitive to the scan density.
+    insensitive to the scan density. ``u_vals`` holds the head at the
+    orbit's samples (as from ``sample_along_orbit``); it is sampled here
+    when None.
     """
-    u_vals, _ = sample_along_orbit(solution, grid, orbit)
+    if u_vals is None:
+        u_vals, _ = sample_along_orbit(solution, grid, orbit)
     scan = np.arange(0, len(u_vals), stride)
     if scan[-1] != len(u_vals) - 1:
         scan = np.append(scan, len(u_vals) - 1)
@@ -136,13 +150,16 @@ class FreeBoundaryGraph:
     lsc_ok: np.ndarray
 
 
-def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9, orbits=None):
+def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9, orbits=None,
+                  samples=None):
     """Wet-interval suprema with flags, plus the interval-identity check.
 
     ``orbits`` are the orbits through ``omegas`` at ``level``, in order (as
     from ``OrbitFamily.orbits``), with their exit resolution already set;
     when None they are integrated here as one batch with exit resolution
-    ``refine_tol``.
+    ``refine_tol``. ``samples`` holds each orbit's (u-samples, chi-samples)
+    as from ``sample_along_orbit``; each orbit is sampled here once when
+    None.
 
     The identity check verifies that samples more than one orbit step below
     the graph value are wet and samples above it are dry; a violation
@@ -160,9 +177,8 @@ def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9
         raise ValueError("the given orbits do not start at the omegas on this level")
     values, tmin, tmax = [], [], []
     set_empty, touching, identity = [], [], []
-    for orbit in orbits:
-        u_vals, _ = sample_along_orbit(solution, grid, orbit)
-        phi = wet_interval_sup(solution, grid, fieldh, orbit, refine_tol)
+    for orbit, (u_vals, _) in zip(orbits, _samples_of(solution, grid, orbits, samples)):
+        phi = wet_interval_sup(solution, grid, fieldh, orbit, refine_tol, u_vals=u_vals)
         wet = u_vals > solution.eps_u
         below = orbit.times < phi - orbit.step
         above = orbit.times > phi + orbit.step
@@ -271,14 +287,15 @@ class RewettingReport:
     passed: bool
 
 
-def certify_no_rewetting(solution, grid, fieldh, orbits, slack=None):
+def certify_no_rewetting(solution, grid, fieldh, orbits, slack=None, samples=None):
     """Once the head falls to the wet threshold along an orbit it must stay
-    there; counts samples that re-wet after the first dry sample."""
+    there; counts samples that re-wet after the first dry sample.
+    ``samples`` holds each orbit's (u-samples, chi-samples) as from
+    ``sample_along_orbit``; the orbits are sampled here when None."""
     if slack is None:
         slack = solution.eps_u
     violations = []
-    for idx, orbit in enumerate(orbits):
-        u_vals, _ = sample_along_orbit(solution, grid, orbit)
+    for idx, (u_vals, _) in enumerate(_samples_of(solution, grid, orbits, samples)):
         dry = u_vals <= solution.eps_u
         if not np.any(dry):
             continue

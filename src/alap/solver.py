@@ -16,9 +16,13 @@ flux is conserved at every interior node, dry or wet. The Newton operator
 is the symmetric positive-definite face-conductance approximation obtained
 by differentiating each face flux in its normal difference only, with the
 gradient magnitude regularized by sqrt(|G|^2 + mu^2) (the residual itself
-stays unregularized). Linear steps are matrix-free conjugate gradients
-preconditioned by a discrete-sine-transform constant-coefficient inverse,
-at a loose inexact-Newton forcing.
+stays unregularized). For the linear flux law a(t) = t that operator is the
+constant-coefficient Laplacian, and each Newton direction is one exact
+discrete-sine-transform (DST) solve. For every other law the linear steps
+are matrix-free conjugate gradients at a loose inexact-Newton forcing,
+preconditioned by the DST Laplacian inverse scaled on both sides by the
+square root of the ratio of the Laplacian's diagonal to the operator's
+(Concus & Golub 1973).
 
 Outer loop: chi is tied to u through the cut-off min(u/eps, 1) evaluated
 at cell centers, under-relaxed to damp free-boundary oscillation, with the
@@ -182,6 +186,21 @@ def _diffusive_fluxes(grid, profile, faces):
     return fluxes
 
 
+def _is_linear(profile):
+    """Whether the flux law is a(t) = t (power p = 2, a0 = a1 = 1)."""
+    return profile.family == "power" and profile.params == (2.0,)
+
+
+def _linear_fluxes(faces):
+    """Diffusive face fluxes of the linear law a(t) = t: the normal
+    components G_k themselves.
+
+    There a(|G|)/|G| is exactly 1 where G is nonzero, so these equal
+    ``_diffusive_fluxes`` bit for bit. The arrays are those of ``faces``.
+    """
+    return [comps[k] for k, comps in enumerate(faces)]
+
+
 def _normal_fluxes(grid, profile, faces, drift):
     """Face fluxes a(|G|) G_k/|G| + drift_k on the axis-k faces, per axis."""
     return [f + d for f, d in zip(_diffusive_fluxes(grid, profile, faces), drift)]
@@ -250,6 +269,29 @@ def _neg_jacobian_apply(grid, cond, v):
     return w
 
 
+def _diagonal_scaling(grid, cond):
+    """Interior-node scaling S = (d_ref / diag)^(1/2) of the operator.
+
+    ``diag`` is the diagonal of the face-conductance operator built from
+    ``cond`` (as from ``_conductances``), ``d_ref = vol * sum_k 2 / h_k^2``
+    the diagonal of the unit-coefficient Laplacian that the preconditioner
+    inverts. A reference coefficient c_ref would cancel between the two
+    factors of S and the inverse, so none is taken.
+    """
+    vol = grid.cell_volume
+    diag = np.zeros(tuple(n - 2 for n in grid.counts))
+    d_ref = 0.0
+    for k in range(grid.dim):
+        w = vol / grid.spacing[k] ** 2
+        c = cond[k][tuple(slice(None) if j == k else slice(1, -1) for j in range(grid.dim))]
+        c = np.moveaxis(c, k, 0)
+        diag += np.moveaxis(c[:-1] + c[1:], 0, k) * w
+        d_ref += 2.0 * w
+    if not np.all(diag > 0.0):
+        raise SingularJacobianError("vanishing diagonal in Newton operator")
+    return np.sqrt(d_ref / diag)
+
+
 def _laplacian_eigenvalues(grid):
     """Eigenvalues of -Laplace_h on the interior nodes with homogeneous
     Dirichlet data, on the grid of DST-I frequencies."""
@@ -266,22 +308,30 @@ class _SpectralPreconditioner:
 
     Solves c_ref * vol * (-Laplace_h) v = r on the interior with
     homogeneous Dirichlet data through discrete sine transforms; for a
-    linear flux law this is the exact Newton operator, and for the
-    degenerate laws it still clusters the spectrum far better than the
-    diagonal. Fully matrix-free and deterministic. ``laplacian`` holds the
-    eigenvalues from ``_laplacian_eigenvalues``.
+    linear flux law this is the exact Newton operator. With ``scale`` S
+    (interior nodes, as from ``_diagonal_scaling``) it applies S L^-1 S
+    instead, whose inverse shares the diagonal of the degenerate laws'
+    operator; CG then needs fewer iterations than under L^-1 alone. Fully
+    matrix-free and deterministic. ``laplacian`` holds the eigenvalues from
+    ``_laplacian_eigenvalues``.
     """
 
-    def __init__(self, grid, c_ref, laplacian):
+    def __init__(self, grid, c_ref, laplacian, scale=None):
         self.grid = grid
         self.symbol = c_ref * grid.cell_volume * laplacian
+        self.scale = scale
         self.inner_slices = tuple(slice(1, -1) for _ in grid.counts)
 
     def apply(self, r):
         out = np.zeros(self.grid.counts)
         inner = r[self.inner_slices]
+        if self.scale is not None:
+            inner = inner * self.scale
         coeffs = dstn(inner, type=1, norm="ortho")
-        out[self.inner_slices] = idstn(coeffs / self.symbol, type=1, norm="ortho")
+        v = idstn(coeffs / self.symbol, type=1, norm="ortho")
+        if self.scale is not None:
+            v *= self.scale
+        out[self.inner_slices] = v
         return out
 
 
@@ -321,8 +371,9 @@ def _pcg(apply_op, precond, rhs, boundary, rtol, maxiter):
 class _Head:
     """The head iterate of one solve, with what its residual is built from.
 
-    A solve fixes H, the boundary nodes and the Laplacian eigenvalues of the
-    preconditioner, so they are built here once. The head keeps its face
+    A solve fixes H, the boundary nodes, the Laplacian eigenvalues of the
+    preconditioner and the exact inverse of the linear law's Newton
+    operator, so they are built here once. The head keeps its face
     gradient components and diffusive face fluxes: each iterate's face
     gradient is built once, and the next Newton loop (the next sweep, at a
     new chi) starts from the accepted head's flux, adding the new drift to
@@ -335,6 +386,12 @@ class _Head:
         self.hface = _face_field_values(grid, fieldh)
         self.boundary = grid.boundary_mask()
         self.laplacian = _laplacian_eigenvalues(grid)
+        # the linear law's conductances are all 1 up to roundoff, so its
+        # Newton operator is the surrogate at coefficient 1 (floored at
+        # cond_floor, as a reference coefficient always was)
+        self.linear_inverse = _SpectralPreconditioner(
+            grid, max(1.0, cfg.cond_floor), self.laplacian
+        )
         self.u = np.asarray(u, dtype=float).copy()
         self.faces = geometry.face_gradient_components(grid, self.u)
         self.diffusive = None
@@ -354,31 +411,30 @@ class _Head:
         with ok False and sets ``stalled``.
         """
         grid, cfg = self.grid, self.cfg
-        dom = grid.domain
-        m_top = dom.m_ceiling
-        mu = cfg.mu_factor * m_top / dom.delta
+        m_top = grid.domain.m_ceiling
         chi = np.asarray(chi, dtype=float)
         self.stalled = False
         steps_used = 0
+        linear = _is_linear(profile)
+
+        def fluxes(faces):
+            return _linear_fluxes(faces) if linear else _diffusive_fluxes(grid, profile, faces)
+
         drift = _drift_fluxes(grid, chi, self.hface)
         if self.flux_profile is not profile:
-            self.diffusive = _diffusive_fluxes(grid, profile, self.faces)
+            self.diffusive = fluxes(self.faces)
             self.flux_profile = profile
         res = residual(grid, profile, self.fieldh, self.u, chi, drift, diffusive=self.diffusive)
         for _ in range(max_steps):
             rmax = float(np.max(np.abs(res)))
             if rmax <= cfg.inner_tol:
                 return self.u, steps_used, rmax, True
-            cond = _conductances(grid, profile, self.faces, mu, cfg.cond_floor)
-            c_ref = float(np.median(np.concatenate([c.ravel() for c in cond])))
-            precond = _SpectralPreconditioner(grid, max(c_ref, cfg.cond_floor), self.laplacian)
-
-            def apply_op(v, cond=cond):
-                return _neg_jacobian_apply(grid, cond, v)
-
-            d = _pcg(apply_op, precond.apply, res, self.boundary, cfg.cg_forcing, cfg.cg_maxiter)
+            if linear:
+                d = self.linear_inverse.apply(res)
+            else:
+                d = self._cg_direction(profile, res)
             if not np.all(np.isfinite(d)):
-                raise SingularJacobianError("CG produced non-finite Newton direction")
+                raise SingularJacobianError("non-finite Newton direction")
             # trust-region style clamp: degenerate zones can request huge moves
             step_max = cfg.step_clamp * m_top
             np.clip(d, -step_max, step_max, out=d)
@@ -388,7 +444,7 @@ class _Head:
             while lam >= cfg.damping_min:
                 u_trial = self.u + lam * d
                 faces = geometry.face_gradient_components(grid, u_trial)
-                diffusive = _diffusive_fluxes(grid, profile, faces)
+                diffusive = fluxes(faces)
                 res_trial = residual(
                     grid, profile, self.fieldh, u_trial, chi, drift, diffusive=diffusive
                 )
@@ -404,6 +460,23 @@ class _Head:
             steps_used += 1
         rmax = float(np.max(np.abs(res)))
         return self.u, steps_used, rmax, rmax <= cfg.inner_tol
+
+    def _cg_direction(self, profile, res):
+        """Newton direction of a law that is not linear: CG on the face
+        conductances of the head, preconditioned by the diagonally scaled
+        DST inverse."""
+        grid, cfg = self.grid, self.cfg
+        dom = grid.domain
+        mu = cfg.mu_factor * dom.m_ceiling / dom.delta
+        cond = _conductances(grid, profile, self.faces, mu, cfg.cond_floor)
+        precond = _SpectralPreconditioner(
+            grid, 1.0, self.laplacian, _diagonal_scaling(grid, cond)
+        )
+
+        def apply_op(v):
+            return _neg_jacobian_apply(grid, cond, v)
+
+        return _pcg(apply_op, precond.apply, res, self.boundary, cfg.cg_forcing, cfg.cg_maxiter)
 
 
 def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps):

@@ -72,6 +72,18 @@ def test_config_rejects_bad_values():
         "solver.relax = -0.5",
         "solver.relax = 1.5",
         "solver.relax = nan",
+        "solver.inner_tol = nan",
+        "solver.inner_tol = inf",
+        "solver.inner_tol = 0",
+        "solver.inner_tol = -1",
+        "solver.outer_tol = inf",
+        "solver.outer_tol = nan",
+        "solver.outer_tol = 0",
+        "solver.outer_tol = -1",
+        "solver.max_inner = 0",
+        "solver.max_inner = -1",
+        "solver.max_outer = 0",
+        "solver.max_outer = -1",
     ],
 )
 def test_bad_solver_inputs_rejected_at_load(tmp_path, monkeypatch, line):

@@ -19,6 +19,20 @@ def test_constant_field_values():
     assert np.all(f.divergence(x) == 0.0)
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (33, 2), (4, 5, 2)])
+def test_constant_field_eval_matches_the_broadcast_copy(shape):
+    c = np.array([0.3, 1.0])
+    f = fields.make_constant_field(c)
+    x = np.zeros(shape)
+    out = f.eval_fn(x)
+    assert out.dtype == np.float64 and out.shape == shape
+    assert np.array_equal(out, np.broadcast_to(c, shape).copy())
+    # a fresh writable array: writing to it leaves the field intact
+    assert out.flags.writeable and not np.shares_memory(out, c)
+    out[...] = -1.0
+    assert np.array_equal(f.eval_fn(x), np.broadcast_to(c, shape))
+
+
 def test_constant_field_rejects_nonpositive_last_component():
     with pytest.raises(ValueError):
         fields.make_constant_field([0.0, -1.0])

@@ -242,3 +242,37 @@ def test_wet_time_sup_stride_invariance():
     phi1 = fb.wet_interval_sup(pair, grid, f, orb)
     phi2 = fb.wet_interval_sup(pair, grid, f, orb, stride=2)
     assert phi1 == pytest.approx(phi2, abs=1e-8 * dom.delta)
+
+
+def test_given_samples_reproduce_the_self_sampled_certificates():
+    dom, grid, pair = dam_setup()
+    xs, ys = grid.nodes()[..., 0], grid.nodes()[..., 1]
+    u_bad = pair.u.copy()
+    u_bad[(ys > 0.75) & (ys < 0.85) & (xs < 0.4)] = 0.05  # only the first orbit re-wets
+    centers = grid.cell_centers()
+    chi_bad = pair.chi.copy()
+    chi_bad[(centers[..., 1] > 0.75) & (centers[..., 1] < 0.85) & (centers[..., 0] > 0.6)] = 0.5
+    bad = geometry.SolutionPair(u=u_bad, chi=chi_bad, eps_u=pair.eps_u)
+    f = vertical_field()
+    omegas = np.array([0.3, 0.5, 0.7])
+    orbs = orbits.integrate_orbits(f, omegas, 0.2, dom)
+    for sol in (pair, bad):
+        samples = [fb.sample_along_orbit(sol, grid, o) for o in orbs]
+        assert fb.certify_chi_monotone(sol, grid, orbs, 1e-9, samples=samples) == (
+            fb.certify_chi_monotone(sol, grid, orbs, 1e-9)
+        )
+        assert fb.certify_no_rewetting(sol, grid, f, orbs, samples=samples) == (
+            fb.certify_no_rewetting(sol, grid, f, orbs)
+        )
+        given = fb.extract_graph(sol, grid, f, 0.2, omegas, dom, orbits=orbs, samples=samples)
+        own = fb.extract_graph(sol, grid, f, 0.2, omegas, dom, orbits=orbs)
+        assert np.array_equal(given.values, own.values)
+        assert np.array_equal(given.identity_ok, own.identity_ok)
+        phi = fb.wet_interval_sup(sol, grid, f, orbs[1], u_vals=samples[1][0])
+        assert phi == fb.wet_interval_sup(sol, grid, f, orbs[1])
+    rewet = fb.certify_no_rewetting(bad, grid, f, orbs, samples=samples)
+    assert [v[0] for v in rewet.violations] == [0]
+    upticks = fb.certify_chi_monotone(bad, grid, orbs, 1e-9, samples=samples).per_orbit
+    assert upticks[0] == 0.0 and upticks[2] > 0.0
+    with pytest.raises(ValueError, match="sample sets"):
+        fb.certify_chi_monotone(pair, grid, orbs, 1e-9, samples=samples[:2])

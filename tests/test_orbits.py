@@ -455,6 +455,27 @@ def test_verify_fb_integrates_each_seed_once(tmp_path, monkeypatch):
     assert set(per_seed.values()) == {2}
 
 
+def test_verify_fb_samples_each_orbit_once(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from alap import cli, free_boundary
+
+    sampled = Counter()
+    real_sample = free_boundary.sample_along_orbit
+
+    def counting_sample(solution, grid, orbit, *args, **kwargs):
+        sampled[(orbit.level, orbit.omega)] += 1
+        return real_sample(solution, grid, orbit, *args, **kwargs)
+
+    monkeypatch.setattr(free_boundary, "sample_along_orbit", counting_sample)
+    cfg = tmp_path / "dam.cfg"
+    cfg.write_text(SMALL_DAM, encoding="utf-8")
+    assert cli.main(["verify-fb", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    # three levels of nine orbits, each interpolated once for all certificates
+    assert len(sampled) == 3 * 9
+    assert set(sampled.values()) == {1}
+
+
 def test_trace_csv_is_byte_identical_across_runs(tmp_path):
     from alap import cli
 

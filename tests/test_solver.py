@@ -510,3 +510,154 @@ def test_stalled_sweep_is_counted(monkeypatch):
     monkeypatch.setattr(geometry, "face_gradient_components", inflated_build)
     _, report = solver.solve_problem(grid, prof, f, dom)
     assert report.stalled_sweeps == 1
+
+
+# --- the Newton linear solve by flux law --------------------------------------
+# For a(t) = t the Newton operator is the constant-coefficient Laplacian, so
+# its direction is one exact DST solve; every other law runs CG under the
+# diagonally scaled DST inverse.
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_linear_law_flux_is_the_normal_gradient_bit_for_bit(dim):
+    prof = profiles.make_power(2.0)
+    grid, _, u, _ = _kernel_case(dim)
+    with np.errstate(all="raise"):
+        faces = geometry.face_gradient_components(grid, u)
+        linear = solver._linear_fluxes(faces)
+        general = solver._diffusive_fluxes(grid, prof, faces)
+    assert solver._is_linear(prof)
+    assert all(np.array_equal(a, b) for a, b in zip(linear, general))
+    zero_faces = sum(
+        int(np.sum(np.all([c == 0.0 for c in comps], axis=0))) for comps in faces
+    )
+    assert zero_faces > 0
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_PROFILES))
+def test_only_the_linear_law_is_linear(name):
+    assert solver._is_linear(_KERNEL_PROFILES[name]()) == (name == "power2")
+
+
+def test_linear_law_solve_skips_cg_and_conductances(monkeypatch):
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (17, 17))
+    f = fields.make_constant_field([0.0, 1.0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the linear law took the CG path")
+
+    monkeypatch.setattr(solver, "_pcg", refuse)
+    monkeypatch.setattr(solver, "_conductances", refuse)
+    pair, report = solver.solve_problem(grid, profiles.make_power(2.0), f, dom)
+    assert report.converged and report.inner_iterations > report.outer_iterations
+
+
+def test_degenerate_law_solve_runs_cg_on_the_conductances(monkeypatch):
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (17, 17))
+    prof = profiles.make_power(3.0)
+    f = fields.make_constant_field([0.0, float(prof.a(1.0))])
+    calls = []
+    real_pcg, real_cond = solver._pcg, solver._conductances
+
+    def counting_pcg(*args, **kwargs):
+        calls.append("pcg")
+        return real_pcg(*args, **kwargs)
+
+    def counting_cond(*args, **kwargs):
+        calls.append("cond")
+        return real_cond(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_pcg", counting_pcg)
+    monkeypatch.setattr(solver, "_conductances", counting_cond)
+    pair, report = solver.solve_problem(grid, prof, f, dom)
+    assert report.converged
+    # the warm-up solve is linear; every later Newton step runs CG
+    assert 0 < calls.count("pcg") == calls.count("cond") < report.inner_iterations
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_linear_direction_matches_the_cg_direction(dim):
+    # the CG path on the linear law: conductances, their median as the
+    # preconditioner coefficient, CG at the default forcing
+    prof = profiles.make_power(2.0)
+    grid, fieldh, u, _ = _kernel_case(dim)
+    cfg = solver.SolverConfig().resolved(grid, prof, fieldh)
+    head = solver._Head(grid, fieldh, cfg, u)
+    res = np.random.default_rng(11 + dim).standard_normal(grid.counts)
+    res[grid.boundary_mask()] = 0.0
+    mu = cfg.mu_factor * grid.domain.m_ceiling / grid.domain.delta
+    cond = solver._conductances(grid, prof, head.faces, mu, cfg.cond_floor)
+    c_ref = float(np.median(np.concatenate([c.ravel() for c in cond])))
+    precond = solver._SpectralPreconditioner(
+        grid, max(c_ref, cfg.cond_floor), solver._laplacian_eigenvalues(grid)
+    )
+    applies = []
+
+    def apply_op(v):
+        applies.append(1)
+        return solver._neg_jacobian_apply(grid, cond, v)
+
+    cg = solver._pcg(apply_op, precond.apply, res, head.boundary, cfg.cg_forcing, cfg.cg_maxiter)
+    exact = head.linear_inverse.apply(res)
+    assert len(applies) == 1
+    assert np.max(np.abs(exact - cg)) <= 1e-12 * np.max(np.abs(cg))
+    assert np.all(exact[head.boundary] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_diagonal_scaling_reads_the_operator_diagonal(dim):
+    grid, _, _, _ = _kernel_case(dim)
+    rng = np.random.default_rng(5 + dim)
+    cond = [rng.uniform(1e-3, 1e2, grid.counts[:k] + (grid.counts[k] - 1,) + grid.counts[k + 1:])
+            for k in range(dim)]
+    inner = tuple(slice(1, -1) for _ in range(dim))
+    diag = np.zeros(tuple(n - 2 for n in grid.counts))
+    for idx in np.ndindex(diag.shape):
+        node = tuple(i + 1 for i in idx)
+        e = np.zeros(grid.counts)
+        e[node] = 1.0
+        diag[idx] = solver._neg_jacobian_apply(grid, cond, e)[node]
+    d_ref = sum(2.0 * grid.cell_volume / h**2 for h in grid.spacing)
+    scale = solver._diagonal_scaling(grid, cond)
+    assert scale.shape == grid.boundary_mask()[inner].shape
+    assert np.allclose(scale, np.sqrt(d_ref / diag), rtol=1e-13, atol=0.0)
+
+
+def _cg_iterations(grid, cond, precond, rhs, boundary, rtol):
+    applies = []
+
+    def apply_op(v):
+        applies.append(1)
+        return solver._neg_jacobian_apply(grid, cond, v)
+
+    x = solver._pcg(apply_op, precond.apply, rhs, boundary, rtol, 5000)
+    r = rhs - solver._neg_jacobian_apply(grid, cond, x)
+    r[boundary] = 0.0
+    return len(applies), float(np.linalg.norm(r)) / float(np.linalg.norm(rhs))
+
+
+def test_scaled_dst_needs_fewer_cg_iterations_on_varying_conductances():
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (65, 65))
+    lap = solver._laplacian_eigenvalues(grid)
+    boundary = grid.boundary_mask()
+    unit = [np.ones(grid.counts[:k] + (grid.counts[k] - 1,) + grid.counts[k + 1:])
+            for k in range(grid.dim)]
+    assert np.all(solver._diagonal_scaling(grid, unit) == 1.0)
+    # conductances spanning four decades, as across a degenerate zone
+    cond = []
+    for k in range(grid.dim):
+        axes = solver._face_point_axes(grid, k)
+        x, y = np.meshgrid(*axes, indexing="ij")
+        cond.append(10.0 ** (2.0 * np.sin(3.0 * x) * np.cos(2.0 * y) + 2.0 * y))
+    rhs = np.random.default_rng(3).standard_normal(grid.counts)
+    rhs[boundary] = 0.0
+    rtol = 1e-8
+    plain = solver._SpectralPreconditioner(grid, 1.0, lap)
+    scaled = solver._SpectralPreconditioner(grid, 1.0, lap, solver._diagonal_scaling(grid, cond))
+    plain_its, plain_rel = _cg_iterations(grid, cond, plain, rhs, boundary, rtol)
+    scaled_its, scaled_rel = _cg_iterations(grid, cond, scaled, rhs, boundary, rtol)
+    assert plain_rel <= 10 * rtol and scaled_rel <= 10 * rtol
+    assert scaled_its < plain_its
