@@ -135,9 +135,10 @@ def radial_barrier_value(barrier, x):
     return float(v[0]) if np.asarray(x).ndim == 1 else v
 
 
-def _radial_pieces(barrier, rho):
-    """|grad v|, Laplacian of v, and the Hessian contraction sum_ij v_i v_j v_ij."""
-    a, k, n = barrier.alpha, barrier.amplitude, barrier.dim
+def _ring_pieces(barrier, rho, amplitude):
+    """|grad v|, Laplacian of v, and the Hessian contraction sum_ij v_i v_j v_ij
+    of v = amplitude (exp(-alpha rho^2) - const)."""
+    a, k, n = barrier.alpha, amplitude, barrier.dim
     e = np.exp(-a * rho**2)
     grad_mag = 2.0 * a * k * rho * e
     lap = -2.0 * a * k * e * (n - 2.0 * a * rho**2)
@@ -154,7 +155,7 @@ def radial_a_laplacian(barrier, profile, x):
     Delta_A v = a(q)/q^3 { q^2 lap + (a'(q) q / a(q) - 1) sum v_i v_j v_ij }.
     """
     rho = barrier.rho(x)
-    q, lap, hess = _radial_pieces(barrier, rho)
+    q, lap, hess = _ring_pieces(barrier, rho, barrier.amplitude)
     ratio = profile.da(q) * q / profile.a(q)
     out = profile.a(q) / q**3 * (q**2 * lap + (ratio - 1.0) * hess)
     return float(out[0]) if np.asarray(x).ndim == 1 else out
@@ -163,9 +164,10 @@ def radial_a_laplacian(barrier, profile, x):
 def ring_sampling_plan(barrier, rng_or_seed=0, random_points=100):
     """Deterministic ring sampling: tensor radii x angles plus seeded extras.
 
-    40 radii span the closed ring. Angles: 16 in 2D; a 12 x 12
-    (polar x azimuthal) grid in 3D. ``random_points`` uniform ring points
-    are appended from the given seed or generator.
+    40 radii span the closed ring [radius/2, outer_radius] of a radial or
+    Hopf barrier. Angles: 16 in 2D; a 12 x 12 (polar x azimuthal) grid in
+    3D. ``random_points`` uniform ring points are appended from the given
+    seed or generator.
     """
     rng = (
         rng_or_seed
@@ -223,7 +225,7 @@ def certify_radial_inequality(barrier, profile, samples=None, seed=0):
     """Check Delta_A v >= a(|grad v|)/rho pointwise over the sampling plan."""
     pts = ring_sampling_plan(barrier, seed) if samples is None else _as_points(samples, barrier.dim)
     rho = barrier.rho(pts)
-    q, _, _ = _radial_pieces(barrier, rho)
+    q, _, _ = _ring_pieces(barrier, rho, barrier.amplitude)
     lhs = radial_a_laplacian(barrier, profile, pts)
     rhs = profile.a(q) / rho
     margins = lhs - rhs
@@ -299,6 +301,10 @@ class HopfBarrier:
     kappa: float
     alpha: float
 
+    @property
+    def outer_radius(self):
+        return self.radius
+
     def rho(self, x):
         pts = _as_points(x, self.dim)
         return np.sqrt(np.sum((pts - np.asarray(self.center)) ** 2, axis=-1))
@@ -326,19 +332,10 @@ def make_hopf_barrier(center, radius, kappa, dim, a0):
     )
 
 
-def _hopf_pieces(barrier, rho):
-    a, n = barrier.alpha, barrier.dim
-    e = np.exp(-a * rho**2)
-    grad_mag = 2.0 * a * rho * e
-    lap = -2.0 * a * e * (n - 2.0 * a * rho**2)
-    hess_contr = -((2.0 * a) ** 3) * rho**2 * np.exp(-3.0 * a * rho**2) * (1.0 - 2.0 * a * rho**2)
-    return grad_mag, lap, hess_contr
-
-
 def hopf_a_laplacian(barrier, profile, scale, x):
     """Closed-form Delta_A (scale * v) on the ring."""
     rho = barrier.rho(x)
-    q, lap, hess = _hopf_pieces(barrier, rho)
+    q, lap, hess = _ring_pieces(barrier, rho, 1.0)
     sq = scale * q
     ratio = profile.da(sq) * sq / profile.a(sq)
     out = profile.a(sq) / q**3 * (q**2 * lap + (ratio - 1.0) * hess)
@@ -351,34 +348,13 @@ def hopf_outer_normal_derivative(barrier, scale=1.0):
     return float(scale * (-2.0 * a * radius * math.exp(-a * radius**2)))
 
 
-def hopf_sampling_plan(barrier, seed=0, random_points=100):
-    rng = np.random.default_rng(seed)
-    radii = np.linspace(barrier.radius / 2.0, barrier.radius, 40)
-    center = np.asarray(barrier.center)
-    if barrier.dim == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    else:
-        polar = np.linspace(0.05, math.pi - 0.05, 12)
-        azim = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
-        tt, pp = np.meshgrid(polar, azim, indexing="ij")
-        dirs = np.stack(
-            [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-        ).reshape(-1, 3)
-    pts = (radii[:, None, None] * dirs[None, :, :] + center).reshape(-1, barrier.dim)
-    extra_r = rng.uniform(barrier.radius / 2.0, barrier.radius, random_points)
-    raw = rng.normal(size=(random_points, barrier.dim))
-    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-    return np.concatenate([pts, center + extra_r[:, None] * raw], axis=0)
-
-
 def certify_hopf_inequality(barrier, profile, scale, samples=None, seed=0):
     """Check Delta_A (scale v) >= a(scale |grad v|)/rho over the ring plan."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    pts = hopf_sampling_plan(barrier, seed) if samples is None else _as_points(samples, barrier.dim)
+    pts = ring_sampling_plan(barrier, seed) if samples is None else _as_points(samples, barrier.dim)
     rho = barrier.rho(pts)
-    q, _, _ = _hopf_pieces(barrier, rho)
+    q, _, _ = _ring_pieces(barrier, rho, 1.0)
     lhs = hopf_a_laplacian(barrier, profile, scale, pts)
     rhs = profile.a(scale * q) / rho
     margins = lhs - rhs

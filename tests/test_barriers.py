@@ -213,6 +213,21 @@ def test_hopf_outer_normal_derivative():
     assert barriers.hopf_outer_normal_derivative(b, 0.37) < 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_ring_plan_serves_radial_and_hopf_rings(dim):
+    p2 = profiles.make_power(2.0)
+    for b, outer in (
+        (radial(p2, dim), 1.1),
+        (barriers.make_hopf_barrier((0.0,) * dim, 1.0, 1.0, dim, p2.a0), 1.0),
+    ):
+        pts = barriers.ring_sampling_plan(b, 7)
+        rho = b.rho(pts)
+        assert rho.min() == pytest.approx(0.5) and rho.max() <= outer * (1.0 + 1e-12)
+        assert rho.max() == pytest.approx(outer)
+        # a seed and the generator it seeds give the same plan
+        assert np.array_equal(pts, barriers.ring_sampling_plan(b, np.random.default_rng(7)))
+
+
 def test_hopf_fd_cross_check():
     prof = profiles.make_power(3.0)
     b = barriers.make_hopf_barrier((0.0, 0.0), 1.0, 1.6, 2, prof.a0)
