@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from alap import geometry
-from alap.orbits import OrbitFamily, orbit_point
+from alap.orbits import Orbit, OrbitFamily, orbit_point
 
 
 def sample_along_orbit(solution, grid, orbit, count=None):
@@ -93,6 +93,23 @@ def certify_chi_monotone(solution, grid, orbits, tol=None, samples=None):
     )
 
 
+def _wet_bracket(orbit, u_vals, eps_u, stride):
+    """(lo, hi) times of the last wet scan sample and the scan sample after
+    it, or (t, t) with t the exit time when the scan is all dry (t_minus)
+    or wet up to its last sample (t_plus)."""
+    scan = np.arange(0, len(u_vals), stride)
+    if scan[-1] != len(u_vals) - 1:
+        scan = np.append(scan, len(u_vals) - 1)
+    wet = u_vals[scan] > eps_u
+    if not np.any(wet):
+        return orbit.t_minus, orbit.t_minus
+    last_wet = int(scan[np.max(np.nonzero(wet)[0])])
+    if last_wet == len(u_vals) - 1:
+        return orbit.t_plus, orbit.t_plus
+    nxt = min(last_wet + stride, len(u_vals) - 1)
+    return float(orbit.times[last_wet]), float(orbit.times[nxt])
+
+
 def wet_interval_sup(solution, grid, fieldh, orbit, refine_tol=1e-9, stride=1, u_vals=None):
     """Largest orbit time with head above the wet threshold.
 
@@ -103,29 +120,38 @@ def wet_interval_sup(solution, grid, fieldh, orbit, refine_tol=1e-9, stride=1, u
     insensitive to the scan density. ``u_vals`` holds the head at the
     orbit's samples (as from ``sample_along_orbit``); it is sampled here
     when None.
+
+    ``orbit`` may also be a list of orbits, with ``u_vals`` then None or a
+    list of one head array per orbit: every orbit's bracket halves in one
+    batched ``orbit_point`` call per step, each leaving the batch once its
+    own bracket is resolved, and the array of suprema is returned. A lone
+    orbit is a batch of one and returns a float.
     """
+    lone = isinstance(orbit, Orbit)
+    orbit_list = [orbit] if lone else list(orbit)
     if u_vals is None:
-        u_vals, _ = sample_along_orbit(solution, grid, orbit)
-    scan = np.arange(0, len(u_vals), stride)
-    if scan[-1] != len(u_vals) - 1:
-        scan = np.append(scan, len(u_vals) - 1)
-    wet = u_vals[scan] > solution.eps_u
-    if not np.any(wet):
-        return orbit.t_minus
-    last_wet = int(scan[np.max(np.nonzero(wet)[0])])
-    if last_wet == len(u_vals) - 1:
-        return orbit.t_plus
-    nxt = min(last_wet + stride, len(u_vals) - 1)
-    lo, hi = float(orbit.times[last_wet]), float(orbit.times[nxt])
+        u_list = [sample_along_orbit(solution, grid, o)[0] for o in orbit_list]
+    else:
+        u_list = [u_vals] if lone else list(u_vals)
+        if len(u_list) != len(orbit_list):
+            raise ValueError(f"{len(u_list)} head arrays for {len(orbit_list)} orbits")
+    brackets = [_wet_bracket(o, u, solution.eps_u, stride) for o, u in zip(orbit_list, u_list)]
+    lo = np.array([b[0] for b in brackets], dtype=float)
+    hi = np.array([b[1] for b in brackets], dtype=float)
     tol_t = refine_tol * grid.domain.delta / max(fieldh.h_upper, 1e-300)
-    while hi - lo > tol_t:
-        mid = 0.5 * (lo + hi)
-        x = orbit_point(fieldh, orbit, mid)
-        if geometry.interpolate_nodes(grid, solution.u, x) > solution.eps_u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    rows = np.arange(len(lo))
+    while True:
+        rows = rows[hi[rows] - lo[rows] > tol_t]
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        x = orbit_point(fieldh, [orbit_list[i] for i in rows], mid)
+        wet = geometry.interpolate_nodes(grid, solution.u, x) > solution.eps_u
+        lo[rows] = np.where(wet, mid, lo[rows])
+        hi[rows] = np.where(wet, hi[rows], mid)
+    # an exit-time bracket (t, t) gives 0.5 * (t + t) = t exactly
+    sup = 0.5 * (lo + hi)
+    return float(sup[0]) if lone else sup
 
 
 @dataclass(frozen=True)
@@ -175,41 +201,46 @@ def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9
         orbits = OrbitFamily(fieldh, domain, level, tol=refine_tol).orbits(om_list)
     elif [o.omega for o in orbits] != om_list or any(o.level != level for o in orbits):
         raise ValueError("the given orbits do not start at the omegas on this level")
-    values, tmin, tmax = [], [], []
-    set_empty, touching, identity = [], [], []
-    for orbit, (u_vals, _) in zip(orbits, _samples_of(solution, grid, orbits, samples)):
-        phi = wet_interval_sup(solution, grid, fieldh, orbit, refine_tol, u_vals=u_vals)
-        wet = u_vals > solution.eps_u
-        below = orbit.times < phi - orbit.step
-        above = orbit.times > phi + orbit.step
-        ok = bool(np.all(wet[below])) and bool(np.all(~wet[above]))
-        empty = not bool(np.any(wet))
-        graph_point = orbit_point(fieldh, orbit, phi)
-        dist_to_boundary = np.minimum(
-            np.min(graph_point - domain.lower), np.min(domain.upper - graph_point)
-        )
-        near = bool(
-            dist_to_boundary <= 4.0 * refine_tol * domain.delta
-            or phi >= orbit.t_plus - 2.0 * orbit.step
-            or phi <= orbit.t_minus + 2.0 * orbit.step
-        )
-        values.append(phi)
-        tmin.append(orbit.t_minus)
-        tmax.append(orbit.t_plus)
-        set_empty.append(empty)
-        touching.append(near or empty)
-        identity.append(ok)
+    u_list = [u_vals for u_vals, _ in _samples_of(solution, grid, orbits, samples)]
+    values = wet_interval_sup(solution, grid, fieldh, orbits, refine_tol, u_vals=u_list)
+    graph_points = orbit_point(fieldh, orbits, values)
+    tmin = np.array([orbit.t_minus for orbit in orbits], dtype=float)
+    tmax = np.array([orbit.t_plus for orbit in orbits], dtype=float)
+    steps = np.array([orbit.step for orbit in orbits], dtype=float)
+    wet = [u_vals > solution.eps_u for u_vals in u_list]
+    set_empty = np.array([not np.any(w) for w in wet], dtype=bool)
+    identity = np.array(
+        [_wet_is_initial_interval(o, w, phi) for o, w, phi in zip(orbits, wet, values)],
+        dtype=bool,
+    )
+    dist_to_boundary = np.minimum(
+        np.min(graph_points - domain.lower, axis=-1),
+        np.min(domain.upper - graph_points, axis=-1),
+    )
+    near = (
+        (dist_to_boundary <= 4.0 * refine_tol * domain.delta)
+        | (values >= tmax - 2.0 * steps)
+        | (values <= tmin + 2.0 * steps)
+    )
     return FreeBoundaryGraph(
         level=float(level),
         omegas=omegas,
-        values=np.asarray(values),
-        t_minus=np.asarray(tmin),
-        t_plus=np.asarray(tmax),
-        set_empty=np.asarray(set_empty, dtype=bool),
-        boundary_touching=np.asarray(touching, dtype=bool),
-        identity_ok=np.asarray(identity, dtype=bool),
+        values=values,
+        t_minus=tmin,
+        t_plus=tmax,
+        set_empty=set_empty,
+        boundary_touching=near | set_empty,
+        identity_ok=identity,
         lsc_ok=np.ones(len(values), dtype=bool),
     )
+
+
+def _wet_is_initial_interval(orbit, wet, phi):
+    """Samples more than one orbit step below ``phi`` are wet, those more
+    than one step above it dry."""
+    below = orbit.times < phi - orbit.step
+    above = orbit.times > phi + orbit.step
+    return bool(np.all(wet[below])) and bool(np.all(~wet[above]))
 
 
 def default_lsc_tol(orbit_step, spacing, grad_max, h_lower):

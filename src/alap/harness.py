@@ -33,20 +33,63 @@ class TouchingBall:
     touches_free_boundary: bool
 
 
+def _distance_to_dry(wet, spacing):
+    """Euclidean distance from every node to the nearest dry node.
+
+    Exact and separable (Felzenszwalb & Huttenlocher, ToC 2012): squared
+    distances start at 0 on dry nodes and inf on wet ones, and each axis in
+    turn takes the minimum over copies shifted by s nodes plus (s h_k)^2,
+    stopping once (s h_k)^2 reaches the largest value left. Lines along the
+    axis with no finite value stay inf and are skipped. The squares are
+    summed axis by axis, in the order ``scipy.ndimage.distance_transform_edt``
+    sums them, so the two agree bit for bit.
+    """
+    sq = np.where(wet, np.inf, 0.0)
+    for axis, h in enumerate(spacing):
+        view = np.moveaxis(sq, axis, 0)
+        lines = np.isfinite(view).any(axis=0)
+        src = view[:, lines]
+        out = src.copy()
+        for s in range(1, len(src)):
+            length = s * float(h)
+            added = length * length
+            if added >= np.max(out):
+                break
+            np.minimum(out[s:], src[:-s] + added, out=out[s:])
+            np.minimum(out[:-s], src[s:] + added, out=out[:-s])
+        view[:, lines] = out
+    return np.sqrt(sq)
+
+
+def _strictly_inside(points, center, radius):
+    """Rows of ``points`` with ``np.linalg.norm(point - center) < radius``.
+
+    The vectorized distance settles every row clear of the sphere; rows
+    within roundoff of it are measured again by ``np.linalg.norm``, whose
+    dot product may round the sum of squares differently.
+    """
+    diff = points - center
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    inside = dist < radius
+    for i in np.nonzero(np.abs(dist - radius) <= 1e-12 * radius)[0]:
+        inside[i] = np.linalg.norm(diff[i]) < radius
+    return inside
+
+
 def find_touching_balls(solution, grid, count):
     """Largest inscribed balls of the discrete wet set, by distance transform.
 
     For every wet node the admissible radius is the smaller of the distance
     to the dry set and the distance to the domain boundary; the ``count``
-    largest are returned (possibly fewer). An empty free boundary yields an
-    empty list.
+    largest are returned (possibly fewer). Candidates go in stably sorted
+    descending order, and a candidate strictly inside an accepted ball is
+    skipped, which keeps the selection spread out. An empty free boundary
+    yields an empty list.
     """
     wet = solution.wet_nodes()
     if not np.any(wet) or np.all(wet):
         return []
-    from scipy import ndimage
-
-    dist_dry = ndimage.distance_transform_edt(wet, sampling=grid.spacing)
+    dist_dry = _distance_to_dry(wet, grid.spacing)
     nodes = grid.nodes()
     dist_boundary = np.minimum(
         np.min(nodes - grid.domain.lower, axis=-1),
@@ -55,26 +98,27 @@ def find_touching_balls(solution, grid, count):
     admissible = np.where(wet, np.minimum(dist_dry, dist_boundary), 0.0)
     flat = admissible.ravel()
     order = np.argsort(flat, kind="stable")[::-1]
+    order = order[flat[order] > 0.0]
+    points = nodes.reshape(-1, grid.dim)
+    alive = np.ones(flat.size, dtype=bool)
     balls = []
-    taken = []
-    for flat_idx in order:
-        r = float(flat[flat_idx])
-        if r <= 0.0 or len(balls) >= count:
+    while len(balls) < count:
+        order = order[alive[order]]
+        if not order.size:
             break
+        flat_idx = order[0]
+        r = float(flat[flat_idx])
         idx = np.unravel_index(flat_idx, admissible.shape)
-        center = nodes[idx]
-        # keep the selection spread out: skip centers inside an earlier ball
-        if any(np.linalg.norm(center - np.asarray(c)) < r_prev for c, r_prev in taken):
-            continue
+        center = tuple(map(float, nodes[idx]))
         balls.append(
             TouchingBall(
-                center=tuple(map(float, center)),
+                center=center,
                 center_index=tuple(map(int, idx)),
                 radius=r,
                 touches_free_boundary=bool(dist_dry[idx] <= dist_boundary[idx]),
             )
         )
-        taken.append((tuple(center), r))
+        alive &= ~_strictly_inside(points, np.asarray(center), r)
     return balls
 
 

@@ -200,10 +200,14 @@ def integrate_orbit(fieldh, omega, level, domain, tol=1e-9):
     return integrate_orbits(fieldh, omega[None, :], level, domain, tol)[0]
 
 
-def _check_times(orbit, ts):
-    bad = (ts < orbit.t_minus - 1e-15) | (ts > orbit.t_plus + 1e-15)
+def _check_times(t_minus, t_plus, ts):
+    """DomainExitError unless every time of ``ts`` lies in its orbit's
+    interval; the exit times are scalars or one per time."""
+    lo, hi, ts = np.broadcast_arrays(t_minus, t_plus, ts)
+    bad = (ts < lo - 1e-15) | (ts > hi + 1e-15)
     if np.any(bad):
-        raise DomainExitError(f"t = {ts[bad][0]} outside ({orbit.t_minus}, {orbit.t_plus})")
+        i = np.argmax(bad)
+        raise DomainExitError(f"t = {ts[i]} outside ({lo[i]}, {hi[i]})")
 
 
 def _sample_index(orbit, ts):
@@ -237,21 +241,42 @@ def _restep(fieldh, x, remaining, step):
     return _rk4_step(fieldh, x, rest[:, None])
 
 
+def _start_states(fieldh, orbits, ts):
+    """Per row i, the stored state of ``orbits[i]`` that time ``ts[i]``
+    re-steps from, the time left to go, and the orbits' common step."""
+    if ts.shape != (len(orbits),):
+        raise ValueError(f"{ts.size} times for {len(orbits)} orbits")
+    steps = {orbit.step for orbit in orbits}
+    if len(steps) > 1:
+        raise ValueError("orbits re-stepped as one batch must share one step")
+    exits = np.array([(orbit.t_minus, orbit.t_plus) for orbit in orbits]).reshape(-1, 2)
+    _check_times(exits[:, 0], exits[:, 1], ts)
+    idx = [orbit.state_before(t) for orbit, t in zip(orbits, ts)]
+    x = np.array([orbit.points[i] for orbit, i in zip(orbits, idx)]).reshape(-1, fieldh.dim)
+    start = np.array([orbit.times[i] for orbit, i in zip(orbits, idx)], dtype=float)
+    return x, ts - start, steps.pop() if steps else 0.0
+
+
 def orbit_point(fieldh, orbit, t):
     """Dense output X(t): re-step from the nearest stored state.
 
-    ``t`` is a time or an array of times; all times re-step as one batch,
-    forward and backward groups each along their own field.
+    ``orbit`` is one Orbit with ``t`` a time or an array of times, or a
+    list of orbits with ``t`` one time per orbit (row i is X(t[i]) on
+    orbit i). All rows re-step as one batch, forward and backward groups
+    each along their own field; each row takes exactly the steps a lone
+    call would.
     """
     ts = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(ts)
-    _check_times(orbit, flat)
-    idx = _sample_index(orbit, flat)
-    x = orbit.points[idx]
-    rest = flat - orbit.times[idx]
+    if isinstance(orbit, Orbit):
+        flat = np.atleast_1d(ts)
+        _check_times(orbit.t_minus, orbit.t_plus, flat)
+        idx = _sample_index(orbit, flat)
+        x, rest, step = orbit.points[idx], flat - orbit.times[idx], orbit.step
+    else:
+        x, rest, step = _start_states(fieldh, orbit, ts)
     for rows, field_dir in ((rest > 0.0, fieldh), (rest < 0.0, _reversed(fieldh))):
         if np.any(rows):
-            x[rows] = _restep(field_dir, x[rows], np.abs(rest[rows]), orbit.step)
+            x[rows] = _restep(field_dir, x[rows], np.abs(rest[rows]), step)
     return x[0] if ts.ndim == 0 else x
 
 
@@ -289,7 +314,7 @@ def jacobian_analytic(fieldh, orbit, t):
     """
     ts = np.asarray(t, dtype=float)
     flat = np.atleast_1d(ts)
-    _check_times(orbit, flat)
+    _check_times(orbit.t_minus, orbit.t_plus, flat)
     cum = _cumulative_divergence(fieldh.divergence(orbit.points), orbit.step)
     # the stored samples start at the backward exit; the formula integrates
     # from the seed time 0, which is a stored sample by construction

@@ -503,9 +503,48 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
-def test_cli_import_leaves_scipy_ndimage_unloaded():
-    # scipy.ndimage serves only the distance transforms, so it loads on first use
+def test_cli_import_leaves_scipy_ndimage_unloaded(tmp_path):
+    # the touching balls take a numpy distance transform; scipy.ndimage now
+    # serves only the component_interior_minima diagnostic
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, alap.cli; sys.exit(int('scipy.ndimage' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    cfg_path = write_config(tmp_path)
+    code = (
+        "import sys, alap.cli\n"
+        "loaded = 'scipy.ndimage' in sys.modules\n"
+        "for command in ('growth', 'harnack', 'verify-fb'):\n"
+        "    code = alap.cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "    assert code == 0, (command, code)\n"
+        "    loaded = loaded or 'scipy.ndimage' in sys.modules\n"
+        "sys.exit(3 if loaded else 0)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, cfg_path, str(tmp_path / "out")], env=env, timeout=300
+    )
+    assert run.returncode == 0
+    assert (tmp_path / "out" / "growth.csv").exists()
+
+
+def test_batched_certificates_write_the_bytes_of_the_lone_loops(tmp_path, monkeypatch):
+    # the lone bisection, the greedy loop and scipy's transform, as references
+    from test_free_boundary import ref_extract_graph
+    from test_harness import ref_find_touching_balls
+
+    from alap import free_boundary, harness
+
+    cfg_path = write_config(tmp_path)
+    # extract-fb writes the graph values that verify-fb only summarizes
+    commands = ("verify-fb", "extract-fb", "growth", "harnack")
+    for tag in ("shipped", "reference"):
+        if tag == "reference":
+            monkeypatch.setattr(free_boundary, "extract_graph", ref_extract_graph)
+            monkeypatch.setattr(harness, "find_touching_balls", ref_find_touching_balls)
+        for command in commands:
+            out = str(tmp_path / tag / command)
+            assert cli.main([command, "--config", cfg_path, "--out", out]) == 0
+    for command in commands:
+        names = sorted(os.listdir(tmp_path / "shipped" / command))
+        assert names and names == sorted(os.listdir(tmp_path / "reference" / command))
+        for name in names:
+            shipped = (tmp_path / "shipped" / command / name).read_bytes()
+            assert shipped == (tmp_path / "reference" / command / name).read_bytes(), name

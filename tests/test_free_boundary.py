@@ -276,3 +276,147 @@ def test_given_samples_reproduce_the_self_sampled_certificates():
     assert upticks[0] == 0.0 and upticks[2] > 0.0
     with pytest.raises(ValueError, match="sample sets"):
         fb.certify_chi_monotone(pair, grid, orbs, 1e-9, samples=samples[:2])
+
+
+# --- batched bisection against the lone-orbit reference ---------------------
+
+
+def ref_wet_interval_sup(solution, grid, fieldh, orbit, refine_tol=1e-9, stride=1, u_vals=None):
+    """One orbit's scan and scalar bisection, one ``orbit_point`` per halving."""
+    if u_vals is None:
+        u_vals, _ = fb.sample_along_orbit(solution, grid, orbit)
+    scan = np.arange(0, len(u_vals), stride)
+    if scan[-1] != len(u_vals) - 1:
+        scan = np.append(scan, len(u_vals) - 1)
+    wet = u_vals[scan] > solution.eps_u
+    if not np.any(wet):
+        return orbit.t_minus
+    last_wet = int(scan[np.max(np.nonzero(wet)[0])])
+    if last_wet == len(u_vals) - 1:
+        return orbit.t_plus
+    nxt = min(last_wet + stride, len(u_vals) - 1)
+    lo, hi = float(orbit.times[last_wet]), float(orbit.times[nxt])
+    tol_t = refine_tol * grid.domain.delta / max(fieldh.h_upper, 1e-300)
+    while hi - lo > tol_t:
+        mid = 0.5 * (lo + hi)
+        x = orbits.orbit_point(fieldh, orbit, mid)
+        if geometry.interpolate_nodes(grid, solution.u, x) > solution.eps_u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def ref_extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9,
+                      orbits=None, samples=None):
+    """``extract_graph`` as a loop over orbits, each bisected on its own."""
+    from alap.orbits import OrbitFamily, orbit_point
+
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim == 1 and domain.dim == 2:
+        om_list = [(float(w),) for w in omegas]
+    else:
+        om_list = [tuple(map(float, w)) for w in np.atleast_2d(omegas)]
+    if orbits is None:
+        orbits = OrbitFamily(fieldh, domain, level, tol=refine_tol).orbits(om_list)
+    if samples is None:
+        samples = [fb.sample_along_orbit(solution, grid, orbit) for orbit in orbits]
+    values, tmin, tmax = [], [], []
+    set_empty, touching, identity = [], [], []
+    for orbit, (u_vals, _) in zip(orbits, samples):
+        phi = ref_wet_interval_sup(solution, grid, fieldh, orbit, refine_tol, u_vals=u_vals)
+        wet = u_vals > solution.eps_u
+        below = orbit.times < phi - orbit.step
+        above = orbit.times > phi + orbit.step
+        ok = bool(np.all(wet[below])) and bool(np.all(~wet[above]))
+        empty = not bool(np.any(wet))
+        graph_point = orbit_point(fieldh, orbit, phi)
+        dist_to_boundary = np.minimum(
+            np.min(graph_point - domain.lower), np.min(domain.upper - graph_point)
+        )
+        near = bool(
+            dist_to_boundary <= 4.0 * refine_tol * domain.delta
+            or phi >= orbit.t_plus - 2.0 * orbit.step
+            or phi <= orbit.t_minus + 2.0 * orbit.step
+        )
+        values.append(phi)
+        tmin.append(orbit.t_minus)
+        tmax.append(orbit.t_plus)
+        set_empty.append(empty)
+        touching.append(near or empty)
+        identity.append(ok)
+    return fb.FreeBoundaryGraph(
+        level=float(level),
+        omegas=omegas,
+        values=np.asarray(values),
+        t_minus=np.asarray(tmin),
+        t_plus=np.asarray(tmax),
+        set_empty=np.asarray(set_empty, dtype=bool),
+        boundary_touching=np.asarray(touching, dtype=bool),
+        identity_ok=np.asarray(identity, dtype=bool),
+        lsc_ok=np.ones(len(values), dtype=bool),
+    )
+
+
+def banded_pair(grid, eps_u):
+    """Always wet for x < 0.25, the dam profile for 0.25 <= x < 0.6, never
+    wet beyond."""
+    xs, ys = grid.nodes()[..., 0], grid.nodes()[..., 1]
+    u = np.where(xs < 0.25, 0.6, np.where(xs < 0.6, np.maximum(0.6 - ys, 0.0), 0.0))
+    chi = (grid.cell_centers()[..., 1] < 0.6).astype(float)
+    return geometry.SolutionPair(u=u, chi=chi, eps_u=eps_u)
+
+
+BISECTION_FIELDS = {
+    "constant": lambda dom: fields.make_constant_field([0.05, 1.0]),
+    "affine": lambda dom: fields.make_affine_field(
+        np.diag([0.1, 0.2]), np.array([0.0, 1.0]), dom
+    ),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("field", sorted(BISECTION_FIELDS))
+def test_batched_wet_interval_sup_equals_lone_bisection(field, stride):
+    dom, grid, pair = dam_setup()
+    f = BISECTION_FIELDS[field](dom)
+    omegas = np.linspace(0.03, 0.97, 15)
+    orbs = orbits.integrate_orbits(f, omegas, 0.2, dom)
+    for sol in (pair, banded_pair(grid, pair.eps_u)):
+        u_list = [fb.sample_along_orbit(sol, grid, o)[0] for o in orbs]
+        batch = fb.wet_interval_sup(sol, grid, f, orbs, stride=stride, u_vals=u_list)
+        assert np.array_equal(batch, fb.wet_interval_sup(sol, grid, f, orbs, stride=stride))
+        ref = [ref_wet_interval_sup(sol, grid, f, o, stride=stride) for o in orbs]
+        assert np.array_equal(batch, ref)
+        for orbit, u_vals, phi in zip(orbs, u_list, batch):
+            lone = fb.wet_interval_sup(sol, grid, f, orbit, stride=stride, u_vals=u_vals)
+            assert isinstance(lone, float) and lone == phi
+    # the banded head has orbits that are always wet and orbits never wet
+    banded = fb.wet_interval_sup(banded_pair(grid, pair.eps_u), grid, f, orbs, stride=stride)
+    exits = [(o.t_minus, o.t_plus) for o in orbs]
+    assert any(phi == t_plus for phi, (_, t_plus) in zip(banded, exits))
+    assert any(phi == t_minus for phi, (t_minus, _) in zip(banded, exits))
+    assert any(t_minus < phi < t_plus for phi, (t_minus, t_plus) in zip(banded, exits))
+
+
+def test_batched_wet_interval_sup_edge_cases():
+    dom, grid, pair = dam_setup()
+    f = vertical_field()
+    orbs = orbits.integrate_orbits(f, [0.2, 0.5], 0.2, dom)
+    assert fb.wet_interval_sup(pair, grid, f, []).shape == (0,)
+    with pytest.raises(ValueError, match="1 head arrays for 2 orbits"):
+        fb.wet_interval_sup(pair, grid, f, orbs, u_vals=[np.ones(3)])
+
+
+@pytest.mark.parametrize("field", sorted(BISECTION_FIELDS))
+def test_extract_graph_equals_the_lone_loop(field):
+    dom, grid, pair = dam_setup()
+    f = BISECTION_FIELDS[field](dom)
+    omegas = np.linspace(0.03, 0.97, 15)
+    for sol in (pair, banded_pair(grid, pair.eps_u)):
+        for level in (0.1, 0.4):
+            got = fb.extract_graph(sol, grid, f, level, omegas, dom)
+            ref = ref_extract_graph(sol, grid, f, level, omegas, dom)
+            for name in ("values", "t_minus", "t_plus", "set_empty", "boundary_touching",
+                         "identity_ok", "lsc_ok"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name

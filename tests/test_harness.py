@@ -168,3 +168,133 @@ def test_growth_ratios_stable_under_refinement():
         rep = harness.growth_report(pair, grid, balls, prof, f, slack=2.0)
         ratios.append(rep.rows[0].ratio)
     assert abs(ratios[1] - ratios[0]) <= 0.2 * abs(ratios[0])
+
+
+# --- vectorized selection and numpy distance transform against the loop ----
+
+
+def ref_find_touching_balls(solution, grid, count):
+    """Greedy per-node loop over the candidates, with scipy's transform."""
+    from scipy import ndimage
+
+    wet = solution.wet_nodes()
+    if not np.any(wet) or np.all(wet):
+        return []
+    dist_dry = ndimage.distance_transform_edt(wet, sampling=grid.spacing)
+    nodes = grid.nodes()
+    dist_boundary = np.minimum(
+        np.min(nodes - grid.domain.lower, axis=-1),
+        np.min(grid.domain.upper - nodes, axis=-1),
+    )
+    admissible = np.where(wet, np.minimum(dist_dry, dist_boundary), 0.0)
+    flat = admissible.ravel()
+    order = np.argsort(flat, kind="stable")[::-1]
+    balls = []
+    taken = []
+    for flat_idx in order:
+        r = float(flat[flat_idx])
+        if r <= 0.0 or len(balls) >= count:
+            break
+        idx = np.unravel_index(flat_idx, admissible.shape)
+        center = nodes[idx]
+        if any(np.linalg.norm(center - np.asarray(c)) < r_prev for c, r_prev in taken):
+            continue
+        balls.append(
+            harness.TouchingBall(
+                center=tuple(map(float, center)),
+                center_index=tuple(map(int, idx)),
+                radius=r,
+                touches_free_boundary=bool(dist_dry[idx] <= dist_boundary[idx]),
+            )
+        )
+        taken.append((tuple(center), r))
+    return balls
+
+
+def random_mask(rng, shape):
+    """A wet set of a few random boxes and balls with scattered dry nodes."""
+    idx = np.indices(shape)
+    wet = np.zeros(shape, dtype=bool)
+    for _ in range(rng.integers(1, 5)):
+        lo = [rng.integers(0, n - 1) for n in shape]
+        hi = [rng.integers(a + 1, n + 1) for a, n in zip(lo, shape)]
+        wet[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+        c = [rng.uniform(0, n) for n in shape]
+        rad = rng.uniform(1.0, max(shape) / 2.0)
+        wet |= sum((i - ci) ** 2 for i, ci in zip(idx, c)) < rad**2
+    wet &= rng.random(shape) > rng.choice([0.0, 0.01, 0.05])
+    return wet
+
+
+def mask_grid(rng, dim):
+    """A box with non-dyadic, anisotropic spacing."""
+    upper = rng.uniform(0.6, 1.7, dim)
+    lower = rng.uniform(-0.3, 0.2, dim)
+    counts = rng.integers(9, 40 if dim == 2 else 14, dim)
+    faces = ["ymax"] if dim == 2 else ["zmax"]
+    dom = geometry.box_domain(lower, upper, faces, geometry.BoundaryData("zero"), 1.0)
+    return geometry.build_grid(dom, tuple(counts))
+
+
+def mask_pair(grid, wet):
+    u = np.where(wet, 1.0, 0.0)
+    return geometry.SolutionPair(u=u, chi=np.ones(grid.cell_counts), eps_u=0.5)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_distance_transform_equals_scipy(seed):
+    from scipy import ndimage
+
+    rng = np.random.default_rng(seed)
+    grid = mask_grid(rng, 2 if seed % 2 else 3)
+    wet = random_mask(rng, grid.counts)
+    if seed % 5 == 0:
+        # a whole row and a whole column without a dry node
+        wet[rng.integers(grid.counts[0])] = True
+        wet[:, rng.integers(grid.counts[1])] = True
+    if np.all(wet):
+        wet.flat[rng.integers(wet.size)] = False
+    got = harness._distance_to_dry(wet, grid.spacing)
+    assert np.array_equal(got, ndimage.distance_transform_edt(wet, sampling=grid.spacing))
+
+
+def test_distance_transform_single_dry_node_and_all_dry():
+    from scipy import ndimage
+
+    spacing = np.array([0.1, 0.07, 0.13])
+    wet = np.ones((7, 5, 6), dtype=bool)
+    wet[6, 0, 2] = False
+    expect = ndimage.distance_transform_edt(wet, sampling=spacing)
+    assert np.array_equal(harness._distance_to_dry(wet, spacing), expect)
+    dry = np.zeros((4, 3), dtype=bool)
+    assert np.array_equal(harness._distance_to_dry(dry, spacing[:2]), np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_ball_selection_equals_the_greedy_loop(seed):
+    # about one mask in 45 has a candidate within roundoff of an accepted
+    # sphere, where a plain sum of squares and np.linalg.norm disagree
+    rng = np.random.default_rng(seed)
+    grid = mask_grid(rng, 2 if seed % 3 else 3)
+    pair = mask_pair(grid, random_mask(rng, grid.counts))
+    for count in range(1, 9):
+        assert harness.find_touching_balls(pair, grid, count) == ref_find_touching_balls(
+            pair, grid, count
+        )
+
+
+@pytest.mark.parametrize("res", [(17, 17), (21, 13), (9, 9, 9)])
+def test_ball_selection_with_tied_radii_equals_the_greedy_loop(res):
+    # a wet slab across the box: whole rows of nodes share each radius
+    dim = len(res)
+    faces = ["ymax"] if dim == 2 else ["zmax"]
+    dom = geometry.box_domain([0.0] * dim, [1.0] * dim, faces, geometry.BoundaryData("zero"), 1.0)
+    grid = geometry.build_grid(dom, res)
+    height = grid.nodes()[..., -1]
+    pair = mask_pair(grid, (height > 0.2) & (height < 0.8))
+    radii = [b.radius for b in harness.find_touching_balls(pair, grid, 8)]
+    assert len(set(radii)) < len(radii)
+    for count in range(1, 9):
+        assert harness.find_touching_balls(pair, grid, count) == ref_find_touching_balls(
+            pair, grid, count
+        )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -411,6 +412,55 @@ def test_one_pass_dense_output_and_jacobians_match_lone_marches(case):
             ]
             orientation = 1.0 if dom.dim % 2 == 0 else -1.0
             assert det == orientation * float(np.linalg.det(np.stack(cols, axis=-1)))
+
+
+
+def _listed_times(dense, thin, rng):
+    """Times on one orbit: stored samples, both exits, negative times and
+    times a thinned orbit reaches by full steps plus a partial one."""
+    stored = thin.times[len(thin.times) // 3]
+    return [
+        dense.t_minus, 0.5 * dense.t_minus, -0.37 * dense.step, 0.0, stored,
+        stored + 3.7 * dense.step, thin.times[-1] + 0.6 * (dense.t_plus - thin.times[-1]),
+        dense.t_plus, rng.uniform(dense.t_minus, 0.0), rng.uniform(0.0, dense.t_plus),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_listed_orbit_points_equal_lone_calls(case):
+    dom, f, omegas, level = ENGINE_CASES[case]()
+    batch = orbits.integrate_orbits(f, omegas, level, dom)
+    # keeping every fifth sample makes re-steps take up to four full steps
+    # before the partial one, a different count per row
+    thin = [dataclasses.replace(o, times=o.times[::5], points=o.points[::5]) for o in batch]
+    rng = np.random.default_rng(len(case))
+    listed, ts = [], []
+    for dense, sparse in zip(batch, thin):
+        for orbit in (dense, sparse):
+            times = _listed_times(dense, sparse, rng)
+            listed += [orbit] * len(times)
+            ts += times
+    order = rng.permutation(len(ts))
+    listed = [listed[i] for i in order]
+    ts = np.array(ts)[order]
+    got = orbits.orbit_point(f, listed, ts)
+    assert got.shape == (len(ts), dom.dim)
+    for x, orbit, t in zip(got, listed, ts):
+        assert np.array_equal(x, orbits.orbit_point(f, orbit, t))
+        assert np.array_equal(x, _ref_point(f, orbit, float(t)))
+
+
+def test_listed_orbit_points_check_their_input():
+    dom, f = spiral_affine()
+    orbs = orbits.integrate_orbits(f, [0.3, 0.6], 0.4, dom)
+    assert orbits.orbit_point(f, [], []).shape == (0, 2)
+    with pytest.raises(ValueError, match="times for 2 orbits"):
+        orbits.orbit_point(f, orbs, [0.1])
+    with pytest.raises(DomainExitError):
+        orbits.orbit_point(f, orbs, [0.1, orbs[1].t_plus + 0.1])
+    coarse = dataclasses.replace(orbs[1], step=2.0 * orbs[1].step)
+    with pytest.raises(ValueError, match="share one step"):
+        orbits.orbit_point(f, [orbs[0], coarse], [0.1, 0.1])
 
 
 SMALL_DAM = """
