@@ -29,6 +29,9 @@ class FieldH:
     ``eval_fn`` maps point arrays of shape (..., n) to vectors (..., n);
     ``div_fn`` maps them to scalars (...).  ``h_lower`` and
     ``lipschitz_const`` are present only for fields valid in transversal mode.
+    ``affine`` is the pair (coeff, offset) with H(x) = coeff @ x + offset,
+    set by the constant and affine makers; orbits are integrated exactly
+    from it, so a field without it has no orbits.
     """
 
     kind: str
@@ -39,6 +42,7 @@ class FieldH:
     h_lower: Optional[float] = None
     lipschitz_const: Optional[float] = None
     params: tuple = ()
+    affine: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __call__(self, x):
         return self.eval_fn(np.asarray(x, dtype=float))
@@ -75,6 +79,7 @@ def make_constant_field(c):
         h_lower=float(c[-1]),
         lipschitz_const=0.0,
         params=tuple(c),
+        affine=(np.zeros((n, n)), c),
     )
 
 
@@ -124,6 +129,7 @@ def make_affine_field(coeff, offset, domain):
         h_lower=hn_min,
         lipschitz_const=float(np.max(np.sum(np.abs(coeff), axis=1))),
         params=(tuple(map(tuple, coeff)), tuple(offset)),
+        affine=(coeff, offset),
     )
 
 

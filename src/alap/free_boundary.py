@@ -261,40 +261,47 @@ class LscReport:
 def certify_lower_semicontinuity(graph, tol, modulus=0.0):
     """Discrete lower semi-continuity of the graph on its omega grid.
 
-    At every interior, non-excluded omega the value may not exceed the
-    minimum over grid neighbors by more than tol + modulus; ``modulus``
-    budgets genuine variation of the underlying graph between samples.
-    Boundary-touching and empty omegas are excluded.
+    Lower semi-continuity asks that no value exceed the smaller of its
+    one-sided limits. Along each grid axis, the limit from each side of an
+    interior omega is estimated by the nearest sample on that side, raised
+    by one sample step of the slope where the graph rises toward omega.
+    The slope is that of the side's two nearest samples, or of the other
+    side's two where the side holds only one (none where neither holds
+    two). A value is flagged when it exceeds the smallest estimate by more
+    than tol + modulus, so a straight graph of any slope meets its
+    estimates exactly while a value on the upper side of a jump, or on a
+    spike, is flagged. ``modulus`` budgets genuine variation of the graph
+    between samples, such as curvature. Boundary-touching and empty
+    omegas are excluded.
     """
-    values = graph.values
-    omegas = np.atleast_2d(np.asarray(graph.omegas, dtype=float).reshape(len(values), -1))
-    excluded = graph.boundary_touching | graph.set_empty
-    violations = []
-    checked = 0
-    if omegas.shape[1] == 1:
-        for i in range(1, len(values) - 1):
-            if excluded[i]:
-                continue
-            checked += 1
-            env = min(values[i - 1], values[i + 1])
-            if values[i] - env > tol + modulus:
-                violations.append((i, float(values[i] - env)))
-    else:
-        shape = _infer_grid_shape(omegas)
-        vals2 = values.reshape(shape)
-        exc2 = excluded.reshape(shape)
-        for i in range(1, shape[0] - 1):
-            for j in range(1, shape[1] - 1):
-                if exc2[i, j]:
-                    continue
-                checked += 1
-                env = min(vals2[i - 1, j], vals2[i + 1, j], vals2[i, j - 1], vals2[i, j + 1])
-                if vals2[i, j] - env > tol + modulus:
-                    violations.append(((i, j), float(vals2[i, j] - env)))
+    values = np.asarray(graph.values, dtype=float)
+    omegas = np.asarray(graph.omegas, dtype=float).reshape(len(values), -1)
+    shape = (len(values),) if omegas.shape[1] == 1 else _infer_grid_shape(omegas)
+    vals = values.reshape(shape)
+    excluded = (graph.boundary_touching | graph.set_empty).reshape(shape)
+    interior = tuple(slice(1, -1) for _ in shape)
+    limit = np.full(vals[interior].shape, np.inf)
+    for axis in range(len(shape) if min(shape) >= 3 else 0):
+        v = np.moveaxis(vals, axis, 0)
+        d = np.diff(v, axis=0)
+        no_slope = np.zeros_like(v[:1])
+        slope_below = np.concatenate([d[2:3] if len(v) > 3 else no_slope, d[:-2]])
+        slope_above = np.concatenate([d[2:], d[-3:-2] if len(v) > 3 else no_slope])
+        across = tuple(slice(None) if k == axis else slice(1, -1) for k in range(len(shape)))
+        for side in (v[:-2] + np.maximum(slope_below, 0.0), v[2:] - np.minimum(slope_above, 0.0)):
+            limit = np.minimum(limit, np.moveaxis(side, 0, axis)[across])
+    excess = vals[interior] - limit
+    checked = ~excluded[interior]
+    flagged = np.argwhere(checked & (excess > tol + modulus))
+    violations = tuple(
+        (int(i[0]) + 1 if len(shape) == 1 else tuple(int(k) + 1 for k in i),
+         float(excess[tuple(i)]))
+        for i in flagged
+    )
     return LscReport(
-        checked=checked,
+        checked=int(np.sum(checked)),
         excluded=int(np.sum(excluded)),
-        violations=tuple(violations),
+        violations=violations,
         tol=tol,
         passed=not violations,
     )

@@ -5,20 +5,23 @@ An orbit is the maximal integral curve of X' = H(X) through a seed
 coordinate increases strictly along it and the curve leaves the box in
 both time directions through faces below and above the level.
 
-Integration is classic fixed-step fourth-order Runge-Kutta with step
-delta(Omega)/2048 and bisection on the exit time; fixed steps keep every
-report bit-reproducible. One engine marches a whole batch of seeds as an
-(m, n) array, forward and backward, so every RK4 stage is one field
-evaluation for the batch; each row takes exactly the steps and exit
-bisection a lone orbit would. The flow map T_h(t, omega) = X(t, omega) has
-the closed-form Jacobian determinant
+The fields are constant or affine, H(x) = A x + b, so every orbit is the
+exact flow X(t) = exp(tM) X0 in homogeneous coordinates, with the
+augmented matrix M = [[A, b], [0, 0]] (Van Loan 1978; Moler & Van Loan
+2003). Orbits are stored at the fixed spacing delta(Omega)/2048, built for
+a whole batch of seeds by doubling: the samples at times K dt .. (2K-1) dt
+are those at 0 .. (K-1) dt times exp(K dt M). Exit times are bisected on
+the exact flow from the last sample inside, and dense output is the exact
+flow from the nearest sample. The flow map T_h(t, omega) = X(t, omega)
+has the closed-form Jacobian determinant
 
     Y_h(t, omega) = -H_n(omega, h) exp( int_0^t div H(X(s)) ds )
 
 which is cross-checked against a finite-difference determinant assembled
-from 2(n-1)+1 independent orbit integrations.
+from the exact flow of 2(n-1)+1 shifted seeds.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -61,27 +64,56 @@ class Orbit:
         return max(0, min(idx, len(self.times) - 1))
 
 
-def _rk4_step(fieldh, x, dt):
-    """One RK4 step of the rows of ``x``; ``dt`` is a float or an (m, 1)
-    column of per-row steps."""
-    k1 = fieldh(x)
-    k2 = fieldh(x + 0.5 * dt * k1)
-    k3 = fieldh(x + 0.5 * dt * k2)
-    k4 = fieldh(x + dt * k3)
-    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _generator(fieldh):
+    """The augmented matrix M = [[A, b], [0, 0]] of an affine field."""
+    if fieldh.affine is None:
+        raise ValueError(
+            f"orbits need a constant or affine field; a {fieldh.kind!r} field has no affine form"
+        )
+    coeff, offset = fieldh.affine
+    gen = np.zeros((fieldh.dim + 1, fieldh.dim + 1))
+    gen[:-1, :-1] = coeff
+    gen[:-1, -1] = offset
+    return gen
+
+
+def _expm(mats):
+    """exp of every square matrix of the stack ``mats`` (..., k, k).
+
+    Scaling and squaring: each matrix is scaled by 2**-s, s the least power
+    that brings its 1-norm below 1/2, summed by its Taylor series to degree
+    16 (remainder below 1e-19) and squared s times. Each matrix is computed
+    on its own, whatever else is in the stack.
+    """
+    norms = np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
+    s = np.asarray(np.maximum(np.frexp(norms)[1] + 1, 0))
+    scaled = np.ldexp(mats, -s[..., None, None])
+    term = out = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape)
+    for k in range(1, 17):
+        term = term @ scaled / k
+        out = out + term
+    for r in range(int(np.max(s, initial=0))):
+        out = np.where((s > r)[..., None, None], out @ out, out)
+    return out
+
+
+def _flow(gen, x, ts):
+    """exp(t M) applied to each row of ``x`` (..., n), each with its own time
+    of ``ts`` (...). The product is summed column by column, so a row's
+    result does not depend on the other rows."""
+    flows = _expm(np.asarray(ts, dtype=float)[..., None, None] * gen)
+    out = flows[..., :-1, -1]
+    for j in range(x.shape[-1]):
+        out = out + flows[..., :-1, j] * x[..., j, None]
+    return out
 
 
 def _reversed(fieldh):
     """The field -H, whose forward orbits are the backward orbits of H."""
-    return type(fieldh)(
-        kind=fieldh.kind,
-        dim=fieldh.dim,
+    return dataclasses.replace(
+        fieldh,
         eval_fn=lambda x: -fieldh.eval_fn(x),
-        div_fn=fieldh.div_fn,
-        h_upper=fieldh.h_upper,
-        h_lower=fieldh.h_lower,
-        lipschitz_const=fieldh.lipschitz_const,
-        params=fieldh.params,
+        affine=None if fieldh.affine is None else tuple(-part for part in fieldh.affine),
     )
 
 
@@ -96,42 +128,38 @@ def _exit_face(domain, x):
 
 
 def _march(fieldh, domain, seeds, dt, tol_len, max_steps):
-    """Fixed-step march of every row of ``seeds`` until it leaves the box.
+    """Exact samples of every row of ``seeds`` at the times k * dt until it
+    leaves the box.
 
-    Rows step together and drop out when their next step would leave; each
-    row's crossing step is then bisected on its own bracket, halving until
-    the bracket length times h_upper is below ``tol_len``. Returns
-    (samples, steps, t_exit, x_exit): ``samples[k, i]`` is row i after k
-    steps, valid for k <= steps[i].
+    The samples double until every row has one outside the box; a row's
+    steps end at its last sample before the first one outside. The step
+    after it is bisected on the exact flow, all rows with one matrix per
+    halving, until the bracket length times h_upper is at most
+    ``tol_len``. Returns (samples, steps, t_exit, x_exit): ``samples[k, i]``
+    is row i at time k * dt, valid for k <= steps[i].
     """
-    x = np.array(seeds, dtype=float)
-    steps = np.zeros(len(x), dtype=int)
-    live = np.arange(len(x))
-    samples = [x.copy()]
-    while live.size:
-        x_next = _rk4_step(fieldh, x[live], dt)
-        stay = domain.contains(x_next)
-        live = live[stay]
-        if not live.size:
-            break
-        x[live] = x_next[stay]
-        steps[live] += 1
-        samples.append(x.copy())
-        if steps[live[0]] > max_steps:
+    gen = _generator(fieldh)
+    x = np.array(seeds, dtype=float)[None]
+    inside = domain.contains(x)
+    while not np.all(np.any(~inside, axis=0)):
+        if len(x) > max_steps:
             raise StepFailureError("orbit march exceeded its step budget")
-    speed = max(fieldh.h_upper, 1e-30)
-    lo = np.zeros(len(x))
-    hi = np.full(len(x), dt)
-    while True:
-        rows = np.nonzero((hi - lo) * speed > tol_len)[0]
-        if not rows.size:
-            break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        inside = domain.contains(_rk4_step(fieldh, x[rows], mid[:, None]))
-        lo[rows] = np.where(inside, mid, lo[rows])
-        hi[rows] = np.where(inside, hi[rows], mid)
-    x_exit = _rk4_step(fieldh, x, hi[:, None])
-    return np.stack(samples), steps, steps * dt + hi, x_exit
+        later = _flow(gen, x, len(x) * dt)
+        x = np.concatenate([x, later])
+        inside = np.concatenate([inside, domain.contains(later)])
+    steps = np.argmin(inside, axis=0) - 1
+    halvings = 0
+    while dt * 0.5**halvings * max(fieldh.h_upper, 1e-30) > tol_len:
+        halvings += 1
+    widths = dt * 0.5 ** np.arange(halvings + 1)
+    x_lo = x[steps, np.arange(x.shape[1])]
+    lo = np.zeros(len(x_lo))
+    for width in widths[1:]:
+        trial = _flow(gen, x_lo, width)
+        stay = domain.contains(trial)
+        x_lo[stay] = trial[stay]
+        lo[stay] += width
+    return x, steps, steps * dt + lo + widths[-1], _flow(gen, x_lo, widths[-1])
 
 
 def _omega_rows(omegas, dim):
@@ -211,72 +239,46 @@ def _check_times(t_minus, t_plus, ts):
 
 
 def _sample_index(orbit, ts):
-    """Per time, the index of the stored state it re-steps from: the last
-    sample at or before it, clamped to the stored range."""
+    """Per time, the index of the last stored sample at or before it,
+    clamped to the stored range."""
     times = orbit.times
     clamped = np.clip(ts, times[0], times[-1])
     return np.clip(np.searchsorted(times, clamped, side="right") - 1, 0, len(times) - 1)
 
 
-def _split_steps(remaining, step):
-    """How a march of ``step`` reaches each time of ``remaining`` >= 0: full
-    steps while more than one step is left, then one partial step. Returns
-    (full step counts, partial step lengths)."""
-    rest = np.array(remaining, dtype=float)
-    full = np.zeros(rest.shape, dtype=int)
-    while True:
-        far = rest > step
-        if not np.any(far):
-            return full, rest
-        rest[far] -= step
-        full[far] += 1
-
-
-def _restep(fieldh, x, remaining, step):
-    """Advance each row of ``x`` by its own time ``remaining`` >= 0."""
-    full, rest = _split_steps(remaining, step)
-    for k in range(int(full.max())):
-        rows = full > k
-        x[rows] = _rk4_step(fieldh, x[rows], step)
-    return _rk4_step(fieldh, x, rest[:, None])
-
-
-def _start_states(fieldh, orbits, ts):
-    """Per row i, the stored state of ``orbits[i]`` that time ``ts[i]``
-    re-steps from, the time left to go, and the orbits' common step."""
-    if ts.shape != (len(orbits),):
-        raise ValueError(f"{ts.size} times for {len(orbits)} orbits")
-    steps = {orbit.step for orbit in orbits}
-    if len(steps) > 1:
-        raise ValueError("orbits re-stepped as one batch must share one step")
-    exits = np.array([(orbit.t_minus, orbit.t_plus) for orbit in orbits]).reshape(-1, 2)
-    _check_times(exits[:, 0], exits[:, 1], ts)
-    idx = [orbit.state_before(t) for orbit, t in zip(orbits, ts)]
-    x = np.array([orbit.points[i] for orbit, i in zip(orbits, idx)]).reshape(-1, fieldh.dim)
-    start = np.array([orbit.times[i] for orbit, i in zip(orbits, idx)], dtype=float)
-    return x, ts - start, steps.pop() if steps else 0.0
+def _nearest_sample(orbit, ts):
+    """Per time, the index of the stored sample nearest to it."""
+    times = orbit.times
+    right = np.clip(np.searchsorted(times, ts), 1, len(times) - 1)
+    left = right - 1
+    return np.where(ts - times[left] <= times[right] - ts, left, right)
 
 
 def orbit_point(fieldh, orbit, t):
-    """Dense output X(t): re-step from the nearest stored state.
+    """Dense output X(t): the exact flow from the nearest stored sample.
 
     ``orbit`` is one Orbit with ``t`` a time or an array of times, or a
     list of orbits with ``t`` one time per orbit (row i is X(t[i]) on
-    orbit i). All rows re-step as one batch, forward and backward groups
-    each along their own field; each row takes exactly the steps a lone
-    call would.
+    orbit i). All rows flow in one batched product; each row's result is
+    the one a lone call gives.
     """
+    gen = _generator(fieldh)
     ts = np.asarray(t, dtype=float)
     if isinstance(orbit, Orbit):
         flat = np.atleast_1d(ts)
         _check_times(orbit.t_minus, orbit.t_plus, flat)
-        idx = _sample_index(orbit, flat)
-        x, rest, step = orbit.points[idx], flat - orbit.times[idx], orbit.step
+        idx = _nearest_sample(orbit, flat)
+        x, start = orbit.points[idx], orbit.times[idx]
     else:
-        x, rest, step = _start_states(fieldh, orbit, ts)
-    for rows, field_dir in ((rest > 0.0, fieldh), (rest < 0.0, _reversed(fieldh))):
-        if np.any(rows):
-            x[rows] = _restep(field_dir, x[rows], np.abs(rest[rows]), step)
+        flat = ts
+        if flat.shape != (len(orbit),):
+            raise ValueError(f"{flat.size} times for {len(orbit)} orbits")
+        exits = np.array([(o.t_minus, o.t_plus) for o in orbit]).reshape(-1, 2)
+        _check_times(exits[:, 0], exits[:, 1], flat)
+        idx = [int(_nearest_sample(o, tk)) for o, tk in zip(orbit, flat)]
+        x = np.array([o.points[i] for o, i in zip(orbit, idx)]).reshape(-1, fieldh.dim)
+        start = np.array([o.times[i] for o, i in zip(orbit, idx)], dtype=float)
+    x = _flow(gen, x, flat - start)
     return x[0] if ts.ndim == 0 else x
 
 
@@ -335,55 +337,25 @@ def jacobian_numeric_batch(fieldh, omegas, level, times, domain, fd_step=1e-5):
     """Finite-difference determinants at ``times[i, j]`` on the orbit of omega i.
 
     The time column is the field value at X(t); the omega columns are
-    central differences of 2(n-1) shifted seeds. Every seed of every omega
-    marches as one array: once forward through the nonnegative times and
-    once backward through the negative ones. Each time is reached by the
-    same full steps and final partial step as a march from the seed alone,
-    taken off the march when its step count comes up; an omega leaves the
-    march after its last time. The column order (time first) gives
-    (-1)**(n-1) H_n at t = 0, so the sign is normalized to the closed
-    form's convention of -H_n in every dimension. Returns an array shaped
-    like ``times``.
+    central differences of 2(n-1) shifted seeds. Every shifted seed of
+    every omega is taken along the exact flow to each of its times in one
+    batched product. The column order (time first) gives (-1)**(n-1) H_n
+    at t = 0, so the sign is normalized to the closed form's convention of
+    -H_n in every dimension. Returns an array shaped like ``times``.
+    ``domain`` is not read: the exact flow needs no step size.
     """
     dim = fieldh.dim
+    gen = _generator(fieldh)
     omegas = _omega_rows(omegas, dim)
     times = np.asarray(times, dtype=float).reshape(len(omegas), -1)
-    step = domain.delta / STEP_DIVISOR
     shifts = np.zeros((2 * dim - 1, dim))
     for k in range(dim - 1):
         shifts[1 + 2 * k, k] = fd_step
         shifts[2 + 2 * k, k] = -fd_step
     seeds = np.concatenate([omegas, np.full((len(omegas), 1), float(level))], axis=1)
-    batch = (seeds[:, None, :] + shifts[None, :, :]).reshape(-1, dim)
-    per_omega = len(shifts)
-    ends = np.empty(times.shape + (per_omega, dim))
-    backward = times < 0.0
-    for chosen, field_dir in ((~backward, fieldh), (backward, _reversed(fieldh))):
-        if not np.any(chosen):
-            continue
-        rows, cols = np.nonzero(chosen)
-        full, rest = _split_steps(np.abs(times[rows, cols]), step)
-        last = np.zeros(len(omegas), dtype=int)
-        np.maximum.at(last, rows, full)
-        x = batch.reshape(len(omegas), per_omega, dim).copy()
-        live = np.unique(rows)
-        k = 0
-        while True:
-            due = full == k
-            if np.any(due):
-                start = x[rows[due]].reshape(-1, dim)
-                dts = np.repeat(rest[due], per_omega)[:, None]
-                ends[rows[due], cols[due]] = _rk4_step(field_dir, start, dts).reshape(
-                    -1, per_omega, dim
-                )
-            live = live[last[live] > k]
-            if not live.size:
-                break
-            x[live] = _rk4_step(field_dir, x[live].reshape(-1, dim), step).reshape(
-                -1, per_omega, dim
-            )
-            k += 1
-    hvals = fieldh(ends[..., 0, :].reshape(-1, dim)).reshape(times.shape + (dim,))
+    batch = seeds[:, None, None, :] + shifts
+    ends = _flow(gen, batch, times[:, :, None])
+    hvals = fieldh(ends[..., 0, :])
     diffs = [
         (ends[..., 1 + 2 * k, :] - ends[..., 2 + 2 * k, :]) / (2.0 * fd_step)
         for k in range(dim - 1)

@@ -525,6 +525,46 @@ def test_cli_import_leaves_scipy_ndimage_unloaded(tmp_path):
     assert (tmp_path / "out" / "growth.csv").exists()
 
 
+def test_cli_import_and_orbit_commands_leave_scipy_linalg_unloaded(tmp_path):
+    # orbits take the exact flow through a numpy matrix exponential; a cold
+    # import of scipy.linalg costs about half a second
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg_path = write_config(tmp_path)
+    code = (
+        "import sys, alap.cli\n"
+        "loaded = 'scipy.linalg' in sys.modules\n"
+        "for command in ('trace', 'verify-fb'):\n"
+        "    code = alap.cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "    assert code == 0, (command, code)\n"
+        "    loaded = loaded or 'scipy.linalg' in sys.modules\n"
+        "sys.exit(3 if loaded else 0)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, cfg_path, str(tmp_path / "out")], env=env, timeout=300
+    )
+    assert run.returncode == 0
+    assert (tmp_path / "out" / "trace.csv").exists()
+
+
+#: every command that can exit with EXIT_CERTIFICATION
+CERTIFICATE_COMMANDS = (
+    "solve", "check-profile", "check-barriers", "verify-fb", "growth", "boundary-growth",
+    "rescale",
+)
+
+
+@pytest.mark.parametrize("name", ["dam", "affine", "two_level"])
+def test_shipped_configs_pass_every_certificate(tmp_path, name):
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    cfg_path = os.path.join(root, f"{name}.cfg")
+    codes = {
+        command: cli.main([command, "--config", cfg_path, "--out", str(tmp_path / command)])
+        for command in CERTIFICATE_COMMANDS
+    }
+    assert codes == dict.fromkeys(CERTIFICATE_COMMANDS, cli.EXIT_OK)
+
+
 def test_batched_certificates_write_the_bytes_of_the_lone_loops(tmp_path, monkeypatch):
     # the lone bisection, the greedy loop and scipy's transform, as references
     from test_free_boundary import ref_extract_graph

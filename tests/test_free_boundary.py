@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,50 @@ def test_lsc_modulus_budgets_resolved_variation():
     ramp = _graph_from_values([0.0, 0.2, 0.1, 0.3, 0.4])
     assert not fb.certify_lower_semicontinuity(ramp, tol=1e-6, modulus=0.0).passed
     assert fb.certify_lower_semicontinuity(ramp, tol=1e-6, modulus=0.25).passed
+
+
+def test_lsc_passes_sloped_graphs_and_flags_jumps_on_them():
+    # a straight graph meets its one-sided limits at any slope, up to its
+    # end samples; a value above a jump or a spike on it is flagged
+    line = 0.5 - 0.4 * np.linspace(0.0, 1.0, 33)
+    for values in (line, line[::-1], np.full(33, 0.3)):
+        assert fb.certify_lower_semicontinuity(_graph_from_values(values), tol=1e-9).passed
+    spike = line.copy()
+    spike[12] += 0.01
+    rep = fb.certify_lower_semicontinuity(_graph_from_values(spike), tol=1e-3)
+    # samples up to two away may read their slope through the spike
+    flagged = [i for i, _ in rep.violations]
+    assert 12 in flagged and all(abs(i - 12) <= 2 for i in flagged)
+    jump = line.copy()
+    jump[20:] -= 0.05
+    jump[20] += 0.05  # the value at the jump is the upper one
+    rep = fb.certify_lower_semicontinuity(_graph_from_values(jump), tol=1e-3)
+    assert [i for i, _ in rep.violations] == [20]
+    # the last interior sample has one sample on its right and reads the
+    # slope of its left side
+    end = line.copy()
+    end[-2] += 0.01
+    rep = fb.certify_lower_semicontinuity(_graph_from_values(end), tol=1e-3)
+    flagged = [i for i, _ in rep.violations]
+    assert 31 in flagged and all(i >= 29 for i in flagged)
+
+
+def test_lsc_on_a_tensor_omega_grid():
+    a, b = np.meshgrid(np.linspace(0.1, 0.9, 6), np.linspace(0.2, 0.8, 5), indexing="ij")
+    plane = 0.6 - 0.3 * a + 0.2 * b
+    graph = dataclasses.replace(
+        _graph_from_values(plane.ravel()), omegas=np.stack([a.ravel(), b.ravel()], axis=1)
+    )
+    rep = fb.certify_lower_semicontinuity(graph, tol=1e-9)
+    assert rep.passed and rep.checked == 4 * 3
+    spiked = plane.copy()
+    spiked[3, 1] += 0.01
+    rep = fb.certify_lower_semicontinuity(
+        dataclasses.replace(graph, values=spiked.ravel()), tol=1e-3
+    )
+    flagged = [ij for ij, _ in rep.violations]
+    assert (3, 1) in flagged
+    assert all((i == 3 and abs(j - 1) <= 2) or (j == 1 and abs(i - 3) <= 2) for i, j in flagged)
 
 
 def test_no_rewetting_on_dam():
