@@ -258,7 +258,7 @@ def cmd_trace(args):
     omegas = np.array([dom.lower[:-1] + span[:-1] * (j + 0.5) / count for j in range(count)])
     orbit_list = orbits_mod.integrate_orbits(fieldh, omegas, level, dom)
     times = np.array([np.linspace(orbit.t_minus, orbit.t_plus, 32) for orbit in orbit_list])
-    numeric = orbits_mod.jacobian_numeric_batch(fieldh, omegas, level, times, dom)
+    numeric = orbits_mod.jacobian_numeric_batch(fieldh, omegas, level, times)
     rows = []
     for om, orbit, ts, yn in zip(omegas, orbit_list, times, numeric):
         xs = orbits_mod.orbit_point(fieldh, orbit, ts)

@@ -348,27 +348,3 @@ def certify_no_rewetting(solution, grid, fieldh, orbits, slack=None, samples=Non
         slack=float(slack),
         passed=not violations,
     )
-
-
-def component_interior_minima(solution, grid):
-    """Strong-maximum-principle diagnostic on the discrete wet set.
-
-    Returns, per connected component of {u > eps_u} (face connectivity),
-    the minimum of u over the component's interior nodes (those whose
-    neighbors all lie in the component); an interior zero inside a wet
-    component would contradict the strong maximum principle.
-    """
-    from scipy import ndimage
-
-    wet = solution.wet_nodes()
-    structure = ndimage.generate_binary_structure(wet.ndim, 1)
-    labels, count = ndimage.label(wet, structure=structure)
-    interior = ndimage.binary_erosion(wet, structure=structure)
-    out = []
-    for comp in range(1, count + 1):
-        mask = (labels == comp) & interior
-        if not np.any(mask):
-            out.append((comp, None))
-        else:
-            out.append((comp, float(np.min(solution.u[mask]))))
-    return out

@@ -224,7 +224,13 @@ def build_grid(domain, resolution):
     return Grid(domain=domain, counts=counts, spacing=spacing, axes=axes)
 
 
-def face_gradient_components(grid, u):
+def face_normal_differences(grid, u):
+    """Exact difference of u across the axis-k faces over h_k, per axis k:
+    entries [k][k] of ``face_gradient_components``, bit for bit."""
+    return [np.diff(u, axis=k) / grid.spacing[k] for k in range(grid.dim)]
+
+
+def face_gradient_components(grid, u, normals=None):
     """Full gradient at face midpoints as per-axis component arrays.
 
     Entry k lists the ``dim`` components of the gradient on the axis-k
@@ -232,25 +238,21 @@ def face_gradient_components(grid, u):
     component (entry k of that list) is the exact face difference;
     transverse components average the nodal central differences of the two
     face endpoints (one-sided at the boundary). Exact for affine u.
+    ``normals`` holds the normal components, as from
+    ``face_normal_differences``; they are built here when None.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != grid.counts:
         raise ValueError(f"u has shape {u.shape}, grid expects {grid.counts}")
-    dim = grid.dim
-    nodal = [np.gradient(u, grid.spacing[j], axis=j, edge_order=2) for j in range(dim)]
+    if normals is None:
+        normals = face_normal_differences(grid, u)
+    nodal = [np.gradient(u, grid.spacing[j], axis=j, edge_order=2) for j in range(grid.dim)]
     out = []
-    for k in range(dim):
-        sl0 = [slice(None)] * dim
-        sl1 = [slice(None)] * dim
-        sl0[k] = slice(None, -1)
-        sl1[k] = slice(1, None)
-        comps = []
-        for j in range(dim):
-            if j == k:
-                comps.append(np.diff(u, axis=k) / grid.spacing[k])
-            else:
-                comps.append(0.5 * (nodal[j][tuple(sl0)] + nodal[j][tuple(sl1)]))
-        out.append(comps)
+    for k, normal in enumerate(normals):
+        # the two end nodes of each axis-k face
+        lo = tuple(slice(None, -1) if j == k else slice(None) for j in range(grid.dim))
+        hi = tuple(slice(1, None) if j == k else slice(None) for j in range(grid.dim))
+        out.append([normal if j == k else 0.5 * (g[lo] + g[hi]) for j, g in enumerate(nodal)])
     return out
 
 

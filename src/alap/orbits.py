@@ -282,12 +282,6 @@ def orbit_point(fieldh, orbit, t):
     return x[0] if ts.ndim == 0 else x
 
 
-def flow_map(fieldh, level, t, omega, domain):
-    """T_h(t, omega) = X(t, omega); DomainExitError outside the interval."""
-    orbit = integrate_orbit(fieldh, omega, level, domain)
-    return orbit_point(fieldh, orbit, t)
-
-
 def _cumulative_divergence(vals, h):
     """Cumulative composite Simpson integral of samples ``vals`` spaced ``h``.
 
@@ -333,7 +327,7 @@ def jacobian_analytic(fieldh, orbit, t):
     return vals[0] if ts.ndim == 0 else np.array(vals)
 
 
-def jacobian_numeric_batch(fieldh, omegas, level, times, domain, fd_step=1e-5):
+def jacobian_numeric_batch(fieldh, omegas, level, times, fd_step=1e-5):
     """Finite-difference determinants at ``times[i, j]`` on the orbit of omega i.
 
     The time column is the field value at X(t); the omega columns are
@@ -342,7 +336,6 @@ def jacobian_numeric_batch(fieldh, omegas, level, times, domain, fd_step=1e-5):
     batched product. The column order (time first) gives (-1)**(n-1) H_n
     at t = 0, so the sign is normalized to the closed form's convention of
     -H_n in every dimension. Returns an array shaped like ``times``.
-    ``domain`` is not read: the exact flow needs no step size.
     """
     dim = fieldh.dim
     gen = _generator(fieldh)
@@ -367,9 +360,10 @@ def jacobian_numeric_batch(fieldh, omegas, level, times, domain, fd_step=1e-5):
 
 def jacobian_numeric(fieldh, omega, level, t, domain, fd_step=1e-5):
     """Finite-difference determinant of (t, omega) -> X(t, omega) at one
-    time: a batch of one omega and one time."""
+    time: a batch of one omega and one time. ``domain`` is not read: the
+    exact flow needs no step size."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    dets = jacobian_numeric_batch(fieldh, omega[None, :], level, [[t]], domain, fd_step)
+    dets = jacobian_numeric_batch(fieldh, omega[None, :], level, [[t]], fd_step)
     return float(dets[0, 0])
 
 

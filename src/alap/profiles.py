@@ -17,6 +17,7 @@ Three families are built in:
 Profiles are immutable and all operations are pure.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -136,49 +137,56 @@ def make_logpower(alpha, beta, gamma):
     """Logarithmically perturbed power a(t) = t**alpha log(beta t + gamma).
 
     gamma >= 1 is required so that a >= 0 and a(0) = 0 hold on [0, inf);
-    the inverse has no closed form and is computed by bracketed
-    root-finding polished with Newton steps.
+    the inverse has no closed form and is computed for all elements at
+    once by safeguarded Newton-bisection, polished with two Newton steps.
     """
     if alpha <= 0 or beta <= 0 or gamma <= 0:
         raise ValueError("logpower profile needs alpha, beta, gamma > 0")
     if gamma < 1.0:
         raise ValueError("gamma < 1 makes a(t) negative near 0; need gamma >= 1")
 
+    def log_term(t):
+        # log(beta t + gamma) without the cancellation that zeroes a(t) below 1e-16
+        return math.log(gamma) + np.log1p(beta * t / gamma)
+
     def a(t):
         t = np.asarray(t, dtype=float)
-        return t**alpha * np.log(beta * t + gamma)
+        return t**alpha * log_term(t)
 
     def da(t):
         t = np.asarray(t, dtype=float)
-        return alpha * t ** (alpha - 1.0) * np.log(beta * t + gamma) + t**alpha * beta / (
-            beta * t + gamma
-        )
+        return alpha * t ** (alpha - 1.0) * log_term(t) + t**alpha * beta / (beta * t + gamma)
 
     def big_a(t):
         return gauss_primitive(a, t)
 
-    def _inv_scalar(s):
-        # imported here: scipy.optimize takes a large share of the package
-        # import time and serves this inverse alone
-        from scipy.optimize import brentq
-
-        if s <= 0.0:
-            return 0.0
-        hi = 2.0 * max(1.0, s) ** (1.0 / alpha)
-        while a(hi) < s:
-            hi *= 2.0
-        t = brentq(lambda x: float(a(x)) - s, 0.0, hi, xtol=1e-300, rtol=8.9e-16)
-        for _ in range(2):
-            t -= (float(a(t)) - s) / float(da(t))
-        return t
-
     def a_inv(s):
         s_arr = np.asarray(s, dtype=float)
-        out = np.empty(s_arr.shape, dtype=float)
-        flat_in, flat_out = s_arr.ravel(), out.ravel()
-        for i, val in enumerate(flat_in):
-            flat_out[i] = _inv_scalar(float(val))
-        return out if s_arr.shape else float(flat_out[0])
+        out = np.where(s_arr <= 0.0, 0.0, s_arr).ravel()  # NaN and inf pass through
+        solve = np.isfinite(out) & (out > 0.0)
+        s = out[solve]
+        # the bracket [0, hi], doubling hi where a(hi) < s
+        hi = 2.0 * np.maximum(1.0, s) ** (1.0 / alpha)
+        while np.any(short := a(hi) < s):
+            hi[short] *= 2.0
+        # safeguarded Newton from hi (a step that leaves the bracket bisects
+        # it) until the step is below brentq's rtol of 4 eps; 2200 steps let
+        # bisection alone span the double range
+        lo, t, todo = np.zeros_like(s), hi, np.ones(s.shape, dtype=bool)
+        for _ in range(2200):
+            f = a(t) - s
+            lo, hi = np.where(f < 0.0, t, lo), np.where(f > 0.0, t, hi)
+            newton = t - f / da(t)
+            step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+            step = np.where(todo & (f != 0.0), step, t)
+            todo &= np.abs(step - t) > 4.0 * np.finfo(float).eps * step
+            t = step
+            if not todo.any():
+                break
+        for _ in range(2):
+            t = t - (a(t) - s) / da(t)
+        out[solve] = t
+        return out.reshape(s_arr.shape) if s_arr.shape else float(out[0])
 
     return Profile(
         "logpower", (alpha, beta, gamma), a, da, big_a, a_inv, a0=alpha, a1=1.0 + alpha

@@ -36,12 +36,12 @@ converged head re-enters them on its own up to a sub-cell tail at the
 interface.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from alap import geometry, profiles
 from alap.errors import NonConvergenceError, SingularJacobianError
@@ -191,21 +191,6 @@ def _is_linear(profile):
     return profile.family == "power" and profile.params == (2.0,)
 
 
-def _linear_fluxes(faces):
-    """Diffusive face fluxes of the linear law a(t) = t: the normal
-    components G_k themselves.
-
-    There a(|G|)/|G| is exactly 1 where G is nonzero, so these equal
-    ``_diffusive_fluxes`` bit for bit. The arrays are those of ``faces``.
-    """
-    return [comps[k] for k, comps in enumerate(faces)]
-
-
-def _normal_fluxes(grid, profile, faces, drift):
-    """Face fluxes a(|G|) G_k/|G| + drift_k on the axis-k faces, per axis."""
-    return [f + d for f, d in zip(_diffusive_fluxes(grid, profile, faces), drift)]
-
-
 def residual(grid, profile, fieldh, u, chi, drift=None, faces=None, diffusive=None):
     """Weak-form residual of div(flux(grad u) + chi H) at interior nodes.
 
@@ -303,16 +288,58 @@ def _laplacian_eigenvalues(grid):
     return sum(np.meshgrid(*lam, indexing="ij"))
 
 
+@functools.lru_cache(maxsize=None)
+def _sine_halves(n):
+    """Odd and even rows (read-only) of the orthonormal DST-I matrix of
+    length n, on the first half of the columns. Odd rows are symmetric and
+    even rows antisymmetric under j -> n+1-j, so they act on x + x[::-1]
+    and x - x[::-1]; for odd n that fold counts the middle entry twice, so
+    its column is halved."""
+    i = np.arange(1, n + 1)
+    # reducing the angle exactly in integers keeps sin accurate for large n
+    s = np.sqrt(2.0 / (n + 1)) * np.sin((np.outer(i, i) % (2 * n + 2)) * (np.pi / (n + 1)))
+    odd, even = s[0::2, : n - n // 2].copy(), s[1::2, : n // 2].copy()
+    if n % 2:
+        odd[:, -1] *= 0.5
+    odd.flags.writeable = even.flags.writeable = False
+    return odd, even
+
+
+def dstn(x):
+    """Orthonormal DST-I over every axis, ``scipy.fft.dstn(x, type=1,
+    norm="ortho")`` up to roundoff: per axis one even/odd fold and two
+    half-size products with the cached ``_sine_halves``."""
+    y = np.asarray(x, dtype=float)
+    # the last pass, over axis 0, leaves a C-ordered result
+    for axis in reversed(range(y.ndim)):
+        v = y.swapaxes(0, axis)
+        n, h = v.shape[0], v.shape[0] // 2
+        odd, even = _sine_halves(n)
+        flat = v.reshape(n, -1)
+        mirror = flat[::-1]
+        y = np.empty(flat.shape)
+        np.matmul(odd, flat[: n - h] + mirror[: n - h], out=y[0::2])
+        np.matmul(even, flat[:h] - mirror[:h], out=y[1::2])
+        y = y.reshape(v.shape).swapaxes(0, axis)
+    return y
+
+
+#: S is symmetric and orthogonal, so the transform is its own inverse
+idstn = dstn
+
+
 class _SpectralPreconditioner:
     """Exact inverse of the constant-coefficient surrogate operator.
 
     Solves c_ref * vol * (-Laplace_h) v = r on the interior with
-    homogeneous Dirichlet data through discrete sine transforms; for a
-    linear flux law this is the exact Newton operator. With ``scale`` S
-    (interior nodes, as from ``_diagonal_scaling``) it applies S L^-1 S
-    instead, whose inverse shares the diagonal of the degenerate laws'
-    operator; CG then needs fewer iterations than under L^-1 alone. Fully
-    matrix-free and deterministic. ``laplacian`` holds the eigenvalues from
+    homogeneous Dirichlet data by fast diagonalization (Lynch, Rice &
+    Thomas 1964; Buzbee, Golub & Nielson 1970): one ``dstn``, a division by
+    the eigenvalues and one ``idstn``. For a linear flux law this is the
+    exact Newton operator. With ``scale`` S (interior nodes, as from
+    ``_diagonal_scaling``) it applies S L^-1 S instead, whose inverse
+    shares the diagonal of the degenerate laws' operator; CG then needs
+    fewer iterations than under L^-1 alone. Never assembles the operator;
+    deterministic. ``laplacian`` holds the eigenvalues from
     ``_laplacian_eigenvalues``.
     """
 
@@ -327,8 +354,8 @@ class _SpectralPreconditioner:
         inner = r[self.inner_slices]
         if self.scale is not None:
             inner = inner * self.scale
-        coeffs = dstn(inner, type=1, norm="ortho")
-        v = idstn(coeffs / self.symbol, type=1, norm="ortho")
+        coeffs = dstn(inner)
+        v = idstn(coeffs / self.symbol)
         if self.scale is not None:
             v *= self.scale
         out[self.inner_slices] = v
@@ -374,11 +401,12 @@ class _Head:
     A solve fixes H, the boundary nodes, the Laplacian eigenvalues of the
     preconditioner and the exact inverse of the linear law's Newton
     operator, so they are built here once. The head keeps its face
-    gradient components and diffusive face fluxes: each iterate's face
-    gradient is built once, and the next Newton loop (the next sweep, at a
-    new chi) starts from the accepted head's flux, adding the new drift to
-    it exactly as a residual built from u would. A new iterate replaces
-    the arrays of the last one as soon as it is accepted.
+    gradient and diffusive face fluxes: each iterate's face gradient is
+    built once, and the next Newton loop (the next sweep, at a new chi)
+    starts from the accepted head's flux, adding the new drift to it
+    exactly as a residual built from u would. A new iterate replaces the
+    arrays of the last one as soon as it is accepted. Iterates of a(t) = t
+    build only their normal differences, that law's fluxes bit for bit.
     """
 
     def __init__(self, grid, fieldh, cfg, u):
@@ -393,10 +421,18 @@ class _Head:
             grid, max(1.0, cfg.cond_floor), self.laplacian
         )
         self.u = np.asarray(u, dtype=float).copy()
-        self.faces = geometry.face_gradient_components(grid, self.u)
+        self.normals = geometry.face_normal_differences(grid, self.u)
+        self._faces = None
         self.diffusive = None
         self.flux_profile = None  # the profile ``diffusive`` was built with
         self.stalled = False  # whether the last loop's line search stalled
+
+    @property
+    def faces(self):
+        """Full face gradient of u, built here for a linear-law iterate."""
+        if self._faces is None:
+            self._faces = geometry.face_gradient_components(self.grid, self.u, self.normals)
+        return self._faces
 
     def newton(self, profile, chi, max_steps):
         """Damped Newton on the full residual; returns (u, steps, rmax, ok).
@@ -417,12 +453,9 @@ class _Head:
         steps_used = 0
         linear = _is_linear(profile)
 
-        def fluxes(faces):
-            return _linear_fluxes(faces) if linear else _diffusive_fluxes(grid, profile, faces)
-
         drift = _drift_fluxes(grid, chi, self.hface)
         if self.flux_profile is not profile:
-            self.diffusive = fluxes(self.faces)
+            self.diffusive = self.normals if linear else _diffusive_fluxes(grid, profile, self.faces)
             self.flux_profile = profile
         res = residual(grid, profile, self.fieldh, self.u, chi, drift, diffusive=self.diffusive)
         for _ in range(max_steps):
@@ -443,8 +476,9 @@ class _Head:
             accepted = False
             while lam >= cfg.damping_min:
                 u_trial = self.u + lam * d
-                faces = geometry.face_gradient_components(grid, u_trial)
-                diffusive = fluxes(faces)
+                normals = geometry.face_normal_differences(grid, u_trial)
+                faces = None if linear else geometry.face_gradient_components(grid, u_trial, normals)
+                diffusive = normals if linear else _diffusive_fluxes(grid, profile, faces)
                 res_trial = residual(
                     grid, profile, self.fieldh, u_trial, chi, drift, diffusive=diffusive
                 )
@@ -455,7 +489,7 @@ class _Head:
             if not accepted:
                 self.stalled = True
                 return self.u, steps_used, rmax, False
-            self.u, self.faces, self.diffusive = u_trial, faces, diffusive
+            self.u, self._faces, self.normals, self.diffusive = u_trial, faces, normals, diffusive
             res = res_trial
             steps_used += 1
         rmax = float(np.max(np.abs(res)))
@@ -479,12 +513,6 @@ class _Head:
         return _pcg(apply_op, precond.apply, res, self.boundary, cfg.cg_forcing, cfg.cg_maxiter)
 
 
-def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps):
-    """Damped Newton on the full residual from ``u_init``; returns (u,
-    steps, rmax, ok) as ``_Head.newton`` does."""
-    return _Head(grid, fieldh, cfg, u_init).newton(profile, chi, max_steps)
-
-
 def _converged(result):
     """(u, steps, rmax) of a Newton loop result that reached inner_tol;
     raises NonConvergenceError otherwise."""
@@ -496,41 +524,24 @@ def _converged(result):
     return u, steps, rmax
 
 
-def solve_u_given_chi(grid, profile, fieldh, chi, config, u_init):
-    """Head solve with frozen chi: damped inexact Newton.
-
-    ``u_init`` must carry the Dirichlet values on boundary nodes. The
-    returned head satisfies |residual|_max <= inner_tol at every interior
-    node. Raises NonConvergenceError when the iteration budget runs out or
-    the line search stalls.
-    """
-    cfg = config.resolved(grid, profile, fieldh)
-    return _converged(_newton_loop(grid, profile, fieldh, chi, cfg, u_init, cfg.max_inner))
-
-
-def energy(grid, profile, fieldh, u, chi, hcells=None, faces=None):
+def energy(grid, profile, fieldh, u, chi, hcells=None, normals=None):
     """Diagnostic functional sum_cells [A(|grad u|) + chi H . grad u] vol.
 
     Gradients are taken at cell centers; stationarity in u at frozen chi
     reproduces the head equation up to quadrature placement. ``hcells``
-    holds H at the cell centers; it is evaluated here when None. ``faces``
-    holds the face gradient components of u (as from
-    ``geometry.face_gradient_components``), whose normal differences are the
-    ones taken here from u when None.
+    holds H at the cell centers and ``normals`` the face normal differences
+    of u (as from ``geometry.face_normal_differences``); each is evaluated
+    here when None.
     """
-    u = np.asarray(u, dtype=float)
-    dim = grid.dim
+    if normals is None:
+        normals = geometry.face_normal_differences(grid, np.asarray(u, dtype=float))
     comps = []
-    for k in range(dim):
-        g = np.diff(u, axis=k) / grid.spacing[k] if faces is None else faces[k][k]
-        for j in range(dim):
-            if j == k:
-                continue
-            sl0 = [slice(None)] * dim
-            sl1 = [slice(None)] * dim
-            sl0[j] = slice(None, -1)
-            sl1[j] = slice(1, None)
-            g = 0.5 * (g[tuple(sl0)] + g[tuple(sl1)])
+    for k, g in enumerate(normals):
+        for j in range(grid.dim):  # onto cell centers along the other axes
+            if j != k:
+                lo = tuple(slice(None, -1) if i == j else slice(None) for i in range(grid.dim))
+                hi = tuple(slice(1, None) if i == j else slice(None) for i in range(grid.dim))
+                g = 0.5 * (g[lo] + g[hi])
         comps.append(g)
     mag = np.sqrt(geometry.component_dot(comps, comps))
     if hcells is None:
@@ -573,7 +584,7 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     the L1 change of chi at the final eps drops below the outer tolerance,
     then solves the head strictly at the converged chi. Raises
     NonConvergenceError naming the stop reason (a plateau at the final
-    width, or the max_outer budget) otherwise.
+    width, or the max_outer budget) otherwise.    Newton directions use numpy sine-matrix products, never scipy.
     """
     if domain is not grid.domain:
         raise ValueError("domain must be the grid's domain")
@@ -624,7 +635,7 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             report.final_residual = rmax
             report.final_chi_change = dchi
             report.energy_history.append(
-                energy(grid, profile, fieldh, u, chi, hcells, faces=head.faces)
+                energy(grid, profile, fieldh, u, chi, hcells, normals=head.normals)
             )
             if dchi <= stage_tol:
                 converged = final_stage

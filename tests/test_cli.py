@@ -495,56 +495,37 @@ def test_shipped_configs_load():
         assert cfg.domain is not None and cfg.resolution is not None
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only the log-power inverse, so it loads on first use
+def test_cli_import_and_every_command_leave_scipy_unloaded(tmp_path):
+    # the package runs on numpy alone: scipy serves the tests as a reference
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    paths = []
+    for name in ("dam", "affine", "two_level"):
+        with open(os.path.join(root, f"{name}.cfg"), encoding="utf-8") as fh:
+            text = fh.read().replace("grid.resolution = 129 129", "grid.resolution = 33 33")
+        assert "grid.resolution = 33 33" in text
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, alap.cli; sys.exit(int('scipy.optimize' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
-
-
-def test_cli_import_leaves_scipy_ndimage_unloaded(tmp_path):
-    # the touching balls take a numpy distance transform; scipy.ndimage now
-    # serves only the component_interior_minima diagnostic
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    cfg_path = write_config(tmp_path)
     code = (
         "import sys, alap.cli\n"
-        "loaded = 'scipy.ndimage' in sys.modules\n"
-        "for command in ('growth', 'harnack', 'verify-fb'):\n"
-        "    code = alap.cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "    assert code == 0, (command, code)\n"
-        "    loaded = loaded or 'scipy.ndimage' in sys.modules\n"
-        "sys.exit(3 if loaded else 0)\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded(), ('import', loaded())\n"
+        "out, paths = sys.argv[1], sys.argv[2:]\n"
+        "for i, path in enumerate(paths):\n"
+        "    for command in alap.cli._COMMANDS:\n"
+        "        code = alap.cli.main([command, '--config', path, '--out', f'{out}/{i}/{command}'])\n"
+        "        assert code == 0, (path, command, code)\n"
+        "        assert not loaded(), (path, command, loaded())\n"
     )
     run = subprocess.run(
-        [sys.executable, "-c", code, cfg_path, str(tmp_path / "out")], env=env, timeout=300
+        [sys.executable, "-c", code, str(tmp_path / "out"), *paths],
+        env=env, timeout=600, capture_output=True, text=True,
     )
-    assert run.returncode == 0
-    assert (tmp_path / "out" / "growth.csv").exists()
-
-
-def test_cli_import_and_orbit_commands_leave_scipy_linalg_unloaded(tmp_path):
-    # orbits take the exact flow through a numpy matrix exponential; a cold
-    # import of scipy.linalg costs about half a second
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    cfg_path = write_config(tmp_path)
-    code = (
-        "import sys, alap.cli\n"
-        "loaded = 'scipy.linalg' in sys.modules\n"
-        "for command in ('trace', 'verify-fb'):\n"
-        "    code = alap.cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "    assert code == 0, (command, code)\n"
-        "    loaded = loaded or 'scipy.linalg' in sys.modules\n"
-        "sys.exit(3 if loaded else 0)\n"
-    )
-    run = subprocess.run(
-        [sys.executable, "-c", code, cfg_path, str(tmp_path / "out")], env=env, timeout=300
-    )
-    assert run.returncode == 0
-    assert (tmp_path / "out" / "trace.csv").exists()
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert (tmp_path / "out" / "2" / "trace" / "trace.csv").exists()
 
 
 #: every command that can exit with EXIT_CERTIFICATION

@@ -80,6 +80,41 @@ def test_logpower_roundtrip():
     assert lp.a_inv(lp.a(3.7)) == pytest.approx(3.7, rel=1e-10)
 
 
+def _brentq_inverse(prof, s):
+    """The log-power inverse one value at a time by scipy's brentq, on the
+    same doubled bracket and with the same two Newton polish steps: the
+    reference of the vectorized inverse."""
+    from scipy.optimize import brentq
+
+    if s <= 0.0:
+        return 0.0
+    hi = 2.0 * max(1.0, s) ** (1.0 / prof.params[0])
+    while prof.a(hi) < s:
+        hi *= 2.0
+    # s = 1e-300 takes brentq about 1100 steps from [0, 2]
+    t = brentq(lambda x: float(prof.a(x)) - s, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=2000)
+    for _ in range(2):
+        t -= (float(prof.a(t)) - s) / float(prof.da(t))
+    return t
+
+
+@pytest.mark.parametrize(
+    "prof", [p for p in ALL_PROFILES if p.family == "logpower"], ids=lambda p: str(p.params)
+)
+def test_logpower_inverse_matches_brentq(prof):
+    bound = 4.0 * np.finfo(float).eps
+    for s in (0.0, 1e-300, 1e-12, 1.0, 1e12):
+        got = prof.a_inv(s)
+        assert type(got) is float
+        assert abs(got - _brentq_inverse(prof, s)) <= bound * got
+    s = 10.0 ** np.random.default_rng(5).uniform(-12, 12, (6, 7))
+    got = prof.a_inv(s)
+    assert got.shape == s.shape
+    ref = np.vectorize(lambda v: _brentq_inverse(prof, float(v)))(s)
+    assert np.all(np.abs(got - ref) <= bound * ref)
+    assert np.isnan(prof.a_inv(np.nan)) and prof.a_inv(np.inf) == np.inf
+
+
 def test_logpower_rejects_small_gamma():
     with pytest.raises(ValueError):
         profiles.make_logpower(1.0, 1.0, 0.5)

@@ -53,6 +53,19 @@ def test_residual_concentrates_at_free_boundary():
     assert 0.0 < near_max <= grid.spacing[1]
 
 
+def _newton_loop(grid, profile, fieldh, chi, cfg, u_init, max_steps):
+    """Damped Newton from ``u_init`` at frozen chi, as a solve's head runs
+    it; returns (u, steps, rmax, ok)."""
+    return solver._Head(grid, fieldh, cfg, u_init).newton(profile, chi, max_steps)
+
+
+def solve_u_given_chi(grid, profile, fieldh, chi, config, u_init):
+    """Head solve with frozen chi to inner_tol; raises NonConvergenceError
+    when the step budget runs out or the line search stalls."""
+    cfg = config.resolved(grid, profile, fieldh)
+    return solver._converged(_newton_loop(grid, profile, fieldh, chi, cfg, u_init, cfg.max_inner))
+
+
 def test_solve_u_zero_data_gives_zero():
     dom = geometry.box_domain(
         [0, 0], [1, 1], ["xmin", "xmax", "ymin", "ymax"], geometry.BoundaryData("zero"), 1.0
@@ -60,7 +73,7 @@ def test_solve_u_zero_data_gives_zero():
     grid = geometry.build_grid(dom, (17, 17))
     f = fields.make_constant_field([0.0, 1.0])
     cfg = solver.SolverConfig().resolved(grid, profiles.make_power(2.0), f)
-    u, _, rmax = solver.solve_u_given_chi(
+    u, _, rmax = solve_u_given_chi(
         grid, profiles.make_power(2.0), f, np.zeros(grid.cell_counts), cfg, grid.dirichlet_array()
     )
     assert np.max(np.abs(u)) < 1e-12
@@ -78,7 +91,7 @@ def test_solve_u_constant_ceiling_data():
     cfg = solver.SolverConfig().resolved(grid, prof, f)
     u0 = grid.dirichlet_array()
     u0[~grid.boundary_mask()] = 0.8
-    u, _, _ = solver.solve_u_given_chi(grid, prof, f, np.ones(grid.cell_counts), cfg, u0)
+    u, _, _ = solve_u_given_chi(grid, prof, f, np.ones(grid.cell_counts), cfg, u0)
     assert np.max(np.abs(u - 0.8)) < 1e-10
 
 
@@ -88,7 +101,7 @@ def test_inner_nonconvergence_raises():
     f = fields.make_constant_field([0.0, 1.0])
     cfg = solver.SolverConfig(max_inner=0, inner_tol=1e-30)
     with pytest.raises(NonConvergenceError):
-        solver.solve_u_given_chi(
+        solve_u_given_chi(
             grid, profiles.make_power(2.0), f, np.ones(grid.cell_counts), cfg, grid.dirichlet_array()
         )
 
@@ -112,10 +125,10 @@ def test_energy_decreases_along_inner_newton():
     chi = (grid.cell_centers()[..., 1] < 0.6).astype(float)
     cfg = solver.SolverConfig().resolved(grid, prof, f)
     u = grid.dirichlet_array()
-    u, _, _, _ = solver._newton_loop(grid, profiles.make_power(2.0), f, np.zeros(grid.cell_counts), cfg, u, 30)
+    u, _, _, _ = _newton_loop(grid, profiles.make_power(2.0), f, np.zeros(grid.cell_counts), cfg, u, 30)
     energies = [solver.energy(grid, prof, f, u, chi)]
     for _ in range(12):
-        u, steps, rmax, done = solver._newton_loop(grid, prof, f, chi, cfg, u, 1)
+        u, steps, rmax, done = _newton_loop(grid, prof, f, chi, cfg, u, 1)
         energies.append(solver.energy(grid, prof, f, u, chi))
         if done:
             break
@@ -164,7 +177,7 @@ def test_frozen_chi_comparison_principle(p):
     for dom in (dom1, dom2):
         grid = geometry.build_grid(dom, (33, 33))
         cfg = solver.SolverConfig().resolved(grid, prof, f)
-        u, _, _ = solver.solve_u_given_chi(grid, prof, f, chi, cfg, grid.dirichlet_array())
+        u, _, _ = solve_u_given_chi(grid, prof, f, chi, cfg, grid.dirichlet_array())
         us.append(u)
     assert np.all(us[0] <= us[1] + 1e-8)
 
@@ -266,6 +279,11 @@ def test_solve_evaluates_the_field_once():
 # The references below are the solver's earlier formulas, which stack each
 # face gradient and reduce over its trailing component axis. The kernel must
 # reproduce them bit for bit.
+
+
+def _normal_fluxes(grid, profile, faces, drift):
+    """Face fluxes a(|G|) G_k/|G| + drift_k on the axis-k faces, per axis."""
+    return [f + d for f, d in zip(solver._diffusive_fluxes(grid, profile, faces), drift)]
 
 
 def _stacked_normal_fluxes(grid, profile, u, drift):
@@ -373,7 +391,7 @@ def test_face_kernel_matches_the_stacked_formulas_bit_for_bit(dim, name):
         res_given = solver.residual(grid, prof, fieldh, u, chi, faces=faces)
         cond = solver._conductances(grid, prof, faces, mu, floor)
         val = solver.energy(grid, prof, fieldh, u, chi)
-        fluxes = solver._normal_fluxes(grid, prof, faces, zero_drift)
+        fluxes = _normal_fluxes(grid, prof, faces, zero_drift)
     assert np.array_equal(res, ref_res)
     assert np.array_equal(res_given, ref_res)
     assert all(np.array_equal(c, r) for c, r in zip(cond, ref_cond))
@@ -449,7 +467,8 @@ def test_carried_head_matches_a_head_built_from_u_bit_for_bit(dim, name):
             diffusive=diffusive,
         )
         built = solver.residual(grid, prof, fieldh, u, new_chi)
-        carried_energy = solver.energy(grid, prof, fieldh, u, new_chi, faces=faces)
+        normals = [comps[k] for k, comps in enumerate(faces)]
+        carried_energy = solver.energy(grid, prof, fieldh, u, new_chi, normals=normals)
         built_energy = solver.energy(grid, prof, fieldh, u, new_chi)
     assert all(
         np.array_equal(c, _padded_face_chi(grid, new_chi, k)) for k, c in enumerate(face_chi)
@@ -459,29 +478,51 @@ def test_carried_head_matches_a_head_built_from_u_bit_for_bit(dim, name):
     assert carried_energy == built_energy == _stacked_energy(grid, prof, fieldh, u, new_chi)
 
 
-def test_solve_builds_one_face_gradient_per_head_iterate(monkeypatch):
-    # a sweep's first residual reuses the accepted head's face gradient, so
-    # only a new head value (the boundary data, then each trial) builds one
+def _count_head_builds(monkeypatch, prof):
+    """Solve the 17^2 dam under ``prof``, counting the face normal
+    difference builds, the full face gradient builds and the distinct
+    heads the residual sees."""
     dom = dam_domain()
     grid = geometry.build_grid(dom, (17, 17))
-    prof = profiles.make_power(3.0)
     f = fields.make_constant_field([0.0, float(prof.a(1.0))])
-    builds, heads = [], set()
+    normal_builds, full_builds, heads = [], [], set()
+    real_normals = geometry.face_normal_differences
     real_build, real_residual = geometry.face_gradient_components, solver.residual
 
+    def counting_normals(*args, **kwargs):
+        normal_builds.append(1)
+        return real_normals(*args, **kwargs)
+
     def counting_build(*args, **kwargs):
-        builds.append(1)
+        full_builds.append(1)
         return real_build(*args, **kwargs)
 
     def recording_residual(grid, profile, fieldh, u, *args, **kwargs):
         heads.add(np.asarray(u).tobytes())
         return real_residual(grid, profile, fieldh, u, *args, **kwargs)
 
+    monkeypatch.setattr(geometry, "face_normal_differences", counting_normals)
     monkeypatch.setattr(geometry, "face_gradient_components", counting_build)
     monkeypatch.setattr(solver, "residual", recording_residual)
     pair, report = solver.solve_problem(grid, prof, f, dom)
     assert report.converged and report.outer_iterations > 1
-    assert len(builds) == len(heads)
+    return len(normal_builds), len(full_builds), len(heads)
+
+
+def test_solve_builds_one_face_gradient_per_head_iterate(monkeypatch):
+    # a sweep's first residual reuses the accepted head's face gradient, so
+    # only a new head value (the boundary data, then each trial) builds its
+    # normal differences; the p=3 law adds the transverse components of each
+    # of its trials, and of the last head of the linear warm-up
+    normal_builds, full_builds, heads = _count_head_builds(monkeypatch, profiles.make_power(3.0))
+    assert normal_builds == heads
+    assert 0 < full_builds < heads
+
+
+def test_linear_law_solve_builds_only_normal_differences(monkeypatch):
+    normal_builds, full_builds, heads = _count_head_builds(monkeypatch, profiles.make_power(2.0))
+    assert full_builds == 0
+    assert normal_builds == heads
 
 
 def test_stalled_sweep_is_counted(monkeypatch):
@@ -494,22 +535,57 @@ def test_stalled_sweep_is_counted(monkeypatch):
     _, plain = solver.solve_problem(grid, prof, f, dom)
     assert plain.stalled_sweeps == 0
     sweeps = []
-    real_target, real_build = solver._chi_target, geometry.face_gradient_components
+    real_target, real_build = solver._chi_target, geometry.face_normal_differences
 
     def counting_target(*args):
         sweeps.append(1)
         return real_target(*args)
 
     def inflated_build(grid, u):
-        faces = real_build(grid, u)
+        normals = real_build(grid, u)
         if len(sweeps) == 4:
-            faces = [[1e3 * c for c in comps] for comps in faces]
-        return faces
+            normals = [1e3 * d for d in normals]
+        return normals
 
     monkeypatch.setattr(solver, "_chi_target", counting_target)
-    monkeypatch.setattr(geometry, "face_gradient_components", inflated_build)
+    # the linear law's trial heads build only their normal differences
+    monkeypatch.setattr(geometry, "face_normal_differences", inflated_build)
     _, report = solver.solve_problem(grid, prof, f, dom)
     assert report.stalled_sweeps == 1
+
+
+# --- DST-I by cached sine matrices --------------------------------------------
+# scipy's transform is the reference; the package itself imports no scipy.
+
+DST_SHAPES = [(1,), (2, 3), (95, 95), (96, 127), (255, 255), (7, 8, 9)]
+
+
+@pytest.mark.parametrize("shape", DST_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_dstn_matches_scipy_and_inverts_itself(shape):
+    from scipy import fft
+
+    x = np.random.default_rng(len(shape) + sum(shape)).standard_normal(shape)
+    y = solver.dstn(x)
+    ref = fft.dstn(x, type=1, norm="ortho")
+    assert y.shape == shape
+    assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(solver.idstn(y) - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_preconditioner_apply_calls_each_transform_once(monkeypatch):
+    # perfbench's tracer counts preconditioner applies as calls of
+    # solver.dstn, looked up through the module globals
+    grid = geometry.build_grid(dam_domain(), (17, 21))
+    calls = []
+    for name in ("dstn", "idstn"):
+        real = getattr(solver, name)
+        monkeypatch.setattr(
+            solver, name, lambda x, name=name, real=real: calls.append(name) or real(x)
+        )
+    precond = solver._SpectralPreconditioner(grid, 1.0, solver._laplacian_eigenvalues(grid))
+    r = np.random.default_rng(2).standard_normal(grid.counts)
+    precond.apply(r)
+    assert calls == ["dstn", "idstn"]
 
 
 # --- the Newton linear solve by flux law --------------------------------------
@@ -524,10 +600,11 @@ def test_linear_law_flux_is_the_normal_gradient_bit_for_bit(dim):
     grid, _, u, _ = _kernel_case(dim)
     with np.errstate(all="raise"):
         faces = geometry.face_gradient_components(grid, u)
-        linear = solver._linear_fluxes(faces)
+        linear = geometry.face_normal_differences(grid, u)
         general = solver._diffusive_fluxes(grid, prof, faces)
     assert solver._is_linear(prof)
     assert all(np.array_equal(a, b) for a, b in zip(linear, general))
+    assert all(np.array_equal(a, comps[k]) for k, (a, comps) in enumerate(zip(linear, faces)))
     zero_faces = sum(
         int(np.sum(np.all([c == 0.0 for c in comps], axis=0))) for comps in faces
     )
