@@ -495,6 +495,56 @@ def test_shipped_configs_load():
         assert cfg.domain is not None and cfg.resolution is not None
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the log-power inverse is a numpy Newton iteration; scipy.optimize never loads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, alap.cli; sys.exit(int('scipy.optimize' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded(tmp_path):
+    # the touching balls take a numpy distance transform
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg_path = write_config(tmp_path)
+    code = (
+        "import sys, alap.cli\n"
+        "loaded = 'scipy.ndimage' in sys.modules\n"
+        "for command in ('growth', 'harnack', 'verify-fb'):\n"
+        "    code = alap.cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "    assert code == 0, (command, code)\n"
+        "    loaded = loaded or 'scipy.ndimage' in sys.modules\n"
+        "sys.exit(3 if loaded else 0)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, cfg_path, str(tmp_path / "out")], env=env, timeout=300
+    )
+    assert run.returncode == 0
+    assert (tmp_path / "out" / "growth.csv").exists()
+
+
+def test_cli_import_and_orbit_commands_leave_scipy_linalg_unloaded(tmp_path):
+    # orbits take the exact flow through a numpy matrix exponential
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg_path = write_config(tmp_path)
+    code = (
+        "import sys, alap.cli\n"
+        "loaded = 'scipy.linalg' in sys.modules\n"
+        "for command in ('trace', 'verify-fb'):\n"
+        "    code = alap.cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "    assert code == 0, (command, code)\n"
+        "    loaded = loaded or 'scipy.linalg' in sys.modules\n"
+        "sys.exit(3 if loaded else 0)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, cfg_path, str(tmp_path / "out")], env=env, timeout=300
+    )
+    assert run.returncode == 0
+    assert (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_cli_import_and_every_command_leave_scipy_unloaded(tmp_path):
     # the package runs on numpy alone: scipy serves the tests as a reference
     root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
