@@ -2,7 +2,8 @@
 
 Every subcommand reads one config file, writes CSV files plus a plain-text
 summary into the output directory, and exits with: 0 on success, 2 on
-solver non-convergence, 3 on certification failure, 4 on config errors.
+solver non-convergence, 3 on certification failure, 4 on config and
+usage errors.
 """
 
 import argparse
@@ -23,13 +24,23 @@ EXIT_CERTIFICATION = 3
 EXIT_CONFIG = 4
 
 
+def _make_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path!r}: {exc}") from exc
+
+
 def _load(args):
+    # --out is made first, so that a config error leaves it in place and empty
+    if args.out is not None:
+        _make_dir(args.out)
     cfg = config.load(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = config.parse("seed", [str(args.seed)], source="--seed")
     if args.out is not None:
         cfg.out_dir = args.out
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_dir(cfg.out_dir)
     return cfg
 
 
@@ -141,11 +152,11 @@ def cmd_check_barriers(args):
     cfg = _load(args)
     _require(cfg, "profile", "domain", "fieldh")
     prof, dom = cfg.profile, cfg.domain
-    radius = _knob(cfg, "barriers.radius", "0.25", float)
-    margin_frac = _knob(cfg, "barriers.margin", "0.4", float)
-    floor = _knob(cfg, "barriers.floor", "1.0", float)
-    kappa_count = _count(cfg, "barriers.kappa_count", "5")
-    scales = _parse(cfg, "barriers.hopf_scales", "0.1 1.0", float)
+    radius = cfg["barriers.radius"]
+    margin_frac = cfg["barriers.margin"]
+    floor = cfg["barriers.floor"]
+    kappa_count = cfg["barriers.kappa_count"]
+    scales = cfg["barriers.hopf_scales"]
     center = tuple(0.5 * (dom.lower + dom.upper))
 
     def radial_job():
@@ -195,64 +206,25 @@ def cmd_check_barriers(args):
     return EXIT_OK if all_pass else EXIT_CERTIFICATION
 
 
-def _parse(cfg, key, default, kind):
-    """Values of ``key``, or of the whitespace-separated ``default``."""
-    try:
-        return [kind(v) for v in cfg.raw.get(key, default.split())]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _orbit_levels(cfg, args, key, default):
-    """Orbit levels from --h or the config key; each must lie strictly
-    inside the domain's last-coordinate range, or no orbit can start."""
-    levels = [args.level] if args.level is not None else _parse(cfg, key, default, float)
+def _orbit_levels(cfg, args, key):
+    """Orbit levels, as a list, from --h or the config key; each must lie
+    strictly inside the domain's last-coordinate range, or no orbit can start."""
+    source, levels = ("--h", args.level) if args.level is not None else (key, cfg[key])
+    levels = levels if isinstance(levels, list) else [levels]
     lo, hi = float(cfg.domain.lower[-1]), float(cfg.domain.upper[-1])
     for level in levels:
         if not lo < level < hi:
-            source = "--h" if args.level is not None else key
             raise ConfigError(f"{source} = {level} must lie strictly between {lo} and {hi}")
     return levels
-
-
-def _single(values, key):
-    if len(values) != 1:
-        raise ConfigError(f"{key} takes one value, got {len(values)}")
-    return values[0]
-
-
-def _knob(cfg, key, default, kind):
-    return _single(_parse(cfg, key, default, kind), key)
-
-
-def _point(cfg, key, default, count):
-    values = _parse(cfg, key, default, float)
-    if len(values) != count:
-        raise ConfigError(f"{key} takes {count} values, got {len(values)}")
-    return values
-
-
-def _at_least_one(count, source):
-    if count < 1:
-        raise ConfigError(f"{source} = {count} must be at least 1")
-    return count
-
-
-def _count(cfg, key, default):
-    return _at_least_one(_knob(cfg, key, default, int), key)
-
-
-def _omega_count(cfg, override, key, default):
-    if override is not None:
-        return _at_least_one(override, "--omega-count")
-    return _count(cfg, key, default)
 
 
 def cmd_trace(args):
     cfg = _load(args)
     _require(cfg, "domain", "fieldh")
-    level = _single(_orbit_levels(cfg, args, "trace.level", "0.5"), "trace.level")
-    count = _omega_count(cfg, args.omega_count, "trace.omega_count", "9")
+    (level,) = _orbit_levels(cfg, args, "trace.level")
+    count = cfg["trace.omega_count"]
+    if args.omega_count is not None:
+        count = config.parse("trace.omega_count", [str(args.omega_count)], source="--omega-count")
     dom, fieldh = cfg.domain, cfg.fieldh
     span = dom.upper - dom.lower
     omegas = np.array([dom.lower[:-1] + span[:-1] * (j + 0.5) / count for j in range(count)])
@@ -278,8 +250,8 @@ def cmd_trace(args):
 def _fb_setup(cfg, args):
     """Validated fb levels and the omega grid, read before any solve."""
     _require(cfg, "domain", "resolution", "profile", "fieldh")
-    levels = _orbit_levels(cfg, args, "fb.levels", "0.2")
-    count = _omega_count(cfg, None, "fb.omega_count", "33")
+    levels = _orbit_levels(cfg, args, "fb.levels")
+    count = cfg["fb.omega_count"]
     dom = cfg.domain
     span = dom.upper - dom.lower
     omegas = np.array([dom.lower[0] + span[0] * (j + 0.5) / count for j in range(count)])
@@ -369,16 +341,11 @@ def cmd_growth(args):
     cfg = _load(args)
     _require(cfg, "domain", "resolution", "profile", "fieldh")
     dim = cfg.domain.dim
-    raw_res = _parse(cfg, "growth.resolutions", "", int)
-    if raw_res:
-        if len(raw_res) % dim != 0:
-            raise ConfigError("growth.resolutions must hold groups of one resolution per axis")
-        if min(raw_res) < 3:
-            raise ConfigError("growth.resolutions entries must be >= 3")
-        res_list = [tuple(raw_res[i : i + dim]) for i in range(0, len(raw_res), dim)]
-    else:
-        res_list = [cfg.resolution]
-    count = _count(cfg, "growth.ball_count", "5")
+    raw_res = cfg["growth.resolutions"]
+    if len(raw_res) % dim != 0:
+        raise ConfigError("growth.resolutions must hold groups of one resolution per axis")
+    res_list = [tuple(raw_res[i : i + dim]) for i in range(0, len(raw_res), dim)] or [cfg.resolution]
+    count = cfg["growth.ball_count"]
 
     def one(res):
         grid, pair, _ = _solved(cfg, res)
@@ -406,18 +373,12 @@ def cmd_boundary_growth(args):
     cfg = _load(args)
     _require(cfg, "domain", "resolution", "profile", "fieldh")
     dom = cfg.domain
-    face = _knob(cfg, "boundary_growth.face", "ymax", str)
-    try:
-        axis, _ = geometry.face_axis_side(face)
-    except ValueError as exc:
-        raise ConfigError(f"boundary_growth.face: {exc}") from exc
-    if axis >= dom.dim:
+    face = cfg["boundary_growth.face"]
+    if geometry.face_axis_side(face)[0] >= dom.dim:
         raise ConfigError(f"boundary_growth.face = {face} is not a face of a {dom.dim}D domain")
     # the patch spans the face's dim - 1 free coordinates
-    lo = _point(cfg, "boundary_growth.anchor_lo", "0.3", dom.dim - 1)
-    hi = _point(cfg, "boundary_growth.anchor_hi", "0.7", dom.dim - 1)
-    sphere_r = _knob(cfg, "boundary_growth.sphere_radius", "0.09", float)
-    tube = _knob(cfg, "boundary_growth.tube_width", "0.2", float)
+    lo, hi = cfg["boundary_growth.anchor_lo"], cfg["boundary_growth.anchor_hi"]
+    sphere_r, tube = cfg["boundary_growth.sphere_radius"], cfg["boundary_growth.tube_width"]
     grid, pair, _ = _solved(cfg)
     rep = harness.boundary_growth_report(
         pair, grid, dom, face, lo, hi, sphere_r, cfg.profile, cfg.fieldh, tube
@@ -442,7 +403,7 @@ def cmd_boundary_growth(args):
 
 def cmd_harnack(args):
     cfg = _load(args)
-    count = _count(cfg, "growth.ball_count", "5")
+    count = cfg["growth.ball_count"]
     grid, pair, _ = _solved(cfg)
     balls = harness.find_touching_balls(pair, grid, count)
     shrunk = harness._shrunk(balls)
@@ -459,10 +420,7 @@ def cmd_harnack(args):
 def cmd_rescale(args):
     cfg = _load(args)
     _require(cfg, "domain", "resolution", "profile", "fieldh")
-    center = _point(cfg, "rescale.center", "0.5 0.25", cfg.domain.dim)
-    radius = _knob(cfg, "rescale.radius", "0.2", float)
-    if not radius > 0.0:
-        raise ConfigError(f"rescale.radius = {radius} must be > 0")
+    center, radius = cfg["rescale.center"], cfg["rescale.radius"]
     if not np.any(harness.ball_interior(cfg.grid(), center, radius)):
         raise ConfigError(
             f"rescale.center = {center}, rescale.radius = {radius}: the ball holds no "
@@ -501,8 +459,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_CONFIG: argparse's own 2 means non-convergence here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alap",
         description="Solve and certify the saturated/dry free boundary problem on box domains.",
     )
@@ -512,10 +478,6 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (overrides config)")
-        p.add_argument(
-            "--parallel", action="store_true",
-            help="accepted for compatibility and ignored: every command runs serially",
-        )
         if name in ("trace", "extract-fb", "verify-fb"):
             p.add_argument("--h", dest="level", type=float, default=None, help="orbit level")
         if name == "trace":

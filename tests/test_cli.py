@@ -245,30 +245,22 @@ def test_cli_deterministic_outputs(tmp_path, monkeypatch):
     for tag in ("a", "b"):
         out = str(tmp_path / f"det_{tag}")
         monkeypatch.setattr(cli, "_last_solve", None)  # each rerun solves afresh
-        assert cli.main(["solve", "--config", cfg_path, "--out", out, "--seed", "7"]) == 0
-        with open(os.path.join(out, "u.csv"), "rb") as fh:
-            outs.append(fh.read())
+        files = []
+        for command, name in (("solve", "u.csv"), ("check-barriers", "barriers.csv")):
+            assert cli.main([command, "--config", cfg_path, "--out", out, "--seed", "7"]) == 0
+            with open(os.path.join(out, name), "rb") as fh:
+                files.append(fh.read())
+        outs.append(files)
     assert outs[0] == outs[1]
 
 
-def test_cli_growth_multi_resolution_parallel(tmp_path):
+def test_cli_growth_multi_resolution(tmp_path):
     text = DAM_CONFIG + "\ngrowth.resolutions = 17 17 33 33\ngrowth.ball_count = 3\n"
     cfg_path = write_config(tmp_path, text)
     out = str(tmp_path / "growth_multi")
-    assert cli.main(["growth", "--config", cfg_path, "--out", out, "--parallel"]) == 0
+    assert cli.main(["growth", "--config", cfg_path, "--out", out]) == 0
     data = np.genfromtxt(os.path.join(out, "growth.csv"), delimiter=",", names=True)
     assert set(np.unique(data["resolution"])) == {17.0, 33.0}
-
-
-def test_cli_check_barriers_parallel_matches_serial(tmp_path):
-    cfg_path = write_config(tmp_path)
-    outs = []
-    for tag, extra in (("ser", []), ("par", ["--parallel"])):
-        out = str(tmp_path / f"bar_{tag}")
-        assert cli.main(["check-barriers", "--config", cfg_path, "--out", out] + extra) == 0
-        with open(os.path.join(out, "barriers.csv"), "rb") as fh:
-            outs.append(fh.read())
-    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize(
@@ -345,6 +337,124 @@ def test_bad_knob_values_exit_4_before_any_solve(tmp_path, monkeypatch, capsys,
     assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("", "growth.ball_count = 0"),
+        ("", "rescale.center = 0.5"),
+        ("", "seed = -1"),
+        # outside these bounds the certificate that reads the value raises
+        ("", "barriers.radius = -1"),
+        ("", "barriers.margin = 1.5"),
+        ("", "barriers.floor = -1"),
+        ("", "barriers.hopf_scales = 0.1 -1"),
+        ("", "boundary_growth.sphere_radius = -1"),
+        ("domain.t_faces = ymax", "domain.t_faces = top"),
+        # a tube of negative width holds no sample to certify
+        ("", "boundary_growth.tube_width = -1"),
+    ],
+)
+def test_every_command_checks_every_knob_at_load(tmp_path, monkeypatch, capsys, command, old, new):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with an invalid knob")
+
+    monkeypatch.setattr(solver, "solve_problem", no_work)
+    monkeypatch.setattr(csvio, "write_csv", no_work)
+    text = DAM_CONFIG.replace(old, "") + "\n" + new + "\n"
+    with pytest.raises(ConfigError):
+        config.load(text=text)
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "out_bad"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not os.listdir(out)
+
+
+def test_negative_seed_flag_exits_4_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with a negative seed")
+
+    monkeypatch.setattr(solver, "solve_problem", no_work)
+    out = tmp_path / "out_bad"
+    argv = ["solve", "--config", write_config(tmp_path), "--out", str(out), "--seed", "-1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "config error: --seed = -1 must be >= 0" in capsys.readouterr().err
+    assert not os.listdir(out)
+
+
+def test_count_of_a_dimension_dependent_default_is_checked_by_its_reader():
+    # rescale.center's default has two values: a 3-D config that leaves it
+    # out still loads, and only the command that reads it fails
+    text = DAM_CONFIG.replace("0 0\n", "0 0 0\n").replace("1 1\n", "1 1 1\n")
+    text = text.replace("33 33", "5 5 5").replace("field.c = 0 1", "field.c = 0 0 1")
+    cfg = config.load(text=text)
+    assert cfg.domain.dim == 3 and cfg["boundary_growth.face"] == "ymax"
+    with pytest.raises(ConfigError, match="rescale.center takes 3"):
+        cfg["rescale.center"]
+    with pytest.raises(ConfigError, match="rescale.center takes 3"):
+        config.load(text=text + "rescale.center = 0.5 0.25\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--seed", "abc"],
+        ["trace", "--omega-count", "x"],
+        ["solve", "--bogus"],
+        ["solve", "--parallel"],
+        ["frobnicate"],
+        ["solve", "--config"],
+    ],
+)
+def test_usage_errors_exit_4_with_the_parser_message(tmp_path, capsys, argv):
+    if argv[-1] != "--config":
+        argv = argv[:1] + ["--config", write_config(tmp_path)] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["solve", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    assert "--parallel" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_exits_4(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(DAM_CONFIG.encode("utf-8") + b"# \xff\xfe\n")
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "config error: cannot read" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        config.load(str(path))
+
+
+def test_out_naming_a_file_exits_4(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert cli.main(["solve", "--config", write_config(tmp_path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config error: output directory" in capsys.readouterr().err
+
+
+def test_readme_config_table_matches_the_schema():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        rows = [line.split("|")[1:-1] for line in fh if line.startswith("| `")]
+    table = {cells[0].strip().strip("`"): [c.strip() for c in cells[1:5]] for cells in rows}
+    for key, row in config.SCHEMA.items():
+        default = {None: "—", "": "empty"}.get(row.default, f"`{row.default}`")
+        assert table.get(key) == [row.kind, str(row.count), default, row.bound or "—"], key
+    assert set(table) == set(config.SCHEMA)
 
 
 def test_rescale_ball_outside_wet_set_exits_4(tmp_path, capsys):
