@@ -245,12 +245,9 @@ def test_cli_deterministic_outputs(tmp_path, monkeypatch):
     for tag in ("a", "b"):
         out = str(tmp_path / f"det_{tag}")
         monkeypatch.setattr(cli, "_last_solve", None)  # each rerun solves afresh
-        files = []
-        for command, name in (("solve", "u.csv"), ("check-barriers", "barriers.csv")):
-            assert cli.main([command, "--config", cfg_path, "--out", out, "--seed", "7"]) == 0
-            with open(os.path.join(out, name), "rb") as fh:
-                files.append(fh.read())
-        outs.append(files)
+        assert cli.main(["solve", "--config", cfg_path, "--out", out, "--seed", "7"]) == 0
+        with open(os.path.join(out, "u.csv"), "rb") as fh:
+            outs.append(fh.read())
     assert outs[0] == outs[1]
 
 
@@ -261,6 +258,19 @@ def test_cli_growth_multi_resolution(tmp_path):
     assert cli.main(["growth", "--config", cfg_path, "--out", out]) == 0
     data = np.genfromtxt(os.path.join(out, "growth.csv"), delimiter=",", names=True)
     assert set(np.unique(data["resolution"])) == {17.0, 33.0}
+
+
+def test_cli_check_barriers_parallel_matches_serial(tmp_path, monkeypatch):
+    # --parallel is gone; two serial runs, each solving afresh, must write the same bytes
+    cfg_path = write_config(tmp_path)
+    outs = []
+    for tag in ("a", "b"):
+        out = str(tmp_path / f"bar_{tag}")
+        monkeypatch.setattr(cli, "_last_solve", None)
+        assert cli.main(["check-barriers", "--config", cfg_path, "--out", out]) == 0
+        with open(os.path.join(out, "barriers.csv"), "rb") as fh:
+            outs.append(fh.read())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize(
