@@ -1,18 +1,18 @@
 """Explicit comparison functions and their certified differential inequalities.
 
-Three families are implemented, all radially symmetric:
+Two families are implemented, both radially symmetric:
 
-* RadialBarrier: v = k (exp(-alpha rho^2) - exp(-alpha (r+margin)^2)) on the
-  ring r/2 <= rho <= r + margin, with kappa = 2 (1 + n/a0) and
-  alpha = kappa / r^2. It is a subsolution in the strong sense
-  Delta_A v >= a(|grad v|)/rho, which pins the growth of the head near a
-  ball touching the free boundary and yields two closed-form growth
-  constants (one per sign of the ring flux margin).
-
-* HopfBarrier: v = exp(-alpha rho^2) - exp(-alpha R^2) on R/2 < rho < R
-  with alpha = 4 kappa / R^2; scaled by a small factor it satisfies
-  Delta_A (s v) >= a(s |grad v|)/rho, the engine of the boundary-point
-  lemma behind the strong maximum principle.
+* RingBarrier: v = k (exp(-alpha rho^2) - exp(-alpha R_out^2)) on the ring
+  r/2 <= rho <= R_out = r + margin, with two sets of constants:
+  - radial: kappa = 2 (1 + n/a0), alpha = kappa / r^2, margin in (0, r) and
+    k fixed by v(r/2) = m. It is a subsolution in the strong sense
+    Delta_A v >= a(|grad v|)/rho, which pins the growth of the head near a
+    ball touching the free boundary and yields two closed-form growth
+    constants (one per sign of the ring flux margin);
+  - Hopf: 1/2 < kappa < 2 (1 + (n-2)/a0), alpha = 4 kappa / r^2, margin 0
+    and k = 1; scaled by a small s it satisfies
+    Delta_A (s v) >= a(s |grad v|)/rho, the engine of the boundary-point
+    lemma behind the strong maximum principle.
 
 * BoundaryBarrier: v = theta(|x - center| - R0) built on an exterior
   sphere of radius R0, where theta is the explicit primitive of an inverse
@@ -46,24 +46,29 @@ def _as_points(x, dim):
     return pts
 
 
+def _canonical_kappa(dim, a0):
+    """The radial ring's decay parameter 2 (1 + n/a0)."""
+    return 2.0 * (1.0 + dim / a0)
+
+
 # ---------------------------------------------------------------------------
-# interior (touching-ball) barrier
+# ring barriers: the radial subsolution and the boundary-point (Hopf) ring
 
 
 @dataclass(frozen=True)
-class RadialBarrier:
-    """Ring comparison function around a ball inside the wet set.
+class RingBarrier:
+    """Ring comparison function v = k (exp(-alpha rho^2) - exp(-alpha R_out^2)).
 
     Attributes:
         center: ball center.
         radius: inner ball radius r; the ring is [r/2, r + margin].
-        margin: outer collar width, in (0, r).
-        floor_value: the head minimum m the barrier is pinned to at r/2.
+        margin: outer collar width, in (0, r) for the radial ring, 0 for Hopf.
+        floor_value: v(r/2), the head minimum m the radial ring is pinned to.
         dim: ambient dimension (2 or 3).
         a0: lower ellipticity exponent of the profile in use.
-        kappa: decay parameter; the canonical choice is 2 (1 + n/a0).
-        alpha: kappa / r^2.
-        amplitude: k, fixed so that v(r/2) = floor_value.
+        kappa: decay parameter.
+        alpha: kappa / r^2 (radial) or 4 kappa / r^2 (Hopf).
+        amplitude: k; 1 for the Hopf ring.
     """
 
     center: tuple
@@ -86,7 +91,7 @@ class RadialBarrier:
 
 
 def make_radial_barrier(center, radius, margin, floor_value, dim, a0, kappa=None):
-    """Build the ring barrier; kappa defaults to the canonical 2 (1 + n/a0).
+    """Build the radial ring; kappa defaults to the canonical 2 (1 + n/a0).
 
     An explicit kappa is allowed (used to witness sharpness of the
     canonical choice) and only needs to be positive.
@@ -102,23 +107,39 @@ def make_radial_barrier(center, radius, margin, floor_value, dim, a0, kappa=None
     if a0 <= 0:
         raise ValueError("a0 must be positive")
     if kappa is None:
-        kappa = 2.0 * (1.0 + dim / a0)
+        kappa = _canonical_kappa(dim, a0)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     alpha = kappa / radius**2
     outer = radius + margin
     denom = math.exp(-alpha * radius**2 / 4.0) - math.exp(-alpha * outer**2)
-    amplitude = floor_value / denom
-    return RadialBarrier(
-        center=tuple(float(c) for c in center),
-        radius=float(radius),
-        margin=float(margin),
-        floor_value=float(floor_value),
-        dim=dim,
-        a0=float(a0),
-        kappa=float(kappa),
-        alpha=float(alpha),
-        amplitude=float(amplitude),
+    return RingBarrier(
+        center=tuple(float(c) for c in center), radius=float(radius), margin=float(margin),
+        floor_value=float(floor_value), dim=dim, a0=float(a0), kappa=float(kappa),
+        alpha=float(alpha), amplitude=float(floor_value / denom),
+    )
+
+
+def hopf_kappa_range(dim, a0):
+    return 0.5, 2.0 * (1.0 + (dim - 2.0) / a0)
+
+
+def make_hopf_barrier(center, radius, kappa, dim, a0):
+    """Build the unit-amplitude Hopf ring on R/2 <= rho <= R; kappa must lie
+    in hopf_kappa_range (where the certificate still fails for part of the
+    range when a0 is small, which it reports honestly)."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if dim not in (2, 3):
+        raise ValueError("dimension must be 2 or 3")
+    lo, hi = hopf_kappa_range(dim, a0)
+    if not lo < kappa < hi:
+        raise ValueError(f"kappa must lie in ({lo}, {hi}), got {kappa}")
+    alpha = 4.0 * kappa / radius**2
+    return RingBarrier(
+        center=tuple(float(c) for c in center), radius=float(radius), margin=0.0,
+        floor_value=math.exp(-alpha * radius**2 / 4.0) - math.exp(-alpha * radius**2),
+        dim=dim, a0=float(a0), kappa=float(kappa), alpha=alpha, amplitude=1.0,
     )
 
 
@@ -135,10 +156,10 @@ def radial_barrier_value(barrier, x):
     return float(v[0]) if np.asarray(x).ndim == 1 else v
 
 
-def _ring_pieces(barrier, rho, amplitude):
+def _ring_pieces(barrier, rho):
     """|grad v|, Laplacian of v, and the Hessian contraction sum_ij v_i v_j v_ij
-    of v = amplitude (exp(-alpha rho^2) - const)."""
-    a, k, n = barrier.alpha, amplitude, barrier.dim
+    of v = k (exp(-alpha rho^2) - const)."""
+    a, k, n = barrier.alpha, barrier.amplitude, barrier.dim
     e = np.exp(-a * rho**2)
     grad_mag = 2.0 * a * k * rho * e
     lap = -2.0 * a * k * e * (n - 2.0 * a * rho**2)
@@ -148,26 +169,27 @@ def _ring_pieces(barrier, rho, amplitude):
     return grad_mag, lap, hess_contr
 
 
-def radial_a_laplacian(barrier, profile, x):
-    """Closed-form Delta_A v at ring points (the gradient never vanishes there).
+def radial_a_laplacian(barrier, profile, x, scale=1.0):
+    """Closed-form Delta_A (scale v) at ring points, where grad v never vanishes.
 
     Assembled from the second-order expansion
-    Delta_A v = a(q)/q^3 { q^2 lap + (a'(q) q / a(q) - 1) sum v_i v_j v_ij }.
+    Delta_A v = a(q)/q^3 { q^2 lap + (a'(q) q / a(q) - 1) sum v_i v_j v_ij },
+    into which the scale enters only through a(scale q) and a'(scale q).
     """
     rho = barrier.rho(x)
-    q, lap, hess = _ring_pieces(barrier, rho, barrier.amplitude)
-    ratio = profile.da(q) * q / profile.a(q)
-    out = profile.a(q) / q**3 * (q**2 * lap + (ratio - 1.0) * hess)
+    q, lap, hess = _ring_pieces(barrier, rho)
+    sq = scale * q
+    ratio = profile.da(sq) * sq / profile.a(sq)
+    out = profile.a(sq) / q**3 * (q**2 * lap + (ratio - 1.0) * hess)
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
 def ring_sampling_plan(barrier, rng_or_seed=0, random_points=100):
     """Deterministic ring sampling: tensor radii x angles plus seeded extras.
 
-    40 radii span the closed ring [radius/2, outer_radius] of a radial or
-    Hopf barrier. Angles: 16 in 2D; a 12 x 12 (polar x azimuthal) grid in
-    3D. ``random_points`` uniform ring points are appended from the given
-    seed or generator.
+    40 radii span the closed ring [radius/2, outer_radius]. Angles: 16 in
+    2D; a 12 x 12 (polar x azimuthal) grid in 3D. ``random_points`` uniform
+    ring points are appended from the given seed or generator.
     """
     rng = (
         rng_or_seed
@@ -205,10 +227,6 @@ class BarrierReport:
     min_margin: float
     passed: bool
 
-    @property
-    def margins(self):
-        return self.lhs - self.rhs
-
     def rows(self):
         out = []
         for i in range(self.points.shape[0]):
@@ -221,22 +239,32 @@ class BarrierReport:
         return out
 
 
-def certify_radial_inequality(barrier, profile, samples=None, seed=0):
-    """Check Delta_A v >= a(|grad v|)/rho pointwise over the sampling plan."""
+def _certify_ring(label, barrier, profile, scale, samples, seed):
+    """Check Delta_A (scale v) >= a(scale |grad v|)/rho over the ring plan."""
     pts = ring_sampling_plan(barrier, seed) if samples is None else _as_points(samples, barrier.dim)
     rho = barrier.rho(pts)
-    q, _, _ = _ring_pieces(barrier, rho, barrier.amplitude)
-    lhs = radial_a_laplacian(barrier, profile, pts)
-    rhs = profile.a(q) / rho
+    q, _, _ = _ring_pieces(barrier, rho)
+    lhs = radial_a_laplacian(barrier, profile, pts, scale)
+    rhs = profile.a(scale * q) / rho
     margins = lhs - rhs
     return BarrierReport(
-        label=f"radial_{profile.family}_n{barrier.dim}_k{barrier.kappa:g}",
-        points=pts,
-        lhs=lhs,
-        rhs=rhs,
-        min_margin=float(np.min(margins)),
-        passed=bool(np.all(margins >= -INEQ_TOL)),
+        label=label, points=pts, lhs=lhs, rhs=rhs,
+        min_margin=float(np.min(margins)), passed=bool(np.all(margins >= -INEQ_TOL)),
     )
+
+
+def certify_radial_inequality(barrier, profile, samples=None, seed=0):
+    """Check Delta_A v >= a(|grad v|)/rho pointwise over the sampling plan."""
+    label = f"radial_{profile.family}_n{barrier.dim}_k{barrier.kappa:g}"
+    return _certify_ring(label, barrier, profile, 1.0, samples, seed)
+
+
+def certify_hopf_inequality(barrier, profile, scale, samples=None, seed=0):
+    """Check Delta_A (scale v) >= a(scale |grad v|)/rho over the ring plan."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    label = f"hopf_{profile.family}_n{barrier.dim}_k{barrier.kappa:g}_s{scale:g}"
+    return _certify_ring(label, barrier, profile, scale, samples, seed)
 
 
 def ring_flux_margin(barrier, profile, h_upper):
@@ -265,7 +293,7 @@ def lipschitz_constant_nonpositive_margin(profile, dim, h_upper, delta):
     """
     if h_upper <= 0 or delta <= 0:
         raise ValueError("h_upper and delta must be positive")
-    kap = 2.0 * (1.0 + dim / profile.a0)
+    kap = _canonical_kappa(dim, profile.a0)
     return float(profile.a_inv(h_upper * delta)) * (math.exp(0.75 * kap) - 1.0) / kap
 
 
@@ -276,96 +304,14 @@ def lipschitz_constant_positive_margin(profile, dim, h_upper):
     """
     if h_upper <= 0:
         raise ValueError("h_upper must be positive")
-    kap = 2.0 * (1.0 + dim / profile.a0)
+    kap = _canonical_kappa(dim, profile.a0)
     return float(profile.a_inv(h_upper)) * (math.exp(0.75 * kap) - 1.0) / (2.0 * kap)
-
-
-# ---------------------------------------------------------------------------
-# boundary-point (Hopf) barrier
-
-
-@dataclass(frozen=True)
-class HopfBarrier:
-    """Unit-amplitude ring supersolution witness for the boundary-point lemma.
-
-    The admissible decay range is 1/2 < kappa < 2 (1 + (n-2)/a0); within it
-    the scaled inequality Delta_A (s v) >= a(s |grad v|)/rho is certified
-    pointwise (and fails for part of the range when a0 is small, which the
-    certification reports honestly).
-    """
-
-    center: tuple
-    radius: float
-    dim: int
-    a0: float
-    kappa: float
-    alpha: float
-
-    @property
-    def outer_radius(self):
-        return self.radius
-
-    def rho(self, x):
-        pts = _as_points(x, self.dim)
-        return np.sqrt(np.sum((pts - np.asarray(self.center)) ** 2, axis=-1))
-
-
-def hopf_kappa_range(dim, a0):
-    return 0.5, 2.0 * (1.0 + (dim - 2.0) / a0)
-
-
-def make_hopf_barrier(center, radius, kappa, dim, a0):
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if dim not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
-    lo, hi = hopf_kappa_range(dim, a0)
-    if not lo < kappa < hi:
-        raise ValueError(f"kappa must lie in ({lo}, {hi}), got {kappa}")
-    return HopfBarrier(
-        center=tuple(float(c) for c in center),
-        radius=float(radius),
-        dim=dim,
-        a0=float(a0),
-        kappa=float(kappa),
-        alpha=4.0 * kappa / radius**2,
-    )
-
-
-def hopf_a_laplacian(barrier, profile, scale, x):
-    """Closed-form Delta_A (scale * v) on the ring."""
-    rho = barrier.rho(x)
-    q, lap, hess = _ring_pieces(barrier, rho, 1.0)
-    sq = scale * q
-    ratio = profile.da(sq) * sq / profile.a(sq)
-    out = profile.a(sq) / q**3 * (q**2 * lap + (ratio - 1.0) * hess)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
 def hopf_outer_normal_derivative(barrier, scale=1.0):
     """d(scale v)/d rho at the outer sphere: negative for every admissible kappa."""
     a, radius = barrier.alpha, barrier.radius
     return float(scale * (-2.0 * a * radius * math.exp(-a * radius**2)))
-
-
-def certify_hopf_inequality(barrier, profile, scale, samples=None, seed=0):
-    """Check Delta_A (scale v) >= a(scale |grad v|)/rho over the ring plan."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    pts = ring_sampling_plan(barrier, seed) if samples is None else _as_points(samples, barrier.dim)
-    rho = barrier.rho(pts)
-    q, _, _ = _ring_pieces(barrier, rho, 1.0)
-    lhs = hopf_a_laplacian(barrier, profile, scale, pts)
-    rhs = profile.a(scale * q) / rho
-    margins = lhs - rhs
-    return BarrierReport(
-        label=f"hopf_{profile.family}_n{barrier.dim}_k{barrier.kappa:g}_s{scale:g}",
-        points=pts,
-        lhs=lhs,
-        rhs=rhs,
-        min_margin=float(np.min(margins)),
-        passed=bool(np.all(margins >= -INEQ_TOL)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +357,20 @@ def _theta_core(profile, m_ceiling, r0, h_upper, diameter, dim):
     return c, exp_arg, slope
 
 
+def _theta(barrier, profile):
+    """(c, E, theta') of a built boundary barrier."""
+    return _theta_core(profile, barrier.m_ceiling, barrier.sphere_radius, barrier.h_upper,
+                       barrier.diameter, barrier.dim)
+
+
+def _theta_derivatives(barrier, profile, t):
+    """theta'(t) and theta''(t), the derivative of the closed-form theta'."""
+    c, exp_arg, slope = _theta(barrier, profile)
+    rate = (barrier.dim - 1.0) / barrier.sphere_radius
+    sl = slope(t)
+    return sl, -rate * (exp_arg(t) + c) / profile.da(sl)
+
+
 def make_boundary_barrier(profile, center, sphere_radius, m_ceiling, h_upper, diameter, dim,
                           knot_count=257, quad_tol_factor=1e-10):
     """Tabulate theta on [0, D] with certified absolute tolerance.
@@ -451,10 +411,7 @@ def boundary_profile_value(barrier, profile, t):
     t = float(t)
     if t < 0.0 or t > barrier.diameter * (1.0 + 1e-12):
         raise ValueError(f"t = {t} outside [0, {barrier.diameter}]")
-    _, _, slope = _theta_core(
-        profile, barrier.m_ceiling, barrier.sphere_radius, barrier.h_upper,
-        barrier.diameter, barrier.dim,
-    )
+    _, _, slope = _theta(barrier, profile)
     idx = int(np.searchsorted(barrier.knots, t, side="right")) - 1
     idx = max(0, min(idx, len(barrier.knots) - 1))
     base_t = float(barrier.knots[idx])
@@ -466,11 +423,7 @@ def boundary_profile_value(barrier, profile, t):
 
 def boundary_profile_slope(barrier, profile, t):
     """theta'(t) = a_inv(E(t)); positive and decreasing on [0, D]."""
-    _, _, slope = _theta_core(
-        profile, barrier.m_ceiling, barrier.sphere_radius, barrier.h_upper,
-        barrier.diameter, barrier.dim,
-    )
-    return slope(t)
+    return _theta(barrier, profile)[2](t)
 
 
 def boundary_profile_ode_residual(barrier, profile, t):
@@ -481,14 +434,8 @@ def boundary_profile_ode_residual(barrier, profile, t):
     it must vanish to ~1e-8 h. (Note: the first factor is a', not a; the
     a-form does not annihilate the closed-form slope.)
     """
-    c, exp_arg, slope = _theta_core(
-        profile, barrier.m_ceiling, barrier.sphere_radius, barrier.h_upper,
-        barrier.diameter, barrier.dim,
-    )
+    sl, second = _theta_derivatives(barrier, profile, np.asarray(t, dtype=float))
     rate = (barrier.dim - 1.0) / barrier.sphere_radius
-    t = np.asarray(t, dtype=float)
-    sl = slope(t)
-    second = -rate * (exp_arg(t) + c) / profile.da(sl)
     out = profile.da(sl) * second + rate * profile.a(sl) + barrier.h_upper
     return float(out) if out.shape == () else out
 
@@ -500,13 +447,7 @@ def boundary_a_laplacian(barrier, profile, x):
     d = dist_center - barrier.sphere_radius
     if np.any(d < -1e-12) or np.any(d > barrier.diameter * (1.0 + 1e-12)):
         raise ValueError("points must lie between the sphere and distance D from it")
-    c, exp_arg, slope = _theta_core(
-        profile, barrier.m_ceiling, barrier.sphere_radius, barrier.h_upper,
-        barrier.diameter, barrier.dim,
-    )
-    rate = (barrier.dim - 1.0) / barrier.sphere_radius
-    sl = slope(d)
-    second = -rate * (exp_arg(d) + c) / profile.da(sl)
+    sl, second = _theta_derivatives(barrier, profile, d)
     out = profile.da(sl) * second + (barrier.dim - 1.0) / dist_center * profile.a(sl)
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 

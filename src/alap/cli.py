@@ -258,21 +258,25 @@ def _fb_setup(cfg, args):
     return levels, omegas
 
 
+def _fb_level(cfg, grid, pair, level, omegas, lsc_tol):
+    """One level of the free-boundary pass: one batch of orbits, each sampled
+    once, the graph over them and its lsc certificate."""
+    orbit_list = orbits_mod.OrbitFamily(cfg.fieldh, cfg.domain, level).orbits(omegas)
+    samples = [free_boundary.sample_along_orbit(pair, grid, o) for o in orbit_list]
+    graph = free_boundary.extract_graph(
+        pair, grid, cfg.fieldh, level, omegas, cfg.domain, orbits=orbit_list, samples=samples
+    )
+    return orbit_list, samples, graph, free_boundary.certify_lower_semicontinuity(graph, lsc_tol)
+
+
 def cmd_extract_fb(args):
     cfg = _load(args)
     levels, omegas = _fb_setup(cfg, args)
     grid, pair, _ = _solved(cfg)
-    dom = cfg.domain
+    lsc_tol = _lsc_tol(cfg, grid, pair.u)
     rows = []
     for level in levels:
-        graph = free_boundary.extract_graph(pair, grid, cfg.fieldh, level, omegas, dom)
-        tol = free_boundary.default_lsc_tol(
-            dom.delta / orbits_mod.STEP_DIVISOR,
-            float(np.max(grid.spacing)),
-            grad_max=_grad_max(grid, pair.u),
-            h_lower=cfg.fieldh.h_lower,
-        )
-        lsc = free_boundary.certify_lower_semicontinuity(graph, tol)
+        _, _, graph, lsc = _fb_level(cfg, grid, pair, level, omegas, lsc_tol)
         for i, om in enumerate(omegas):
             rows.append(
                 (level, float(om), float(graph.values[i]), int(graph.set_empty[i]),
@@ -286,42 +290,32 @@ def cmd_extract_fb(args):
     return EXIT_OK
 
 
-def _grad_max(grid, u):
-    peaks = []
-    for g in geometry.gradient_at_faces(grid, u):
-        comps = np.moveaxis(g, -1, 0)
-        peaks.append(float(np.max(np.sqrt(geometry.component_dot(comps, comps)))))
-    return max(peaks)
+def _lsc_tol(cfg, grid, u):
+    """The lsc time tolerance of the solved head, the same at every level: it
+    reads the largest face gradient, the root of the largest squared one."""
+    faces = geometry.face_gradient_components(grid, u)
+    grad_max = float(np.sqrt(max(np.max(geometry.component_dot(c, c)) for c in faces)))
+    return free_boundary.default_lsc_tol(
+        cfg.domain.delta / orbits_mod.STEP_DIVISOR, float(np.max(grid.spacing)), grad_max,
+        cfg.fieldh.h_lower,
+    )
 
 
 def cmd_verify_fb(args):
     cfg = _load(args)
     levels, omegas = _fb_setup(cfg, args)
     grid, pair, report = _solved(cfg)
-    dom = cfg.domain
     rcfg = cfg.solver_config.resolved(grid, cfg.profile, cfg.fieldh)
+    tol_chi = free_boundary.default_chi_monotone_tol(rcfg.eps, pair.eps_u, cfg.domain.m_ceiling)
+    lsc_tol = _lsc_tol(cfg, grid, pair.u)
     summary = []
     ok = True
     for level in levels:
-        # one batch of orbits per level, each sampled once, serves every
-        # certificate below
-        orbit_list = orbits_mod.OrbitFamily(cfg.fieldh, dom, level).orbits(omegas)
-        samples = [free_boundary.sample_along_orbit(pair, grid, o) for o in orbit_list]
-        tol_chi = free_boundary.default_chi_monotone_tol(rcfg.eps, pair.eps_u, dom.m_ceiling)
+        orbit_list, samples, graph, lsc = _fb_level(cfg, grid, pair, level, omegas, lsc_tol)
         mono = free_boundary.certify_chi_monotone(pair, grid, orbit_list, tol_chi, samples=samples)
         rewet = free_boundary.certify_no_rewetting(
             pair, grid, cfg.fieldh, orbit_list, samples=samples
         )
-        graph = free_boundary.extract_graph(
-            pair, grid, cfg.fieldh, level, omegas, dom, orbits=orbit_list, samples=samples
-        )
-        tol_lsc = free_boundary.default_lsc_tol(
-            dom.delta / orbits_mod.STEP_DIVISOR,
-            float(np.max(grid.spacing)),
-            _grad_max(grid, pair.u),
-            cfg.fieldh.h_lower,
-        )
-        lsc = free_boundary.certify_lower_semicontinuity(graph, tol_lsc)
         identity_violations = int(np.sum(~(graph.identity_ok | graph.set_empty)))
         mono_violations = int(sum(1 for up in mono.per_orbit if up > tol_chi))
         level_ok = mono.passed and rewet.passed and lsc.passed and identity_violations == 0
@@ -379,6 +373,9 @@ def cmd_boundary_growth(args):
     # the patch spans the face's dim - 1 free coordinates
     lo, hi = cfg["boundary_growth.anchor_lo"], cfg["boundary_growth.anchor_hi"]
     sphere_r, tube = cfg["boundary_growth.sphere_radius"], cfg["boundary_growth.tube_width"]
+    if not np.any(harness.boundary_tube(cfg.grid(), dom, face, lo, hi, tube)[0]):
+        raise ConfigError(f"boundary_growth.tube_width = {tube}, anchor_lo = {lo}, anchor_hi = "
+                          f"{hi}: the tube over this patch of face {face} holds no grid node")
     grid, pair, _ = _solved(cfg)
     rep = harness.boundary_growth_report(
         pair, grid, dom, face, lo, hi, sphere_r, cfg.profile, cfg.fieldh, tube
@@ -471,10 +468,11 @@ def main(argv=None):
     parser = _Parser(
         prog="alap",
         description="Solve and certify the saturated/dry free boundary problem on box domains.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (overrides config)")

@@ -249,6 +249,27 @@ class BoundaryGrowthReport:
     passed: bool
 
 
+def boundary_tube(grid, domain, face, anchor_lo, anchor_hi, tube_width):
+    """The tube of ``boundary_growth_report``, the nodes over the patch
+    [anchor_lo, anchor_hi] at a distance in (0, tube_width] from the face,
+    and every node's distance to the face, both built from the grid axes
+    (the distance as a read-only broadcast view). The tube is empty for a
+    width below one cell or a patch with anchor_lo > anchor_hi."""
+    axis, side = geometry.face_axis_side(face)
+    plane = domain.lower[axis] if side == "min" else domain.upper[axis]
+    patch = zip(np.atleast_1d(anchor_lo), np.atleast_1d(anchor_hi))
+    tube = np.ones(grid.counts, dtype=bool)
+    for k, coord in enumerate(grid.axes):
+        coord = coord.reshape([-1 if j == k else 1 for j in range(grid.dim)])
+        if k == axis:
+            distance = np.abs(coord - plane)
+            tube &= (distance <= tube_width) & (distance > 0.0)
+        else:
+            lo_k, hi_k = next(patch)
+            tube &= (coord >= lo_k) & (coord <= hi_k)
+    return tube, np.broadcast_to(distance, grid.counts)
+
+
 def boundary_growth_report(solution, grid, domain, face, anchor_lo, anchor_hi,
                            sphere_radius, profile, fieldh, tube_width,
                            interp_slack=0.0):
@@ -256,9 +277,13 @@ def boundary_growth_report(solution, grid, domain, face, anchor_lo, anchor_hi,
 
     ``face`` names the boundary face carrying the patch; the patch spans
     [anchor_lo, anchor_hi] in the face coordinates. Ratios u(x)/d(x, patch)
-    are compared against the boundary barrier slope at 0 for the exterior
-    sphere of radius ``sphere_radius``.
+    over the ``boundary_tube`` are compared against the boundary barrier
+    slope at 0 for the exterior sphere of radius ``sphere_radius``. An
+    empty tube raises ValueError: it would pass with nothing measured.
     """
+    tube, distance = boundary_tube(grid, domain, face, anchor_lo, anchor_hi, tube_width)
+    if not np.any(tube):
+        raise ValueError("the boundary tube holds no grid node")
     axis, side = geometry.face_axis_side(face)
     plane = domain.lower[axis] if side == "min" else domain.upper[axis]
     bb = barriers.make_boundary_barrier(
@@ -271,32 +296,17 @@ def boundary_growth_report(solution, grid, domain, face, anchor_lo, anchor_hi,
         domain.dim,
     )
     slope0 = float(barriers.boundary_profile_slope(bb, profile, 0.0))
-    nodes = grid.nodes()
-    dist_axis = np.abs(nodes[..., axis] - plane)
-    free_axes = [k for k in range(domain.dim) if k != axis]
-    anchor_lo = np.atleast_1d(np.asarray(anchor_lo, dtype=float))
-    anchor_hi = np.atleast_1d(np.asarray(anchor_hi, dtype=float))
-    in_patch_shadow = np.ones(grid.counts, dtype=bool)
-    lateral_excess = np.zeros(grid.counts)
-    for k, lo_k, hi_k in zip(free_axes, anchor_lo, anchor_hi):
-        coord = nodes[..., k]
-        in_patch_shadow &= (coord >= lo_k) & (coord <= hi_k)
-        lateral_excess += np.maximum(np.maximum(lo_k - coord, coord - hi_k), 0.0) ** 2
-    distance = np.sqrt(dist_axis**2 + lateral_excess)
-    tube = (dist_axis <= tube_width) & (distance > 0.0) & in_patch_shadow
     ratios = np.where(tube, solution.u / np.where(distance > 0, distance, 1.0), 0.0)
-    worst_idx = np.unravel_index(np.argmax(ratios), ratios.shape)
     rows = []
     flat_idx = np.argsort(ratios.ravel())[::-1][:16]
     for fi in flat_idx:
         idx = np.unravel_index(fi, ratios.shape)
         if not tube[idx]:
             continue
-        x = nodes[idx]
+        x = np.array([ax[i] for ax, i in zip(grid.axes, idx)])
+        # a tube node lies over the patch, so its anchor is its foot on the face
         anchor = x.copy()
         anchor[axis] = plane
-        for k, lo_k, hi_k in zip(free_axes, anchor_lo, anchor_hi):
-            anchor[k] = min(max(anchor[k], lo_k), hi_k)
         rows.append(
             BoundaryGrowthRow(
                 point=tuple(map(float, x)),
@@ -306,7 +316,7 @@ def boundary_growth_report(solution, grid, domain, face, anchor_lo, anchor_hi,
                 ratio=float(ratios[idx]),
             )
         )
-    max_ratio = float(ratios[worst_idx])
+    max_ratio = float(np.max(ratios))
     bound = slope0 * 1.01 + interp_slack
     return BoundaryGrowthReport(
         rows=tuple(rows),

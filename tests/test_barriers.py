@@ -53,7 +53,7 @@ def test_radial_operator_matches_linear_reduction():
     assert barriers.radial_a_laplacian(b, p2, x) == pytest.approx(expected, rel=1e-13)
 
 
-def _fd_divergence_of_flux(prof, barrier, x, h):
+def _fd_divergence_of_flux(prof, barrier, x, h, scale=1.0):
     center = np.asarray(barrier.center)
 
     def gradv(y):
@@ -67,17 +67,28 @@ def _fd_divergence_of_flux(prof, barrier, x, h):
         e = np.zeros(len(x))
         e[i] = h
         total += (
-            profiles.flux(prof, gradv(x + e))[i] - profiles.flux(prof, gradv(x - e))[i]
+            profiles.flux(prof, scale * gradv(x + e))[i]
+            - profiles.flux(prof, scale * gradv(x - e))[i]
         ) / (2.0 * h)
     return total
 
 
-@pytest.mark.parametrize("prof", PROFILE_SET, ids=_IDS)
-def test_radial_operator_fd_convergence(prof):
+@pytest.mark.parametrize(
+    "prof, scale",
+    [
+        pytest.param(p, s, id=_IDS(p) + ("" if s == 1.0 else f"-scale{s:g}"))
+        for s in (1.0, 0.37)
+        for p in PROFILE_SET
+    ],
+)
+def test_radial_operator_fd_convergence(prof, scale):
+    # amplitude != 1 together with scale != 1: the one ring operator serves both
     b = radial(prof, 2)
     x = np.array([0.8, 0.1])
-    closed = barriers.radial_a_laplacian(b, prof, x)
-    errs = [abs(_fd_divergence_of_flux(prof, b, x, h) - closed) for h in (1e-2, 5e-3, 2.5e-3)]
+    closed = barriers.radial_a_laplacian(b, prof, x, scale)
+    errs = [
+        abs(_fd_divergence_of_flux(prof, b, x, h, scale) - closed) for h in (1e-2, 5e-3, 2.5e-3)
+    ]
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(slopes) >= 1.8
 
@@ -233,7 +244,7 @@ def test_hopf_fd_cross_check():
     b = barriers.make_hopf_barrier((0.0, 0.0), 1.0, 1.6, 2, prof.a0)
     x = np.array([0.8, 0.1])
     scale = 0.37
-    closed = barriers.hopf_a_laplacian(b, prof, scale, x)
+    closed = barriers.radial_a_laplacian(b, prof, x, scale)
 
     def gradv(y):
         rho2 = float(np.sum(y**2))

@@ -417,6 +417,7 @@ def test_count_of_a_dimension_dependent_default_is_checked_by_its_reader():
         ["solve", "--parallel"],
         ["frobnicate"],
         ["solve", "--config"],
+        ["solve", "--h", "0.2"],  # a prefix of --help, not an abbreviation of it
     ],
 )
 def test_usage_errors_exit_4_with_the_parser_message(tmp_path, capsys, argv):
@@ -426,6 +427,26 @@ def test_usage_errors_exit_4_with_the_parser_message(tmp_path, capsys, argv):
         cli.main(argv)
     assert exc.value.code == cli.EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config_line",
+    [
+        "boundary_growth.tube_width = 1e-9",  # below one cell
+        "boundary_growth.anchor_lo = 0.7\nboundary_growth.anchor_hi = 0.3",  # inverted patch
+    ],
+)
+def test_empty_boundary_tube_exits_4_before_any_solve(tmp_path, monkeypatch, capsys, config_line):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started for an empty boundary tube")
+
+    monkeypatch.setattr(solver, "solve_problem", no_solve)
+    cfg_path = write_config(tmp_path, DAM_CONFIG + "\n" + config_line + "\n")
+    out = tmp_path / "out_bad"
+    assert cli.main(["boundary-growth", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: boundary_growth.tube_width" in err and "anchor_lo" in err
+    assert not os.listdir(out)
 
 
 def test_help_exits_0(capsys):

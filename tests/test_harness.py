@@ -128,6 +128,18 @@ def test_boundary_growth_ratio_converges_to_normal_slope():
         assert rep.max_ratio == pytest.approx(0.6, rel=1e-9)
 
 
+@pytest.mark.parametrize("lo, hi, width", [([0.3], [0.7], 1e-9), ([0.7], [0.3], 0.2)])
+def test_boundary_growth_rejects_an_empty_tube(lo, hi, width):
+    dom, grid, pair = dam_setup(res=33)
+    tube, _ = harness.boundary_tube(grid, dom, "ymin", lo, hi, width)
+    assert not np.any(tube)
+    with pytest.raises(ValueError, match="tube holds no grid node"):
+        harness.boundary_growth_report(
+            pair, grid, dom, "ymin", lo, hi, 0.09, profiles.make_power(2.0),
+            fields.make_constant_field([0.0, 1.0]), tube_width=width,
+        )
+
+
 def test_rescale_check_on_solved_dam():
     dom, grid, _ = dam_setup()
     prof = profiles.make_power(2.0)
