@@ -218,19 +218,36 @@ def ring_sampling_plan(barrier, rng_or_seed=0, random_points=100):
 
 @dataclass(frozen=True)
 class BarrierReport:
-    """Pointwise margins of a differential inequality over a sample set."""
+    """Pointwise margins of a differential inequality over a sample set.
+
+    The inequality is lhs >= rhs, or lhs <= rhs when ``lhs_above`` is
+    False (a supersolution); a point passes when its margin, the room the
+    inequality leaves there, is at least -INEQ_TOL.
+    """
 
     label: str
     points: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-    min_margin: float
-    passed: bool
+    lhs_above: bool = True
+
+    @property
+    def margins(self):
+        return self.lhs - self.rhs if self.lhs_above else self.rhs - self.lhs
+
+    @property
+    def min_margin(self):
+        return float(np.min(self.margins))
+
+    @property
+    def passed(self):
+        return bool(np.all(self.margins >= -INEQ_TOL))
 
     def rows(self):
         out = []
+        margins = self.margins
         for i in range(self.points.shape[0]):
-            m = float(self.lhs[i] - self.rhs[i])
+            m = float(margins[i])
             out.append(
                 (self.label,)
                 + tuple(map(float, self.points[i]))
@@ -246,11 +263,7 @@ def _certify_ring(label, barrier, profile, scale, samples, seed):
     q, _, _ = _ring_pieces(barrier, rho)
     lhs = radial_a_laplacian(barrier, profile, pts, scale)
     rhs = profile.a(scale * q) / rho
-    margins = lhs - rhs
-    return BarrierReport(
-        label=label, points=pts, lhs=lhs, rhs=rhs,
-        min_margin=float(np.min(margins)), passed=bool(np.all(margins >= -INEQ_TOL)),
-    )
+    return BarrierReport(label=label, points=pts, lhs=lhs, rhs=rhs)
 
 
 def certify_radial_inequality(barrier, profile, samples=None, seed=0):
@@ -456,13 +469,7 @@ def certify_boundary_supersolution(barrier, profile, fieldh, samples):
     """Check Delta_A v + div H <= 0 at points outside the exterior sphere."""
     pts = _as_points(samples, barrier.dim)
     lhs = boundary_a_laplacian(barrier, profile, pts) + fieldh.divergence(pts)
-    rhs = np.zeros_like(lhs)
-    margins = rhs - lhs  # pass when lhs <= tol
     return BarrierReport(
         label=f"boundary_{profile.family}_n{barrier.dim}",
-        points=pts,
-        lhs=lhs,
-        rhs=rhs,
-        min_margin=float(np.min(margins)),
-        passed=bool(np.all(lhs <= INEQ_TOL)),
+        points=pts, lhs=lhs, rhs=np.zeros_like(lhs), lhs_above=False,
     )

@@ -10,9 +10,9 @@ exact flow X(t) = exp(tM) X0 in homogeneous coordinates, with the
 augmented matrix M = [[A, b], [0, 0]] (Van Loan 1978; Moler & Van Loan
 2003). Orbits are stored at the fixed spacing delta(Omega)/2048, built for
 a whole batch of seeds by doubling: the samples at times K dt .. (2K-1) dt
-are those at 0 .. (K-1) dt times exp(K dt M). Exit times are bisected on
-the exact flow from the last sample inside, and dense output is the exact
-flow from the nearest sample. The flow map T_h(t, omega) = X(t, omega)
+are those at 0 .. (K-1) dt times exp(K dt M), for the seeds still inside
+the box. Exit times are bisected on the exact flow from the last sample
+inside, and dense output is the exact flow from the nearest sample. The flow map T_h(t, omega) = X(t, omega)
 has the closed-form Jacobian determinant
 
     Y_h(t, omega) = -H_n(omega, h) exp( int_0^t div H(X(s)) ds )
@@ -99,9 +99,14 @@ def _expm(mats):
 
 def _flow(gen, x, ts):
     """exp(t M) applied to each row of ``x`` (..., n), each with its own time
-    of ``ts`` (...). The product is summed column by column, so a row's
+    of ``ts`` (...)."""
+    return _apply(_expm(np.asarray(ts, dtype=float)[..., None, None] * gen), x)
+
+
+def _apply(flows, x):
+    """The flow matrices ``flows`` (..., n+1, n+1) applied to the rows of
+    ``x`` (..., n). The product is summed column by column, so a row's
     result does not depend on the other rows."""
-    flows = _expm(np.asarray(ts, dtype=float)[..., None, None] * gen)
     out = flows[..., :-1, -1]
     for j in range(x.shape[-1]):
         out = out + flows[..., :-1, j] * x[..., j, None]
@@ -131,35 +136,54 @@ def _march(fieldh, domain, seeds, dt, tol_len, max_steps):
     """Exact samples of every row of ``seeds`` at the times k * dt until it
     leaves the box.
 
-    The samples double until every row has one outside the box; a row's
-    steps end at its last sample before the first one outside. The step
-    after it is bisected on the exact flow, all rows with one matrix per
-    halving, until the bracket length times h_upper is at most
-    ``tol_len``. Returns (samples, steps, t_exit, x_exit): ``samples[k, i]``
-    is row i at time k * dt, valid for k <= steps[i].
+    The samples of the rows still inside double, in blocks of an eighth of
+    a doubling (at least 128 samples): a row leaves once it has a sample
+    outside the box, so no row gets samples far past its exit, and its
+    steps end at its last sample before the first one outside. Each row's
+    flow depends on its own samples only, so dropping the others changes
+    none of its bits. The step after the last sample is bisected on the
+    exact flow, all rows with one matrix per halving, until the bracket
+    length times h_upper is at most ``tol_len``. Every seed lies inside
+    the box. Returns (samples, steps, t_exit, x_exit): ``samples[i]`` holds
+    row i at the times k * dt, k = 0 .. steps[i].
     """
     gen = _generator(fieldh)
     x = np.array(seeds, dtype=float)[None]
-    inside = domain.contains(x)
-    while not np.all(np.any(~inside, axis=0)):
+    samples, steps = [None] * x.shape[1], np.zeros(x.shape[1], dtype=int)
+    rows = np.arange(x.shape[1])  # the rows of ``x``, still inside
+    while len(rows):
         if len(x) > max_steps:
             raise StepFailureError("orbit march exceeded its step budget")
-        later = _flow(gen, x, len(x) * dt)
-        x = np.concatenate([x, later])
-        inside = np.concatenate([inside, domain.contains(later)])
-    steps = np.argmin(inside, axis=0) - 1
+        # the samples at K dt .. (2K-1) dt are those at 0 .. (K-1) dt
+        # times exp(K dt M), K = len(x)
+        shift = len(x)
+        flows, block = _expm(shift * dt * gen), max(128, shift // 8)
+        later = []
+        for lo in range(0, shift, block):
+            later.append(_apply(flows, x[lo:lo + block]))
+            inside = domain.contains(later[-1])
+            left = ~np.all(inside, axis=0)
+            if not np.any(left):
+                continue
+            for i, first in zip(np.flatnonzero(left), np.argmin(inside[:, left], axis=0)):
+                parts = [x[:, i]] + [b[:, i] for b in later[:-1]] + [later[-1][:first, i]]
+                samples[rows[i]], steps[rows[i]] = np.concatenate(parts), shift + lo + first - 1
+            x, later, rows = x[:, ~left], [b[:, ~left] for b in later], rows[~left]
+            if not len(rows):
+                break
+        x = np.concatenate([x] + later)
     halvings = 0
     while dt * 0.5**halvings * max(fieldh.h_upper, 1e-30) > tol_len:
         halvings += 1
     widths = dt * 0.5 ** np.arange(halvings + 1)
-    x_lo = x[steps, np.arange(x.shape[1])]
+    x_lo = np.array([row[-1] for row in samples])
     lo = np.zeros(len(x_lo))
     for width in widths[1:]:
         trial = _flow(gen, x_lo, width)
         stay = domain.contains(trial)
         x_lo[stay] = trial[stay]
         lo[stay] += width
-    return x, steps, steps * dt + lo + widths[-1], _flow(gen, x_lo, widths[-1])
+    return samples, steps, steps * dt + lo + widths[-1], _flow(gen, x_lo, widths[-1])
 
 
 def _omega_rows(omegas, dim):
@@ -202,12 +226,14 @@ def integrate_orbits(fieldh, omegas, level, domain, tol=1e-9):
     out = []
     for i, omega in enumerate(omegas):
         nf, nb = fwd_steps[i], bwd_steps[i]
+        # a row's samples go once its orbit holds them
+        bwd, fwd, bwd_pts[i], fwd_pts[i] = bwd_pts[i], fwd_pts[i], None, None
         out.append(
             Orbit(
                 omega=tuple(omega),
                 level=float(level),
                 times=np.concatenate([-dt * np.arange(nb, 0, -1), dt * np.arange(nf + 1)]),
-                points=np.concatenate([bwd_pts[nb:0:-1, i], fwd_pts[: nf + 1, i]], axis=0),
+                points=np.concatenate([bwd[:0:-1], fwd], axis=0),
                 t_minus=float(-t_back[i]),
                 t_plus=float(t_plus[i]),
                 exit_minus=exit_minus[i].copy(),

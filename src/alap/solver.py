@@ -30,10 +30,17 @@ penalization width continued down a geometric schedule, until the L1
 change of chi at the final width drops below tolerance. Each outer sweep
 takes a single damped Newton step on the head, since the next chi update
 moves its target again; the final pair is then polished strictly to
-inner_tol at the converged chi. The published pair is projected into
-[0, M]; mid-iteration heads may transiently leave the bounds, and the
-converged head re-enters them on its own up to a sub-cell tail at the
-interface.
+inner_tol at the converged chi. The wide stages run by nested iteration
+(Brandt 1977): the nested grids halve every axis's cell count while all
+counts stay even, and each stage runs on the coarsest of them whose
+largest spacing is at most its width, so the layer of a unit-slope head
+spans at least one cell; the final width runs on the solve's own grid.
+At each change of grid u is prolonged by exact multilinear interpolation
+of the nested nodes, with the finer grid's Dirichlet data on its
+boundary, and chi is injected into the 2^dim child cells. The published
+pair is projected into [0, M]; mid-iteration heads may transiently leave
+the bounds, and the converged head re-enters them on its own up to a
+sub-cell tail at the interface.
 """
 
 import functools
@@ -94,14 +101,21 @@ class SolveReport:
     final_chi_change: float = np.inf
     energy_history: list = field(default_factory=list)
     stalled_sweeps: int = 0  # sweeps whose Newton line search stalled
+    grid_sweeps: dict = field(default_factory=dict)  # node counts -> sweeps run there
     constraints: Optional[geometry.ComplementarityReport] = None
     converged: bool = False
     wall_time: float = 0.0
 
     def summary_lines(self):
+        """The lines of ``solve_report.txt``. The sweeps per grid give each
+        grid's node counts and the outer sweeps run on it, coarsest first;
+        each sweep's energy is that of the grid it ran on."""
+        per_grid = " ".join(f"{'x'.join(map(str, c))}:{n}" for c, n in self.grid_sweeps.items())
         lines = [
             f"converged: {self.converged}",
             f"outer iterations: {self.outer_iterations}",
+            f"sweeps per grid: {per_grid}",
+            f"stalled sweeps: {self.stalled_sweeps}",
             f"inner Newton steps: {self.inner_iterations}",
             f"final residual (max norm): {self.final_residual:.6e}",
             f"final chi change (L1): {self.final_chi_change:.6e}",
@@ -132,12 +146,14 @@ def _face_point_axes(grid, k):
 def _face_field_values(grid, fieldh):
     """Normal drift H_k at the axis-k face midpoints, one array per axis.
 
-    H is fixed for a whole solve, so a solve evaluates it here once.
+    H is fixed for a whole solve, so a solve evaluates it here once per
+    grid; each axis keeps a copy of its own component only, not a view
+    that would hold every component alive.
     """
     out = []
     for k in range(grid.dim):
         mesh = np.meshgrid(*_face_point_axes(grid, k), indexing="ij")
-        out.append(fieldh(np.stack(mesh, axis=-1))[..., k])
+        out.append(fieldh(np.stack(mesh, axis=-1))[..., k].copy())
     return out
 
 
@@ -573,6 +589,67 @@ def _penalization_stages(eps_final, m_ceiling):
     return stages[::-1]
 
 
+def _nested_grids(grid):
+    """``grid`` and its nested coarsenings, finest first: each halves every
+    axis's cell count, while every count is even and at least 4."""
+    grids = [grid]
+    cells = grid.cell_counts
+    while all(c % 2 == 0 and c >= 4 for c in cells):
+        cells = tuple(c // 2 for c in cells)
+        grids.append(geometry.build_grid(grid.domain, tuple(c + 1 for c in cells)))
+    return grids
+
+
+def _stage_grids(grid, stages):
+    """The grid each penalization stage of ``stages`` runs on.
+
+    A stage runs on the coarsest nested grid whose largest spacing is at
+    most its width, so the layer of a unit-slope head spans at least one
+    cell; the widths shrink, so a stage never runs coarser than the one
+    before. The final width runs on ``grid`` itself.
+    """
+    nested = _nested_grids(grid)
+    out = []
+    for eps_k in stages[:-1]:
+        fits = [g for g in nested if float(np.max(g.spacing)) <= eps_k]
+        out.append(fits[-1] if fits else grid)
+    return out + [grid]
+
+
+def _prolong_nodes(u):
+    """Exact multilinear interpolation of a node array onto the nested grid
+    with every axis's cell count doubled: a shared node keeps its value, a
+    new one takes the mean of its two neighbours along each axis in turn."""
+    out = np.asarray(u, dtype=float)
+    for k in range(out.ndim):
+        c = np.moveaxis(out, k, 0)
+        f = np.empty((2 * c.shape[0] - 1,) + c.shape[1:])
+        f[0::2] = c
+        np.add(c[:-1], c[1:], out=f[1::2])
+        f[1::2] *= 0.5
+        out = np.moveaxis(f, 0, k)
+    return out
+
+
+def _inject_cells(chi):
+    """A cell array on the nested grid with every axis's cell count doubled:
+    each cell's value on its 2^dim children, which keeps its integral."""
+    out = np.asarray(chi, dtype=float)
+    for k in range(out.ndim):
+        out = np.repeat(out, 2, axis=k)
+    return out
+
+
+def _refine(u, chi, grid):
+    """(u, chi) of a nested coarser grid carried to ``grid``, with u reset
+    to ``grid``'s Dirichlet data on the boundary nodes."""
+    while u.shape != grid.counts:
+        u, chi = _prolong_nodes(u), _inject_cells(chi)
+    boundary = grid.boundary_mask()
+    u[boundary] = grid.dirichlet_array()[boundary]
+    return u, chi
+
+
 def solve_problem(grid, profile, fieldh, domain, config=None):
     """Coupled solve of the constrained problem on ``grid``.
 
@@ -580,11 +657,16 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     linear (power p = 2) solve of the boundary data with chi = 0, chi by
     the cut-off of that head; each outer step under-relaxes chi toward
     min(u/eps, 1) and takes one damped Newton step on the head, with eps
-    continued down a geometric schedule to its configured value. Stops when
-    the L1 change of chi at the final eps drops below the outer tolerance,
-    then solves the head strictly at the converged chi. Raises
-    NonConvergenceError naming the stop reason (a plateau at the final
-    width, or the max_outer budget) otherwise.    Newton directions use numpy sine-matrix products, never scipy.
+    continued down a geometric schedule to its configured value. Each
+    stage runs on the grid ``_stage_grids`` assigns it; the warm-up solve
+    and the first sweep run on the first stage's grid, and each change of
+    grid carries the pair over by ``_refine`` and builds a new head, so H
+    is evaluated once per grid. Stops when the L1 change of chi at the
+    final eps drops below the outer tolerance, then solves the head
+    strictly at the converged chi. Raises NonConvergenceError naming the
+    stop reason (a plateau at the final width, or the max_outer budget)
+    otherwise. Newton directions use numpy sine-matrix products, never
+    scipy.
     """
     if domain is not grid.domain:
         raise ValueError("domain must be the grid's domain")
@@ -594,18 +676,20 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     t0 = time.perf_counter()
     report = SolveReport()
 
-    # H is fixed for the whole solve: evaluated once on faces (by the head)
-    # and once on cells
-    head = _Head(grid, fieldh, cfg, grid.dirichlet_array())
-    hcells = fieldh(grid.cell_centers())
+    stages = _penalization_stages(cfg.eps, domain.m_ceiling)
+    stage_grids = _stage_grids(grid, stages)
+    cross_area = grid.cell_volume / float(np.min(grid.spacing)) * max(grid.counts)
+    # H is fixed for the whole solve: evaluated once per grid on faces (by
+    # the head) and once on cells
+    g = stage_grids[0]
+    head = _Head(g, fieldh, cfg, g.dirichlet_array())
+    hcells = fieldh(g.cell_centers())
     laplace = profiles.make_power(2.0)
-    chi0 = np.zeros(grid.cell_counts)
+    chi0 = np.zeros(g.cell_counts)
     u, inner_used, _ = _converged(head.newton(laplace, chi0, cfg.max_inner))
     report.inner_iterations += inner_used
 
-    stages = _penalization_stages(cfg.eps, domain.m_ceiling)
-    cross_area = grid.cell_volume / float(np.min(grid.spacing)) * max(grid.counts)
-    chi = _chi_target(grid, u, stages[0])
+    chi = _chi_target(g, u, stages[0])
     u, inner_used, rmax, _ = head.newton(profile, chi, 1)
     report.inner_iterations += inner_used
     report.stalled_sweeps += head.stalled
@@ -615,27 +699,34 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     # front (inexact Newton); the converged pair is polished strictly below
     converged = False
     plateau = False
-    cellvol = grid.cell_volume
     outer_total = 0
-    for eps_k in stages:
+    for eps_k, stage_grid in zip(stages, stage_grids):
+        if stage_grid is not g:
+            g = stage_grid
+            # the coarser grid's arrays go before the finer grid's are built
+            head = hcells = None
+            u, chi = _refine(u, chi, g)
+            head = _Head(g, fieldh, cfg, u)
+            hcells = fieldh(g.cell_centers())
         final_stage = eps_k == stages[-1]
         stage_tol = cfg.outer_tol if final_stage else max(cfg.outer_tol, 0.02 * eps_k * cross_area)
         stage_relax = cfg.relax
         history = []
         while outer_total < cfg.max_outer:
-            target = _chi_target(grid, u, eps_k)
+            target = _chi_target(g, u, eps_k)
             chi_new = (1.0 - stage_relax) * chi + stage_relax * target
-            dchi = float(np.sum(np.abs(chi_new - chi)) * cellvol)
+            dchi = float(np.sum(np.abs(chi_new - chi)) * g.cell_volume)
             chi = chi_new
             u, inner_used, rmax, _ = head.newton(profile, chi, 1)
             outer_total += 1
             report.inner_iterations += inner_used
             report.stalled_sweeps += head.stalled
             report.outer_iterations = outer_total
+            report.grid_sweeps[g.counts] = report.grid_sweeps.get(g.counts, 0) + 1
             report.final_residual = rmax
             report.final_chi_change = dchi
             report.energy_history.append(
-                energy(grid, profile, fieldh, u, chi, hcells, normals=head.normals)
+                energy(g, profile, fieldh, u, chi, hcells, normals=head.normals)
             )
             if dchi <= stage_tol:
                 converged = final_stage
@@ -666,6 +757,8 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
         except NonConvergenceError as exc:
             report.wall_time = time.perf_counter() - t0
             raise NonConvergenceError(str(exc), report=report) from exc
+    if g is not grid:  # the budget ran out on a coarser grid
+        u, chi = _refine(u, chi, grid)
     report.wall_time = time.perf_counter() - t0
     report.converged = converged
     # the converged head is nonnegative up to an exponentially small tail;

@@ -194,6 +194,27 @@ def test_cli_check_barriers(tmp_path):
     assert os.path.exists(os.path.join(out, "barriers.csv"))
 
 
+def test_barriers_csv_agrees_with_each_report(tmp_path):
+    # the boundary barrier is a supersolution, so its margin is rhs - lhs;
+    # every report's rows must carry the margins its verdict is read from
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "bar")
+    assert cli.main(["check-barriers", "--config", cfg_path, "--out", out]) == 0
+    rows = {}
+    with open(os.path.join(out, "barriers.csv"), encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            rows.setdefault(row["barrier"], []).append(row)
+    with open(os.path.join(out, "barriers_report.txt"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == len(rows) and any(label.startswith("boundary_") for label in rows)
+    for line in lines:
+        label, verdict = line.split(": ")
+        passed, min_margin = verdict.split(" ")
+        margins = [float(r["margin"]) for r in rows[label]]
+        assert passed == f"pass={all(r['pass'] == '1' for r in rows[label])}"
+        assert min_margin == f"min_margin={min(margins):.3e}"
+
+
 def test_cli_trace(tmp_path):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "trace")

@@ -361,6 +361,52 @@ def test_exact_flow_orbits_match_rk4_reference(case):
         assert (orb.face_minus, orb.face_plus) == (_faces(dom, x_minus), _faces(dom, x_plus))
 
 
+def _doubling_march(fieldh, domain, seeds, dt, tol_len, max_steps):
+    """The batch march that doubles every row until the slowest one exits,
+    as the engine ran before it dropped exited rows; ``samples[k, i]`` is
+    row i at time k * dt, valid for k <= steps[i]."""
+    gen = orbits._generator(fieldh)
+    x = np.array(seeds, dtype=float)[None]
+    inside = domain.contains(x)
+    while not np.all(np.any(~inside, axis=0)):
+        if len(x) > max_steps:
+            raise AssertionError("orbit march exceeded its step budget")
+        later = orbits._flow(gen, x, len(x) * dt)
+        x = np.concatenate([x, later])
+        inside = np.concatenate([inside, domain.contains(later)])
+    steps = np.argmin(inside, axis=0) - 1
+    halvings = 0
+    while dt * 0.5**halvings * max(fieldh.h_upper, 1e-30) > tol_len:
+        halvings += 1
+    widths = dt * 0.5 ** np.arange(halvings + 1)
+    x_lo = x[steps, np.arange(x.shape[1])]
+    lo = np.zeros(len(x_lo))
+    for width in widths[1:]:
+        trial = orbits._flow(gen, x_lo, width)
+        stay = domain.contains(trial)
+        x_lo[stay] = trial[stay]
+        lo[stay] += width
+    return x, steps, steps * dt + lo + widths[-1], orbits._flow(gen, x_lo, widths[-1])
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_march_without_exited_rows_is_bit_identical(case):
+    dom, f, omegas, level = ENGINE_CASES[case]()
+    seeds = np.array([list(om) + [level] for om in omegas])
+    dt = dom.delta / orbits.STEP_DIVISOR
+    args = (dom, seeds, dt, 1e-9 * dom.delta, orbits.STEP_DIVISOR * 64)
+    for fieldh in (f, orbits._reversed(f)):
+        samples, steps, t_exit, x_exit = orbits._march(fieldh, *args)
+        ref, ref_steps, ref_t, ref_x = _doubling_march(fieldh, *args)
+        if case in ("constant", "affine_full"):
+            # the rows leave at different steps, so some leave the doubling early
+            assert len(set(ref_steps.tolist())) > 1
+        assert np.array_equal(steps, ref_steps)
+        assert np.array_equal(t_exit, ref_t) and np.array_equal(x_exit, ref_x)
+        for i, row in enumerate(samples):
+            assert np.array_equal(row, ref[: ref_steps[i] + 1, i])
+
+
 def _ref_cumulative_simpson(vals, h):
     n = len(vals)
     cum = np.zeros(n)

@@ -275,6 +275,115 @@ def test_solve_evaluates_the_field_once():
     assert report.energy_history == plain_report.energy_history
 
 
+# --- nested iteration: wide stages on coarser nested grids --------------------
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_prolongation_reproduces_multilinear_node_fields(dim):
+    lower, upper = [0.0] * dim, [1.0] * dim
+    dom = geometry.box_domain(lower, upper, [], geometry.BoundaryData("zero"), 1.0)
+    coarse = geometry.build_grid(dom, (5, 9, 3)[:dim])
+    fine = geometry.build_grid(dom, (9, 17, 5)[:dim])
+
+    def multilinear(x):
+        # every product of distinct coordinates, each with its own weight
+        out = 0.25 + 0.0 * x[..., 0]
+        for mask in range(1, 2**dim):
+            term = 1.0 + mask / 8.0
+            for k in range(dim):
+                if mask >> k & 1:
+                    term = term * (x[..., k] - 0.375 * k)
+            out = out + term
+        return out
+
+    prolonged = solver._prolong_nodes(multilinear(coarse.nodes()))
+    assert prolonged.shape == fine.counts
+    assert np.max(np.abs(prolonged - multilinear(fine.nodes()))) <= 1e-14
+
+
+def test_injection_keeps_the_cell_integral_of_chi():
+    dom = dam_domain()
+    coarse = geometry.build_grid(dom, (9, 17))
+    fine = geometry.build_grid(dom, (17, 33))
+    chi = np.random.default_rng(5).uniform(0.0, 1.0, coarse.cell_counts)
+    injected = solver._inject_cells(chi)
+    assert injected.shape == fine.cell_counts
+    assert injected[1::2, 0::2][3, 5] == chi[3, 5]
+    integral = np.sum(chi) * coarse.cell_volume
+    assert abs(np.sum(injected) * fine.cell_volume - integral) <= 1e-14 * integral
+
+
+def test_fine_dam_runs_each_stage_on_the_grid_its_width_admits():
+    # the coarsest nested grid whose spacing is at most the stage width,
+    # and the fine grid for the final width
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (257, 257))
+    prof = profiles.make_power(2.0)
+    f = fields.make_constant_field([0.0, 1.0])
+    cfg = solver.SolverConfig().resolved(grid, prof, f)
+    stages = solver._penalization_stages(cfg.eps, dom.m_ceiling)
+    nested = (257, 129, 65, 33, 17, 9, 5, 3)
+    predicted = [min((n for n in nested if 1.0 / (n - 1) <= eps), default=257)
+                 for eps in stages[:-1]] + [257]
+    assert predicted[:4] == [33, 65, 129, 257]
+    assigned = [g.counts for g in solver._stage_grids(grid, stages)]
+    assert assigned == [(n, n) for n in predicted]
+    assert all(a[0] <= b[0] for a, b in zip(assigned, assigned[1:]))
+    pair, report = solver.solve_problem(grid, prof, f, dom)
+    assert report.converged
+    assert list(report.grid_sweeps) == [(n, n) for n in dict.fromkeys(predicted)]
+    assert sum(report.grid_sweeps.values()) == report.outer_iterations
+    assert len(report.energy_history) == report.outer_iterations
+    per_grid = " ".join(f"{n}x{n}:{report.grid_sweeps[(n, n)]}" for n in dict.fromkeys(predicted))
+    assert f"sweeps per grid: {per_grid}" in report.summary_lines()
+    assert "stalled sweeps: 0" in report.summary_lines()
+    assert pair.u.shape == grid.counts and pair.chi.shape == grid.cell_counts
+    assert np.max(np.abs(pair.u - dam_exact(grid))) <= grid.spacing[1]
+
+
+def test_each_grid_of_a_solve_evaluates_the_field_once():
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (65, 65))
+    base = fields.make_constant_field([0.0, 1.0])
+    calls = []
+
+    def counting_eval(x):
+        calls.append(x.shape)
+        return base.eval_fn(x)
+
+    f = dataclasses.replace(base, eval_fn=counting_eval)
+    _, report = solver.solve_problem(grid, profiles.make_power(2.0), f, dom)
+    assert report.converged and list(report.grid_sweeps) == [(33, 33), (65, 65)]
+    assert len(calls) == (grid.dim + 1) * len(report.grid_sweeps)
+    assert calls.count((32, 32, 2)) == calls.count((64, 64, 2)) == 1
+
+
+def test_odd_cell_count_never_coarsens():
+    # 96 cells along y would halve, 97 along x cannot: the solve runs on its
+    # own grid only, although its wide stages would admit a coarser one
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (98, 97))
+    prof = profiles.make_power(2.0)
+    f = fields.make_constant_field([0.0, 1.0])
+    assert solver._nested_grids(grid) == [grid]
+    cfg = solver.SolverConfig().resolved(grid, prof, f)
+    assert solver._penalization_stages(cfg.eps, dom.m_ceiling)[0] >= 2.0 * np.max(grid.spacing)
+    _, report = solver.solve_problem(grid, prof, f, dom)
+    assert report.converged
+    assert report.grid_sweeps == {grid.counts: report.outer_iterations}
+    assert f"sweeps per grid: 98x97:{report.outer_iterations}" in report.summary_lines()
+
+
+def test_budget_spent_on_a_coarse_grid_names_the_stop_reason():
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (65, 65))
+    cfg = solver.SolverConfig(max_outer=3)
+    with pytest.raises(NonConvergenceError, match="exhausted 3 iterations") as info:
+        solver.solve_problem(grid, profiles.make_power(2.0), fields.make_constant_field([0.0, 1.0]), dom, cfg)
+    report = info.value.report
+    assert report.grid_sweeps == {(33, 33): 3} and not report.converged
+
+
 # --- face kernel against the stacked formulas it replaced --------------------
 # The references below are the solver's earlier formulas, which stack each
 # face gradient and reduce over its trailing component axis. The kernel must
