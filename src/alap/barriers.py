@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from alap.errors import OutOfRingError
 from alap.quadrature import adaptive_simpson
 
 #: pass threshold for pointwise differential-inequality margins
@@ -141,19 +140,6 @@ def make_hopf_barrier(center, radius, kappa, dim, a0):
         floor_value=math.exp(-alpha * radius**2 / 4.0) - math.exp(-alpha * radius**2),
         dim=dim, a0=float(a0), kappa=float(kappa), alpha=alpha, amplitude=1.0,
     )
-
-
-def radial_barrier_value(barrier, x):
-    """v(x) on the ring; raises OutOfRingError outside [r/2, r + margin]."""
-    rho = barrier.rho(x)
-    lo = barrier.radius / 2.0 - 1e-12 * barrier.radius
-    hi = barrier.outer_radius + 1e-12 * barrier.radius
-    if np.any(rho < lo) or np.any(rho > hi):
-        raise OutOfRingError("evaluation point outside the barrier ring")
-    v = barrier.amplitude * (
-        np.exp(-barrier.alpha * rho**2) - np.exp(-barrier.alpha * barrier.outer_radius**2)
-    )
-    return float(v[0]) if np.asarray(x).ndim == 1 else v
 
 
 def _ring_pieces(barrier, rho):
@@ -280,25 +266,6 @@ def certify_hopf_inequality(barrier, profile, scale, samples=None, seed=0):
     return _certify_ring(label, barrier, profile, scale, samples, seed)
 
 
-def ring_flux_margin(barrier, profile, h_upper):
-    """The flux margin a(...)/(r+margin) - h_upper whose sign selects the
-    growth-constant branch.
-
-    Uses the conservative lower bound of |grad v| on the ring (outer-shell
-    exponential with the inner-shell radius factor).
-    """
-    r, eps, kap = barrier.radius, barrier.margin, barrier.kappa
-    alpha = barrier.alpha
-    outer = r + eps
-    grad_lower = (
-        (kap / r)
-        * barrier.floor_value
-        * math.exp(-alpha * outer**2)
-        / (math.exp(-kap / 4.0) - math.exp(-alpha * outer**2))
-    )
-    return float(profile.a(grad_lower)) / outer - h_upper
-
-
 def lipschitz_constant_nonpositive_margin(profile, dim, h_upper, delta):
     """Growth constant for the branch where the ring flux margin is <= 0:
 
@@ -319,12 +286,6 @@ def lipschitz_constant_positive_margin(profile, dim, h_upper):
         raise ValueError("h_upper must be positive")
     kap = _canonical_kappa(dim, profile.a0)
     return float(profile.a_inv(h_upper)) * (math.exp(0.75 * kap) - 1.0) / (2.0 * kap)
-
-
-def hopf_outer_normal_derivative(barrier, scale=1.0):
-    """d(scale v)/d rho at the outer sphere: negative for every admissible kappa."""
-    a, radius = barrier.alpha, barrier.radius
-    return float(scale * (-2.0 * a * radius * math.exp(-a * radius**2)))
 
 
 # ---------------------------------------------------------------------------

@@ -182,12 +182,23 @@ def cmd_check_barriers(args):
         bb = barriers.make_boundary_barrier(
             prof, tuple(x1), sphere_r, dom.m_ceiling, cfg.fieldh.h_upper, dom.delta, dom.dim
         )
+        # the inequality is claimed in the domain only: draw batches from the
+        # seeded rng and keep the points inside the box, in order, until 200
         rng = np.random.default_rng(cfg.seed)
-        dists = rng.uniform(1e-3 * dom.delta, 0.999 * dom.delta, 200)
-        raw = rng.normal(size=(200, dom.dim))
-        raw[:, -1] = np.abs(raw[:, -1])  # keep samples on the domain side
-        raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-        pts = x1 + (sphere_r + dists)[:, None] * raw
+        kept, count = [], 0
+        for _ in range(100):
+            if count >= 200:
+                break
+            dists = rng.uniform(1e-3 * dom.delta, 0.999 * dom.delta, 200)
+            raw = rng.normal(size=(200, dom.dim))
+            raw[:, -1] = np.abs(raw[:, -1])  # keep samples on the domain side
+            raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+            pts = x1 + (sphere_r + dists)[:, None] * raw
+            kept.append(pts[dom.contains(pts)])
+            count += len(kept[-1])
+        if count < 200:
+            raise ConfigError(f"only {count} of 20000 exterior-sphere samples lie in the domain")
+        pts = np.concatenate(kept)[:200]
         return [barriers.certify_boundary_supersolution(bb, prof, cfg.fieldh, pts)]
 
     results = [item for job in (radial_job, hopf_job, boundary_job) for item in job()]
@@ -306,7 +317,9 @@ def cmd_verify_fb(args):
     levels, omegas = _fb_setup(cfg, args)
     grid, pair, report = _solved(cfg)
     rcfg = cfg.solver_config.resolved(grid, cfg.profile, cfg.fieldh)
-    tol_chi = free_boundary.default_chi_monotone_tol(rcfg.eps, pair.eps_u, cfg.domain.m_ceiling)
+    tol_chi = free_boundary.default_chi_monotone_tol(
+        rcfg.eps, pair.eps_u, cfg.domain.m_ceiling, rcfg.outer_tol
+    )
     lsc_tol = _lsc_tol(cfg, grid, pair.u)
     summary = []
     ok = True

@@ -5,10 +5,6 @@ class DegenerateInputError(ValueError):
     """Inputs collapse a strict inequality (e.g. equal vectors in the gap)."""
 
 
-class OutOfRingError(ValueError):
-    """Evaluation point lies outside a barrier's annulus of definition."""
-
-
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

@@ -53,10 +53,30 @@ def _resample(orbit, count):
     return orbit.points[idx]
 
 
-def default_chi_monotone_tol(eps, eps_u, m_ceiling):
-    """Allowed spurious chi uptick: penalization fraction of the head scale
-    plus the discretization-noise fraction of the saturation scale."""
-    return 2.0 * eps / m_ceiling + 2.0 * eps_u / eps
+def default_chi_monotone_tol(eps, eps_u, m_ceiling, outer_tol=1e-7):
+    """Allowed chi uptick along an orbit of a converged solve:
+    2 outer_tol + 8 ulp(1) m_ceiling / eps.
+
+    A converged solve publishes chi = T(u) + r, where T(u) = min(u_c/eps, 1)
+    is the cut-off of the cell averages u_c of the projected head and
+    |r| <= outer_tol its fixed-point residual (the stop of the solver's
+    final stage, ``solver.outer_tol``). For a cell a that an orbit crosses
+    before a cell b,
+
+        chi_b - chi_a = T_b - T_a + r_b - r_a
+                     <= max(u_b - u_a, 0) / eps + 2 outer_tol,
+
+    as T is nondecreasing and 1/eps-Lipschitz in u_c. The head does not
+    increase along the orbits of H, and the average over a cell of such a
+    head does not increase from one cell of an axis-aligned orbit to the
+    next (the orbits of every shipped config are vertical), so what is left
+    of u_b - u_a is the roundoff of the cell averages, a few ulps of
+    m_ceiling, which the cut-off magnifies by 1/eps. ``eps_u`` does not
+    enter: a head noise of eps_u would allow 2 eps_u / eps = 1/2 at the
+    default width eps = 4 eps_u, which no planted uptick below one half
+    could fail.
+    """
+    return 2.0 * outer_tol + 8.0 * np.finfo(float).eps * m_ceiling / eps
 
 
 @dataclass(frozen=True)
@@ -71,8 +91,9 @@ def certify_chi_monotone(solution, grid, orbits, tol=None, samples=None):
     """Largest uptick of chi along each orbit against the tolerance.
 
     The uptick of one orbit is max_j (chi_j - min_{i<=j} chi_i) over its
-    samples in time order. ``tol`` defaults to the standard formula at the
-    default penalization width 4 * eps_u. ``samples`` holds each orbit's
+    samples in time order. ``tol`` defaults to ``default_chi_monotone_tol``
+    at the default penalization width 4 * eps_u and the default
+    ``solver.outer_tol``. ``samples`` holds each orbit's
     (u-samples, chi-samples) as from ``sample_along_orbit``; the orbits are
     sampled here when None.
     """

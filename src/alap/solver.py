@@ -25,16 +25,21 @@ square root of the ratio of the Laplacian's diagonal to the operator's
 (Concus & Golub 1973).
 
 Outer loop: chi is tied to u through the cut-off min(u/eps, 1) evaluated
-at cell centers, under-relaxed to damp free-boundary oscillation, with the
-penalization width continued down a geometric schedule, until the L1
-change of chi at the final width drops below tolerance. Each outer sweep
-takes a single damped Newton step on the head, since the next chi update
-moves its target again; the final pair is then polished strictly to
-inner_tol at the converged chi. The wide stages run by nested iteration
-(Brandt 1977): the nested grids halve every axis's cell count while all
-counts stay even, and each stage runs on the coarsest of them whose
-largest spacing is at most its width, so the layer of a unit-slope head
-spans at least one cell; the final width runs on the solve's own grid.
+at cell centers, under-relaxed to damp free-boundary oscillation and
+accelerated by type-II Anderson mixing of depth 5 (Walker & Ni 2011),
+whose history restarts whenever the residual's 2-norm grows (after Zhang,
+O'Donoghue & Boyd 2020), with the penalization width continued down a
+geometric schedule, until the fixed-point residual max |chi - min(u/eps,
+1)| at the final width is at most outer_tol. Each outer sweep takes a
+single damped Newton step on the head, since the next chi update moves
+its target again; the final pair is then polished strictly to inner_tol
+at the converged chi. The Newton CG runs on interior-node arrays, with
+the operator's face weights built once per Newton step. The wide stages
+run by nested iteration (Brandt 1977): the nested grids halve every
+axis's cell count while all counts stay even, and each stage runs on the
+coarsest of them whose largest spacing is at most its width, so the layer
+of a unit-slope head spans at least one cell; the final width runs on the
+solve's own grid.
 At each change of grid u is prolonged by exact multilinear interpolation
 of the nested nodes, with the finer grid's Dirichlet data on its
 boundary, and chi is injected into the 2^dim child cells. The published
@@ -61,6 +66,8 @@ class SolverConfig:
     ``eps`` (penalization) and ``inner_tol`` (absolute residual max-norm)
     resolve to grid-dependent defaults when left as None: eps = 4 * eps_u
     and inner_tol = inner_tol_factor * (a(M/delta) + h_upper) * V / h_min.
+    The final stage stops once the fixed-point residual, the largest
+    |chi - min(u/eps, 1)| over the cells, is at most ``outer_tol``.
     """
 
     eps: Optional[float] = None
@@ -99,6 +106,9 @@ class SolveReport:
     inner_iterations: int = 0
     final_residual: float = np.inf
     final_chi_change: float = np.inf
+    # max |chi - target(u)|: of the published pair once converged, else at
+    # the last stop test
+    fixed_point_residual: float = np.inf
     energy_history: list = field(default_factory=list)
     stalled_sweeps: int = 0  # sweeps whose Newton line search stalled
     grid_sweeps: dict = field(default_factory=dict)  # node counts -> sweeps run there
@@ -119,6 +129,7 @@ class SolveReport:
             f"inner Newton steps: {self.inner_iterations}",
             f"final residual (max norm): {self.final_residual:.6e}",
             f"final chi change (L1): {self.final_chi_change:.6e}",
+            f"fixed-point residual (max norm): {self.fixed_point_residual:.6e}",
             f"wall time (s): {self.wall_time:.3f}",
         ]
         if self.constraints is not None:
@@ -257,37 +268,60 @@ def _conductances(grid, profile, faces, mu, rel_floor):
     return [np.maximum(c, rel_floor * cmax) for c in cond]
 
 
-def _neg_jacobian_apply(grid, cond, v):
-    """Plain application of the SPD operator to a node array."""
-    w = np.zeros(grid.counts)
-    vol = grid.cell_volume
+def _face_weights(grid, cond):
+    """Face weights cond_k vol / h_k^2 of the Newton operator on the axis-k
+    faces of interior-node rows: every face along axis k, the interior
+    rows across the others. Built once per Newton step."""
+    out = []
     for k in range(grid.dim):
-        dv = np.diff(v, axis=k) / grid.spacing[k]
-        lin = cond[k] * dv
-        inner = [slice(None)] * grid.dim
-        inner[k] = slice(1, -1)
-        w[tuple(inner)] -= np.diff(lin, axis=k) / grid.spacing[k] * vol
-    return w
+        cut = tuple(slice(None) if j == k else slice(1, -1) for j in range(grid.dim))
+        out.append(cond[k][cut] * (grid.cell_volume / grid.spacing[k] ** 2))
+    return out
 
 
-def _diagonal_scaling(grid, cond):
+def _neg_jacobian_apply(weights, v, padded):
+    """The SPD operator applied to an interior-node array ``v``.
+
+    ``weights`` are the face weights from ``_face_weights``. ``padded`` is a
+    node array whose boundary nodes hold 0; ``v`` is written into its
+    interior, so the boundary faces see homogeneous Dirichlet data and the
+    buffer serves every apply of a solve.
+    """
+    dim = v.ndim
+    padded[(slice(1, -1),) * dim] = v
+    out = None
+    for k, w in enumerate(weights):
+        # the nodes below and above each face, across the interior rows
+        below = tuple(slice(None, -1) if j == k else slice(1, -1) for j in range(dim))
+        above = tuple(slice(1, None) if j == k else slice(1, -1) for j in range(dim))
+        flux = padded[above] - padded[below]
+        flux *= w
+        # each interior node's lower and upper face along axis k
+        lower = tuple(slice(None, -1) if j == k else slice(None) for j in range(dim))
+        upper = tuple(slice(1, None) if j == k else slice(None) for j in range(dim))
+        if out is None:
+            out = flux[lower] - flux[upper]
+        else:
+            out += flux[lower]
+            out -= flux[upper]
+    return out
+
+
+def _diagonal_scaling(grid, weights):
     """Interior-node scaling S = (d_ref / diag)^(1/2) of the operator.
 
-    ``diag`` is the diagonal of the face-conductance operator built from
-    ``cond`` (as from ``_conductances``), ``d_ref = vol * sum_k 2 / h_k^2``
-    the diagonal of the unit-coefficient Laplacian that the preconditioner
-    inverts. A reference coefficient c_ref would cancel between the two
-    factors of S and the inverse, so none is taken.
+    ``diag`` is the diagonal of the face-conductance operator with face
+    weights ``weights`` (as from ``_face_weights``), ``d_ref = vol * sum_k
+    2 / h_k^2`` the diagonal of the unit-coefficient Laplacian that the
+    preconditioner inverts. A reference coefficient c_ref would cancel
+    between the two factors of S and the inverse, so none is taken.
     """
-    vol = grid.cell_volume
-    diag = np.zeros(tuple(n - 2 for n in grid.counts))
+    diag = 0.0
     d_ref = 0.0
-    for k in range(grid.dim):
-        w = vol / grid.spacing[k] ** 2
-        c = cond[k][tuple(slice(None) if j == k else slice(1, -1) for j in range(grid.dim))]
-        c = np.moveaxis(c, k, 0)
-        diag += np.moveaxis(c[:-1] + c[1:], 0, k) * w
-        d_ref += 2.0 * w
+    for k, w in enumerate(weights):
+        w = np.moveaxis(w, k, 0)
+        diag = diag + np.moveaxis(w[:-1] + w[1:], 0, k)
+        d_ref += 2.0 * (grid.cell_volume / grid.spacing[k] ** 2)
     if not np.all(diag > 0.0):
         raise SingularJacobianError("vanishing diagonal in Newton operator")
     return np.sqrt(d_ref / diag)
@@ -347,11 +381,11 @@ idstn = dstn
 class _SpectralPreconditioner:
     """Exact inverse of the constant-coefficient surrogate operator.
 
-    Solves c_ref * vol * (-Laplace_h) v = r on the interior with
-    homogeneous Dirichlet data by fast diagonalization (Lynch, Rice &
+    Solves c_ref * vol * (-Laplace_h) v = r for an interior-node array r
+    with homogeneous Dirichlet data by fast diagonalization (Lynch, Rice &
     Thomas 1964; Buzbee, Golub & Nielson 1970): one ``dstn``, a division by
     the eigenvalues and one ``idstn``. For a linear flux law this is the
-    exact Newton operator. With ``scale`` S (interior nodes, as from
+    exact Newton operator. With ``scale`` S (as from
     ``_diagonal_scaling``) it applies S L^-1 S instead, whose inverse
     shares the diagonal of the degenerate laws' operator; CG then needs
     fewer iterations than under L^-1 alone. Never assembles the operator;
@@ -360,53 +394,42 @@ class _SpectralPreconditioner:
     """
 
     def __init__(self, grid, c_ref, laplacian, scale=None):
-        self.grid = grid
         self.symbol = c_ref * grid.cell_volume * laplacian
         self.scale = scale
-        self.inner_slices = tuple(slice(1, -1) for _ in grid.counts)
 
     def apply(self, r):
-        out = np.zeros(self.grid.counts)
-        inner = r[self.inner_slices]
         if self.scale is not None:
-            inner = inner * self.scale
-        coeffs = dstn(inner)
-        v = idstn(coeffs / self.symbol)
+            r = r * self.scale
+        v = idstn(dstn(r) / self.symbol)
         if self.scale is not None:
             v *= self.scale
-        out[self.inner_slices] = v
-        return out
+        return v
 
 
-def _pcg(apply_op, precond, rhs, boundary, rtol, maxiter):
-    """Preconditioned conjugate gradients on node arrays.
+def _pcg(apply_op, precond, rhs, rtol, maxiter):
+    """Preconditioned conjugate gradients on interior-node arrays.
 
-    ``boundary`` masks the nodes that are not unknowns; they stay zero.
     Returns the iterate once |residual|_2 <= rtol |rhs|_2 or the budget
     runs out.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    r[boundary] = 0.0
     target = rtol * float(np.linalg.norm(r))
     if target == 0.0:
         return x
-    z = precond(r)
-    z[boundary] = 0.0
-    p = z.copy()
-    rz = float(np.sum(r * z))
+    p = precond(r)
+    rz = float(np.vdot(r, p))
     for _ in range(maxiter):
         ap = apply_op(p)
-        ap[boundary] = 0.0
-        alpha = rz / float(np.sum(p * ap))
+        alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
         if float(np.linalg.norm(r)) <= target:
             break
         z = precond(r)
-        z[boundary] = 0.0
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        rz_new = float(np.vdot(r, z))
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x
 
@@ -414,13 +437,14 @@ def _pcg(apply_op, precond, rhs, boundary, rtol, maxiter):
 class _Head:
     """The head iterate of one solve, with what its residual is built from.
 
-    A solve fixes H, the boundary nodes, the Laplacian eigenvalues of the
-    preconditioner and the exact inverse of the linear law's Newton
-    operator, so they are built here once. The head keeps its face
-    gradient and diffusive face fluxes: each iterate's face gradient is
-    built once, and the next Newton loop (the next sweep, at a new chi)
-    starts from the accepted head's flux, adding the new drift to it
-    exactly as a residual built from u would. A new iterate replaces the
+    A solve fixes H, the Laplacian eigenvalues of the preconditioner and
+    the exact inverse of the linear law's Newton operator, so they are
+    built here once, with the zero-bordered node buffer of every operator
+    apply; Newton directions are solved on the interior nodes only. The
+    head keeps its face gradient and diffusive face fluxes: each iterate's
+    face gradient is built once, and the next Newton loop (the next sweep,
+    at a new chi) starts from the accepted head's flux, adding the new
+    drift to it exactly as a residual built from u would. A new iterate replaces the
     arrays of the last one as soon as it is accepted. Iterates of a(t) = t
     build only their normal differences, that law's fluxes bit for bit.
     """
@@ -428,7 +452,8 @@ class _Head:
     def __init__(self, grid, fieldh, cfg, u):
         self.grid, self.fieldh, self.cfg = grid, fieldh, cfg
         self.hface = _face_field_values(grid, fieldh)
-        self.boundary = grid.boundary_mask()
+        self.inner = (slice(1, -1),) * grid.dim
+        self.padded = np.zeros(grid.counts)
         self.laplacian = _laplacian_eigenvalues(grid)
         # the linear law's conductances are all 1 up to roundoff, so its
         # Newton operator is the surrogate at coefficient 1 (floored at
@@ -478,10 +503,11 @@ class _Head:
             rmax = float(np.max(np.abs(res)))
             if rmax <= cfg.inner_tol:
                 return self.u, steps_used, rmax, True
+            d = np.zeros(grid.counts)
             if linear:
-                d = self.linear_inverse.apply(res)
+                d[self.inner] = self.linear_inverse.apply(res[self.inner])
             else:
-                d = self._cg_direction(profile, res)
+                d[self.inner] = self._cg_direction(profile, res[self.inner])
             if not np.all(np.isfinite(d)):
                 raise SingularJacobianError("non-finite Newton direction")
             # trust-region style clamp: degenerate zones can request huge moves
@@ -512,21 +538,21 @@ class _Head:
         return self.u, steps_used, rmax, rmax <= cfg.inner_tol
 
     def _cg_direction(self, profile, res):
-        """Newton direction of a law that is not linear: CG on the face
-        conductances of the head, preconditioned by the diagonally scaled
-        DST inverse."""
+        """Interior-node Newton direction of a law that is not linear: CG
+        on the face conductances of the head, preconditioned by the
+        diagonally scaled DST inverse."""
         grid, cfg = self.grid, self.cfg
         dom = grid.domain
         mu = cfg.mu_factor * dom.m_ceiling / dom.delta
-        cond = _conductances(grid, profile, self.faces, mu, cfg.cond_floor)
+        weights = _face_weights(grid, _conductances(grid, profile, self.faces, mu, cfg.cond_floor))
         precond = _SpectralPreconditioner(
-            grid, 1.0, self.laplacian, _diagonal_scaling(grid, cond)
+            grid, 1.0, self.laplacian, _diagonal_scaling(grid, weights)
         )
 
         def apply_op(v):
-            return _neg_jacobian_apply(grid, cond, v)
+            return _neg_jacobian_apply(weights, v, self.padded)
 
-        return _pcg(apply_op, precond.apply, res, self.boundary, cfg.cg_forcing, cfg.cg_maxiter)
+        return _pcg(apply_op, precond.apply, res, cfg.cg_forcing, cfg.cg_maxiter)
 
 
 def _converged(result):
@@ -572,6 +598,75 @@ def _chi_target(grid, u, eps):
     # which also pins cell complementarity of the published pair at eps/4
     clipped = np.clip(u, 0.0, grid.domain.m_ceiling)
     return np.clip(geometry.cell_average(clipped) / eps, 0.0, 1.0)
+
+
+#: steps and residual changes an Anderson history holds
+ANDERSON_DEPTH = 5
+
+
+class _Anderson:
+    """Type-II Anderson mixing of the relaxed chi update (Walker & Ni 2011).
+
+    With f = target - chi the residual of the fixed point chi = target(u),
+    a plain sweep steps by ``relax * f``. Mixing subtracts the combination
+    gamma of the last ``depth`` chi steps dX and residual changes dF that
+    best cancels f, gamma = argmin |f - dF gamma|_2:
+
+        step = relax * f - (dX + relax * dF) gamma,
+
+    and clips chi + step to [0, 1]. The history restarts (after Zhang,
+    O'Donoghue & Boyd 2020) whenever |f|_2 grows, and whenever its owner
+    calls ``clear`` (a new stage, width or relaxation), so that step is a
+    plain relaxed one. dX and dF are held in float32: they only steer the
+    step, while f itself is always the float64 residual. The slot of the
+    newest step holds -f until the next f completes its dF, so no copy of
+    the last chi or f is kept.
+    """
+
+    def __init__(self, depth, shape):
+        # slot i holds the pair (dX_i, dF_i), so the rows in use are one block
+        self.pairs = np.empty((depth, 2) + tuple(shape), dtype=np.float32)
+        self.slot = None  # the newest pair, whose dF holds -f of the last step
+        self.clear()
+
+    def clear(self):
+        self.rows = 0  # complete (dX, dF) pairs in the history
+        self.pending = False  # whether the newest pair waits for its next f
+        self.norm = np.inf
+
+    def reverses(self, f):
+        """Whether the residual f points against the last step's residual."""
+        if self.slot is None:
+            return False
+        return float(np.vdot(self.pairs[self.slot, 1], f.astype(np.float32))) > 0.0
+
+    def step(self, chi, f, relax):
+        """chi's next iterate, from chi and its residual f."""
+        flat = f.astype(np.float32).ravel()
+        norm = float(np.linalg.norm(f))
+        if norm > self.norm:
+            self.clear()
+        self.norm = norm
+        depth = len(self.pairs)
+        if self.pending:
+            self.pairs[self.slot, 1] += f
+            self.rows = min(self.rows + 1, depth)
+        chi_new = relax * f
+        if self.rows:
+            pairs = self.pairs[: self.rows].reshape(2 * self.rows, -1)
+            df = pairs[1::2]
+            gram = (df @ df.T).astype(float)
+            gamma = np.linalg.lstsq(gram, (df @ flat).astype(float), rcond=1e-6)[0]
+            # (dX + relax dF) gamma in one pass over the interleaved pairs
+            weights = np.column_stack((gamma, relax * gamma)).astype(np.float32).ravel()
+            chi_new -= (weights @ pairs).reshape(f.shape)
+        chi_new += chi
+        np.clip(chi_new, 0.0, 1.0, out=chi_new)
+        self.slot = self.rows if self.rows < depth else (self.slot + 1) % depth
+        np.subtract(chi_new, chi, out=self.pairs[self.slot, 0], casting="same_kind")
+        np.negative(f, out=self.pairs[self.slot, 1], casting="same_kind")
+        self.pending = True
+        return chi_new
 
 
 def _penalization_stages(eps_final, m_ceiling):
@@ -655,15 +750,18 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
 
     Returns (SolutionPair, SolveReport). The head is initialized by one
     linear (power p = 2) solve of the boundary data with chi = 0, chi by
-    the cut-off of that head; each outer step under-relaxes chi toward
-    min(u/eps, 1) and takes one damped Newton step on the head, with eps
-    continued down a geometric schedule to its configured value. Each
-    stage runs on the grid ``_stage_grids`` assigns it; the warm-up solve
-    and the first sweep run on the first stage's grid, and each change of
-    grid carries the pair over by ``_refine`` and builds a new head, so H
-    is evaluated once per grid. Stops when the L1 change of chi at the
-    final eps drops below the outer tolerance, then solves the head
-    strictly at the converged chi. Raises NonConvergenceError naming the
+    the cut-off of that head; each outer step moves chi toward the target
+    min(u/eps, 1) by an Anderson-mixed relaxed step (``_Anderson``) and
+    takes one damped Newton step on the head, with eps continued down a
+    geometric schedule to its configured value. Each stage runs on the
+    grid ``_stage_grids`` assigns it; the warm-up solve and the first
+    sweep run on the first stage's grid, and each change of grid carries
+    the pair over by ``_refine`` and builds a new head, so H is evaluated
+    once per grid. A wide stage ends once a relaxed step would change chi
+    by less than its L1 tolerance. The final stage stops when the
+    fixed-point residual max |chi - target(u)| is at most ``outer_tol``,
+    then solves the head strictly at that chi; the report gives the
+    residual of the published pair. Raises NonConvergenceError naming the
     stop reason (a plateau at the final width, or the max_outer budget)
     otherwise. Newton directions use numpy sine-matrix products, never
     scipy.
@@ -694,29 +792,66 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     report.inner_iterations += inner_used
     report.stalled_sweeps += head.stalled
 
-    # each sweep takes one damped Newton step: the chi relaxation moves the
+    # each sweep takes one damped Newton step: the chi update moves the
     # target again right after, so the head only has to track the moving
     # front (inexact Newton); the converged pair is polished strictly below
     converged = False
     plateau = False
     outer_total = 0
+    mixer = _Anderson(ANDERSON_DEPTH, g.cell_counts)
     for eps_k, stage_grid in zip(stages, stage_grids):
         if stage_grid is not g:
             g = stage_grid
             # the coarser grid's arrays go before the finer grid's are built
-            head = hcells = None
+            head = hcells = mixer = None
             u, chi = _refine(u, chi, g)
             head = _Head(g, fieldh, cfg, u)
             hcells = fieldh(g.cell_centers())
+            mixer = _Anderson(ANDERSON_DEPTH, g.cell_counts)
         final_stage = eps_k == stages[-1]
-        stage_tol = cfg.outer_tol if final_stage else max(cfg.outer_tol, 0.02 * eps_k * cross_area)
+        stage_tol = max(cfg.outer_tol, 0.02 * eps_k * cross_area)
         stage_relax = cfg.relax
-        history = []
-        while outer_total < cfg.max_outer:
-            target = _chi_target(g, u, eps_k)
-            chi_new = (1.0 - stage_relax) * chi + stage_relax * target
-            dchi = float(np.sum(np.abs(chi_new - chi)) * g.cell_volume)
+        history, turns = [], []
+        mixer.clear()
+        target = _chi_target(g, u, eps_k)
+        while True:
+            f = target - chi
+            gap = np.abs(f)
+            report.fixed_point_residual = float(np.max(gap))
+            spread = float(np.sum(gap) * g.cell_volume)
+            gap = None
+            if final_stage and report.fixed_point_residual <= cfg.outer_tol:
+                converged = True
+                break
+            if not final_stage and stage_relax * spread <= stage_tol:
+                break
+            history.append(spread)
+            turns.append(mixer.reverses(f))
+            if len(history) >= 8 and spread >= 0.85 * history[-8]:
+                if final_stage:
+                    # a plateau whose residual keeps reversing is a relaxation
+                    # limit cycle (they appear when the penalization layer
+                    # spans several cells), and stronger damping restores
+                    # contraction; a front that fills cell by cell keeps the
+                    # sign of its residual and only needs the sweeps
+                    if sum(turns[-8:]) >= 4:
+                        if stage_relax <= 0.05:
+                            plateau = True
+                            break
+                        stage_relax = max(0.05, 0.5 * stage_relax)
+                        history.clear()
+                        mixer.clear()
+                else:
+                    # warmup stages only position the front; a bounded
+                    # oscillation around the smeared fixed point is an
+                    # acceptable hand-off state
+                    break
+            if outer_total >= cfg.max_outer:
+                break
+            chi_new = mixer.step(chi, f, stage_relax)
+            report.final_chi_change = float(np.sum(np.abs(chi_new - chi)) * g.cell_volume)
             chi = chi_new
+            f = target = None  # not held through the Newton step
             u, inner_used, rmax, _ = head.newton(profile, chi, 1)
             outer_total += 1
             report.inner_iterations += inner_used
@@ -724,36 +859,20 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             report.outer_iterations = outer_total
             report.grid_sweeps[g.counts] = report.grid_sweeps.get(g.counts, 0) + 1
             report.final_residual = rmax
-            report.final_chi_change = dchi
             report.energy_history.append(
                 energy(g, profile, fieldh, u, chi, hcells, normals=head.normals)
             )
-            if dchi <= stage_tol:
-                converged = final_stage
-                break
-            history.append(dchi)
-            if len(history) >= 8 and dchi >= 0.85 * history[-8]:
-                if final_stage:
-                    # a plateau here is a relaxation limit cycle (they appear
-                    # when the penalization layer spans several cells);
-                    # stronger damping restores contraction
-                    if stage_relax <= 0.05:
-                        plateau = True
-                        break
-                    stage_relax = max(0.05, 0.5 * stage_relax)
-                    history.clear()
-                else:
-                    # warmup stages only position the front; a bounded
-                    # oscillation around the smeared fixed point is an
-                    # acceptable hand-off state
-                    break
-        if outer_total >= cfg.max_outer:
+            target = _chi_target(g, u, eps_k)
+        if converged or plateau or outer_total >= cfg.max_outer:
             break
+    mixer = None  # the history is not held through the polish
     if converged:
         try:
             u, inner_used, rmax = _converged(head.newton(profile, chi, cfg.max_inner))
             report.inner_iterations += inner_used
             report.final_residual = rmax
+            # the residual of the published pair, whose head is polished
+            report.fixed_point_residual = float(np.max(np.abs(_chi_target(g, u, cfg.eps) - chi)))
         except NonConvergenceError as exc:
             report.wall_time = time.perf_counter() - t0
             raise NonConvergenceError(str(exc), report=report) from exc
@@ -773,6 +892,8 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
         else:
             reason = f"outer loop exhausted {cfg.max_outer} iterations"
         raise NonConvergenceError(
-            f"{reason}; chi change {report.final_chi_change:.3e}", report=report
+            f"{reason}; fixed-point residual {report.fixed_point_residual:.3e}, "
+            f"chi change {report.final_chi_change:.3e}",
+            report=report,
         )
     return pair, report

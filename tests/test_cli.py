@@ -781,3 +781,56 @@ def test_batched_certificates_write_the_bytes_of_the_lone_loops(tmp_path, monkey
         for name in names:
             shipped = (tmp_path / "shipped" / command / name).read_bytes()
             assert shipped == (tmp_path / "reference" / command / name).read_bytes(), name
+
+
+def _report_value(lines, key):
+    return next(line for line in lines if line.startswith(key + ":")).split(":", 1)[1].strip()
+
+
+def test_affine_solve_is_deterministic_in_fewer_sweeps_than_plain_relaxation(tmp_path, monkeypatch):
+    # affine.cfg is where the Anderson history restarts; plain relaxed
+    # sweeps took 176 on it
+    cfg_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "affine.cfg")
+    outs = []
+    for tag in ("a", "b"):
+        monkeypatch.setattr(cli, "_last_solve", None)
+        outs.append(tmp_path / tag)
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(outs[-1])]) == cli.EXIT_OK
+    for name in ("u.csv", "chi.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    lines = (outs[0] / "solve_report.txt").read_text(encoding="utf-8").splitlines()
+    assert _report_value(lines, "converged") == "True"
+    assert int(_report_value(lines, "outer iterations")) <= 176
+    assert float(_report_value(lines, "fixed-point residual (max norm)")) <= 1e-7
+
+
+def test_affine_chi_is_within_outer_tol_of_its_tight_reference():
+    cfg = config.load(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "affine.cfg"))
+    grid = cfg.grid(cfg.resolution)
+    pair, _ = solver.solve_problem(grid, cfg.profile, cfg.fieldh, cfg.domain, cfg.solver_config)
+    tight_cfg = dataclasses.replace(cfg.solver_config, outer_tol=1e-13)
+    tight, _ = solver.solve_problem(grid, cfg.profile, cfg.fieldh, cfg.domain, tight_cfg)
+    assert np.max(np.abs(pair.chi - tight.chi)) <= cfg.solver_config.outer_tol
+
+
+@pytest.mark.parametrize("name", ["dam", "affine", "two_level"])
+def test_boundary_barrier_samples_lie_in_the_domain(tmp_path, name):
+    # the supersolution inequality is claimed in the domain only
+    cfg_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.cfg")
+    out = tmp_path / "bar"
+    assert cli.main(["check-barriers", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_OK
+    dom = config.load(cfg_path).domain
+    with open(out / "barriers.csv", encoding="utf-8") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["barrier"].startswith("boundary_")]
+    assert len(rows) == 200 and {r["barrier"] for r in rows} == {f"boundary_power_n{dom.dim}"}
+    pts = np.array([[float(r[f"x{k + 1}"]) for k in range(dom.dim)] for r in rows])
+    assert np.all(dom.contains(pts))
+    assert all(r["pass"] == "1" for r in rows)
+
+
+def test_flat_box_without_boundary_samples_exits_4(tmp_path, capsys):
+    text = DAM_CONFIG.replace("domain.upper = 1 1", "domain.upper = 1 1e-7").replace(
+        "domain.m = 0.6", "domain.m = 1e-8").replace("domain.g.level = 0.6", "domain.g.level = 1e-8")
+    code = cli.main(["check-barriers", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "exterior-sphere samples lie in the domain" in capsys.readouterr().err

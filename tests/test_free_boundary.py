@@ -489,3 +489,24 @@ def test_extract_graph_equals_the_lone_loop(field):
             for name in ("values", "t_minus", "t_plus", "set_empty", "boundary_touching",
                          "identity_ok", "lsc_ok"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def test_default_chi_tol_fails_a_planted_uptick_of_a_hundredth():
+    # the default width of a 65x65 grid; the old tolerance, 0.5 there, let
+    # any uptick below one half pass
+    dom, grid, pair = dam_setup()
+    eps = 4.0 * pair.eps_u
+    tol = fb.default_chi_monotone_tol(eps, pair.eps_u, dom.m_ceiling)
+    assert tol == pytest.approx(2e-7, rel=1e-4)
+    orb = orbits.integrate_orbit(vertical_field(), [0.51], 0.2, dom)
+    assert fb.certify_chi_monotone(pair, grid, [orb], tol).passed
+    chi_bad = pair.chi.copy()
+    cells = grid.cell_centers()
+    column = np.argmin(np.abs(cells[:, 0, 0] - 0.51))
+    row = np.argmin(np.abs(cells[0, :, 1] - 0.75))  # a dry cell above the front
+    assert chi_bad[column, row] == 0.0
+    chi_bad[column, row] = 1e-2
+    bad = geometry.SolutionPair(u=pair.u, chi=chi_bad, eps_u=pair.eps_u)
+    rep = fb.certify_chi_monotone(bad, grid, [orb], tol)
+    assert rep.max_uptick == pytest.approx(1e-2) and not rep.passed
+    assert fb.certify_chi_monotone(bad, grid, [orb], 0.5).passed

@@ -692,7 +692,7 @@ def test_preconditioner_apply_calls_each_transform_once(monkeypatch):
             solver, name, lambda x, name=name, real=real: calls.append(name) or real(x)
         )
     precond = solver._SpectralPreconditioner(grid, 1.0, solver._laplacian_eigenvalues(grid))
-    r = np.random.default_rng(2).standard_normal(grid.counts)
+    r = np.random.default_rng(2).standard_normal(tuple(n - 2 for n in grid.counts))
     precond.apply(r)
     assert calls == ["dstn", "idstn"]
 
@@ -772,10 +772,12 @@ def test_exact_linear_direction_matches_the_cg_direction(dim):
     cfg = solver.SolverConfig().resolved(grid, prof, fieldh)
     head = solver._Head(grid, fieldh, cfg, u)
     res = np.random.default_rng(11 + dim).standard_normal(grid.counts)
-    res[grid.boundary_mask()] = 0.0
+    boundary = grid.boundary_mask()
+    res[boundary] = 0.0
     mu = cfg.mu_factor * grid.domain.m_ceiling / grid.domain.delta
     cond = solver._conductances(grid, prof, head.faces, mu, cfg.cond_floor)
     c_ref = float(np.median(np.concatenate([c.ravel() for c in cond])))
+    weights = solver._face_weights(grid, cond)
     precond = solver._SpectralPreconditioner(
         grid, max(c_ref, cfg.cond_floor), solver._laplacian_eigenvalues(grid)
     )
@@ -783,13 +785,15 @@ def test_exact_linear_direction_matches_the_cg_direction(dim):
 
     def apply_op(v):
         applies.append(1)
-        return solver._neg_jacobian_apply(grid, cond, v)
+        return solver._neg_jacobian_apply(weights, v, head.padded)
 
-    cg = solver._pcg(apply_op, precond.apply, res, head.boundary, cfg.cg_forcing, cfg.cg_maxiter)
-    exact = head.linear_inverse.apply(res)
+    cg = solver._pcg(apply_op, precond.apply, res[head.inner], cfg.cg_forcing, cfg.cg_maxiter)
+    exact = np.zeros(grid.counts)
+    exact[head.inner] = head.linear_inverse.apply(res[head.inner])
     assert len(applies) == 1
-    assert np.max(np.abs(exact - cg)) <= 1e-12 * np.max(np.abs(cg))
-    assert np.all(exact[head.boundary] == 0.0)
+    assert np.max(np.abs(exact[head.inner] - cg)) <= 1e-12 * np.max(np.abs(cg))
+    assert np.all(exact[boundary] == 0.0)
+    assert np.all(head.padded[boundary] == 0.0)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -799,28 +803,29 @@ def test_diagonal_scaling_reads_the_operator_diagonal(dim):
     cond = [rng.uniform(1e-3, 1e2, grid.counts[:k] + (grid.counts[k] - 1,) + grid.counts[k + 1:])
             for k in range(dim)]
     inner = tuple(slice(1, -1) for _ in range(dim))
+    weights = solver._face_weights(grid, cond)
+    padded = np.zeros(grid.counts)
     diag = np.zeros(tuple(n - 2 for n in grid.counts))
     for idx in np.ndindex(diag.shape):
-        node = tuple(i + 1 for i in idx)
-        e = np.zeros(grid.counts)
-        e[node] = 1.0
-        diag[idx] = solver._neg_jacobian_apply(grid, cond, e)[node]
+        e = np.zeros(diag.shape)
+        e[idx] = 1.0
+        diag[idx] = solver._neg_jacobian_apply(weights, e, padded)[idx]
     d_ref = sum(2.0 * grid.cell_volume / h**2 for h in grid.spacing)
-    scale = solver._diagonal_scaling(grid, cond)
+    scale = solver._diagonal_scaling(grid, weights)
     assert scale.shape == grid.boundary_mask()[inner].shape
     assert np.allclose(scale, np.sqrt(d_ref / diag), rtol=1e-13, atol=0.0)
 
 
-def _cg_iterations(grid, cond, precond, rhs, boundary, rtol):
+def _cg_iterations(grid, weights, precond, rhs, rtol):
     applies = []
+    padded = np.zeros(grid.counts)
 
     def apply_op(v):
         applies.append(1)
-        return solver._neg_jacobian_apply(grid, cond, v)
+        return solver._neg_jacobian_apply(weights, v, padded)
 
-    x = solver._pcg(apply_op, precond.apply, rhs, boundary, rtol, 5000)
-    r = rhs - solver._neg_jacobian_apply(grid, cond, x)
-    r[boundary] = 0.0
+    x = solver._pcg(apply_op, precond.apply, rhs, rtol, 5000)
+    r = rhs - solver._neg_jacobian_apply(weights, x, padded)
     return len(applies), float(np.linalg.norm(r)) / float(np.linalg.norm(rhs))
 
 
@@ -828,22 +833,108 @@ def test_scaled_dst_needs_fewer_cg_iterations_on_varying_conductances():
     dom = dam_domain()
     grid = geometry.build_grid(dom, (65, 65))
     lap = solver._laplacian_eigenvalues(grid)
-    boundary = grid.boundary_mask()
     unit = [np.ones(grid.counts[:k] + (grid.counts[k] - 1,) + grid.counts[k + 1:])
             for k in range(grid.dim)]
-    assert np.all(solver._diagonal_scaling(grid, unit) == 1.0)
+    assert np.all(solver._diagonal_scaling(grid, solver._face_weights(grid, unit)) == 1.0)
     # conductances spanning four decades, as across a degenerate zone
     cond = []
     for k in range(grid.dim):
         axes = solver._face_point_axes(grid, k)
         x, y = np.meshgrid(*axes, indexing="ij")
         cond.append(10.0 ** (2.0 * np.sin(3.0 * x) * np.cos(2.0 * y) + 2.0 * y))
-    rhs = np.random.default_rng(3).standard_normal(grid.counts)
-    rhs[boundary] = 0.0
+    weights = solver._face_weights(grid, cond)
+    rhs = np.random.default_rng(3).standard_normal(grid.counts)[1:-1, 1:-1]
     rtol = 1e-8
     plain = solver._SpectralPreconditioner(grid, 1.0, lap)
-    scaled = solver._SpectralPreconditioner(grid, 1.0, lap, solver._diagonal_scaling(grid, cond))
-    plain_its, plain_rel = _cg_iterations(grid, cond, plain, rhs, boundary, rtol)
-    scaled_its, scaled_rel = _cg_iterations(grid, cond, scaled, rhs, boundary, rtol)
+    scaled = solver._SpectralPreconditioner(grid, 1.0, lap, solver._diagonal_scaling(grid, weights))
+    plain_its, plain_rel = _cg_iterations(grid, weights, plain, rhs, rtol)
+    scaled_its, scaled_rel = _cg_iterations(grid, weights, scaled, rhs, rtol)
     assert plain_rel <= 10 * rtol and scaled_rel <= 10 * rtol
     assert scaled_its < plain_its
+
+
+# --- Anderson-mixed chi sweeps and the fixed-point stop -------------------------
+# The final stage stops on max |chi - target(u)| <= outer_tol; a relaxed L1
+# step below outer_tol is no evidence of convergence.
+
+
+def _linear_contraction(n, seed):
+    """T(x) = x* + Q diag(lam) Q^T (x - x*): a contraction with eigenvalues
+    up to 0.97 and its fixed point x* inside (0, 1)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.linspace(0.0, 0.97, n)
+    fixed = rng.uniform(0.3, 0.7, n)
+    return (lambda x: fixed + q @ (lam * (q.T @ (x - fixed)))), fixed
+
+
+def _mixed_steps(target, x, relax, tol, mixer=None):
+    for sweep in range(2000):
+        f = target(x) - x
+        if np.max(np.abs(f)) <= tol:
+            return sweep, x
+        x = mixer.step(x, f, relax) if mixer is not None else np.clip(x + relax * f, 0.0, 1.0)
+    return None, x
+
+
+def test_anderson_mixing_beats_relaxation_on_a_linear_contraction():
+    target, fixed = _linear_contraction(40, 3)
+    start = np.full(40, 0.5)
+    plain, _ = _mixed_steps(target, start, 0.5, 1e-10)
+    mixer = solver._Anderson(solver.ANDERSON_DEPTH, (40,))
+    mixed, x = _mixed_steps(target, start, 0.5, 1e-10, mixer)
+    assert mixer.pairs.dtype == np.float32 and mixer.pairs.shape == (5, 2, 40)
+    assert plain is not None and mixed is not None
+    assert 3 * mixed < plain
+    # a residual r bounds the error by r / (1 - 0.97) on this contraction
+    assert np.max(np.abs(x - fixed)) <= 1e-10 / 0.03
+
+
+def test_anderson_restarts_when_the_residual_grows_and_clips_to_the_unit_interval():
+    rng = np.random.default_rng(4)
+    mixer = solver._Anderson(3, (6,))
+    chi = rng.uniform(0.2, 0.8, 6)
+    for scale in (1e-1, 1e-2, 1e-3, 1e-4):
+        chi = mixer.step(chi, scale * rng.uniform(-1.0, 1.0, 6), 0.5)
+    assert mixer.rows == 3
+    grown = np.array([5.0, -5.0, 1.0, -1.0, 0.5, 0.0])
+    stepped = mixer.step(chi, grown, 0.5)
+    # the history is gone, so the step is the plain relaxed one, clipped
+    assert mixer.rows == 0
+    assert np.array_equal(stepped, np.clip(chi + 0.5 * grown, 0.0, 1.0))
+    assert stepped[0] == 1.0 and stepped[1] == 0.0
+    assert mixer.reverses(-grown) and not mixer.reverses(grown)
+
+
+def test_tiny_relaxation_is_not_reported_converged():
+    # a planted slow sweep: each relaxed chi step is far below outer_tol in
+    # L1, which the old stop rule took for convergence, while chi is still
+    # far from the fixed point
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (17, 17))  # a single stage, on this grid
+    prof, f = profiles.make_power(2.0), fields.make_constant_field([0.0, 1.0])
+    for budget in (1, 30):
+        cfg = solver.SolverConfig(relax=1e-7, max_outer=budget)
+        with pytest.raises(NonConvergenceError, match=f"exhausted {budget} iterations") as info:
+            solver.solve_problem(grid, prof, f, dom, cfg)
+        report = info.value.report
+        assert not report.converged
+        if budget == 1:
+            # the first sweep is a plain relaxed step: the old rule stopped here
+            assert report.final_chi_change <= cfg.outer_tol
+        assert report.fixed_point_residual > 1e3 * cfg.outer_tol
+        assert f"fixed-point residual {report.fixed_point_residual:.3e}" in str(info.value)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_published_pair_meets_the_fixed_point_stop(p):
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (33, 33))
+    prof = profiles.make_power(p)
+    f = fields.make_constant_field([0.0, float(prof.a(1.0))])
+    pair, report = solver.solve_problem(grid, prof, f, dom)
+    cfg = solver.SolverConfig().resolved(grid, prof, f)
+    residual = np.max(np.abs(pair.chi - solver._chi_target(grid, pair.u, cfg.eps)))
+    assert report.converged
+    assert report.fixed_point_residual == residual <= cfg.outer_tol
+    assert f"fixed-point residual (max norm): {residual:.6e}" in report.summary_lines()
