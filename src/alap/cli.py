@@ -8,6 +8,7 @@ usage errors.
 
 import argparse
 import os
+import random
 import sys
 
 import numpy as np
@@ -98,10 +99,10 @@ def _solved(cfg, resolution=None):
 def cmd_solve(args):
     cfg = _load(args)
     _require(cfg, "domain", "resolution", "profile", "fieldh")
-    rng = np.random.default_rng(cfg.seed)
-    samples = cfg.domain.lower + rng.random((128, cfg.domain.dim)) * (
-        cfg.domain.upper - cfg.domain.lower
-    )
+    # the stdlib generator: numpy.random is not imported by a solve
+    rng = random.Random(cfg.seed)
+    unit = np.array([rng.random() for _ in range(128 * cfg.domain.dim)]).reshape(128, -1)
+    samples = cfg.domain.lower + unit * (cfg.domain.upper - cfg.domain.lower)
     mode = "transversal" if cfg.fieldh.transversal else "basic"
     field_rep = fields.certify_field(cfg.fieldh, cfg.domain, samples, mode=mode)
     csvio.write_csv(

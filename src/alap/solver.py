@@ -29,17 +29,18 @@ at cell centers, under-relaxed to damp free-boundary oscillation and
 accelerated by type-II Anderson mixing of depth 5 (Walker & Ni 2011),
 whose history restarts whenever the residual's 2-norm grows (after Zhang,
 O'Donoghue & Boyd 2020), with the penalization width continued down a
-geometric schedule, until the fixed-point residual max |chi - min(u/eps,
-1)| at the final width is at most outer_tol. Each outer sweep takes a
-single damped Newton step on the head, since the next chi update moves
-its target again; the final pair is then polished strictly to inner_tol
-at the converged chi. The Newton CG runs on interior-node arrays, with
-the operator's face weights built once per Newton step. The wide stages
-run by nested iteration (Brandt 1977): the nested grids halve every
-axis's cell count while all counts stay even, and each stage runs on the
-coarsest of them whose largest spacing is at most its width, so the layer
-of a unit-slope head spans at least one cell; the final width runs on the
-solve's own grid.
+geometric schedule, each wide stage handing off once its front's
+remaining travel is a fraction of the next width, until the fixed-point
+residual max |chi - min(u/eps, 1)| at the final width is at most
+outer_tol. Each outer sweep takes a single damped Newton step on the
+head, since the next chi update moves its target again; the final pair
+is then polished strictly to inner_tol at the converged chi. The Newton
+CG runs on interior-node arrays, with the operator's face weights built
+once per Newton step. The wide stages run by nested iteration (Brandt
+1977): the nested grids halve every axis's cell count while all counts
+stay even, and each stage runs on the coarsest of them whose largest
+spacing is at most its width, so the layer of a unit-slope head spans at
+least one cell; the final width runs on the solve's own grid.
 At each change of grid u is prolonged by exact multilinear interpolation
 of the nested nodes, with the finer grid's Dirichlet data on its
 boundary, and chi is injected into the 2^dim child cells. The published
@@ -112,6 +113,7 @@ class SolveReport:
     energy_history: list = field(default_factory=list)
     stalled_sweeps: int = 0  # sweeps whose Newton line search stalled
     grid_sweeps: dict = field(default_factory=dict)  # node counts -> sweeps run there
+    stage_sweeps: dict = field(default_factory=dict)  # width eps_k -> sweeps, in order
     constraints: Optional[geometry.ComplementarityReport] = None
     converged: bool = False
     wall_time: float = 0.0
@@ -119,12 +121,16 @@ class SolveReport:
     def summary_lines(self):
         """The lines of ``solve_report.txt``. The sweeps per grid give each
         grid's node counts and the outer sweeps run on it, coarsest first;
-        each sweep's energy is that of the grid it ran on."""
+        the sweeps per stage give each penalization width and the sweeps
+        run at it, widest first; each sweep's energy is that of the grid it
+        ran on."""
         per_grid = " ".join(f"{'x'.join(map(str, c))}:{n}" for c, n in self.grid_sweeps.items())
+        per_stage = " ".join(f"{eps:.3e}:{n}" for eps, n in self.stage_sweeps.items())
         lines = [
             f"converged: {self.converged}",
             f"outer iterations: {self.outer_iterations}",
             f"sweeps per grid: {per_grid}",
+            f"sweeps per stage: {per_stage}",
             f"stalled sweeps: {self.stalled_sweeps}",
             f"inner Newton steps: {self.inner_iterations}",
             f"final residual (max norm): {self.final_residual:.6e}",
@@ -603,6 +609,10 @@ def _chi_target(grid, u, eps):
 #: steps and residual changes an Anderson history holds
 ANDERSON_DEPTH = 5
 
+#: a wide stage hands off once its front's remaining travel is at most this
+#: fraction of the next stage's width (see ``solve_problem``)
+HANDOFF_TRAVEL = 0.4
+
 
 class _Anderson:
     """Type-II Anderson mixing of the relaxed chi update (Walker & Ni 2011).
@@ -757,14 +767,29 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     grid ``_stage_grids`` assigns it; the warm-up solve and the first
     sweep run on the first stage's grid, and each change of grid carries
     the pair over by ``_refine`` and builds a new head, so H is evaluated
-    once per grid. A wide stage ends once a relaxed step would change chi
-    by less than its L1 tolerance. The final stage stops when the
-    fixed-point residual max |chi - target(u)| is at most ``outer_tol``,
-    then solves the head strictly at that chi; the report gives the
-    residual of the published pair. Raises NonConvergenceError naming the
-    stop reason (a plateau at the final width, or the max_outer budget)
-    otherwise. Newton directions use numpy sine-matrix products, never
-    scipy.
+    once per grid. The final stage stops when the fixed-point residual
+    max |chi - target(u)| is at most ``outer_tol``, then solves the head
+    strictly at that chi; the report gives the residual of the published
+    pair. Raises NonConvergenceError naming the stop reason (a plateau at
+    the final width, or the max_outer budget) otherwise. Newton directions
+    use numpy sine-matrix products, never scipy.
+
+    Hand-off. A wide stage of width eps_k only places the front for the
+    next stage, of width eps_{k+1} = eps_k / 2. With f = target - chi,
+    sum |f| vol is the volume chi still has to move; divided by the box's
+    cross-section it is the distance the front still has to travel. The
+    stage hands off once that travel is at most ``HANDOFF_TRAVEL`` = 0.4
+    times eps_{k+1}: the front then lies inside the next layer, whose own
+    sweeps move it anyway, so placing it more finely is work the next stage
+    redoes. Measured on the dam (p = 2 and 3), affine and two_level configs
+    at 33^2 to 257^2, the constants 0.2, 0.4 and 0.8 each give a chi
+    within 5e-7 of the tight reference (``outer_tol`` = 1e-13) on all
+    sixteen; against placing the front to 0.08 eps_{k+1}, 0.4 cuts the
+    sweeps of the 129^2 configs from 48 / 108 / 76 to 27 / 65 / 54. The
+    landscape is not monotone: at 0.28 the 257^2 dam fills one row cell by
+    cell through 186 final-stage sweeps onto another fixed point (chi off
+    by 1), and at 2.0 the 129^2 dam lands on another one too; 0.4 sits
+    between the two, with margin on both sides.
     """
     if domain is not grid.domain:
         raise ValueError("domain must be the grid's domain")
@@ -799,7 +824,7 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     plateau = False
     outer_total = 0
     mixer = _Anderson(ANDERSON_DEPTH, g.cell_counts)
-    for eps_k, stage_grid in zip(stages, stage_grids):
+    for eps_k, eps_next, stage_grid in zip(stages, stages[1:] + [None], stage_grids):
         if stage_grid is not g:
             g = stage_grid
             # the coarser grid's arrays go before the finer grid's are built
@@ -808,8 +833,8 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             head = _Head(g, fieldh, cfg, u)
             hcells = fieldh(g.cell_centers())
             mixer = _Anderson(ANDERSON_DEPTH, g.cell_counts)
-        final_stage = eps_k == stages[-1]
-        stage_tol = max(cfg.outer_tol, 0.02 * eps_k * cross_area)
+        final_stage = eps_next is None
+        report.stage_sweeps[eps_k] = 0
         stage_relax = cfg.relax
         history, turns = [], []
         mixer.clear()
@@ -823,7 +848,7 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             if final_stage and report.fixed_point_residual <= cfg.outer_tol:
                 converged = True
                 break
-            if not final_stage and stage_relax * spread <= stage_tol:
+            if not final_stage and spread <= HANDOFF_TRAVEL * eps_next * cross_area:
                 break
             history.append(spread)
             turns.append(mixer.reverses(f))
@@ -858,6 +883,7 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             report.stalled_sweeps += head.stalled
             report.outer_iterations = outer_total
             report.grid_sweeps[g.counts] = report.grid_sweeps.get(g.counts, 0) + 1
+            report.stage_sweeps[eps_k] += 1
             report.final_residual = rmax
             report.energy_history.append(
                 energy(g, profile, fieldh, u, chi, hcells, normals=head.normals)

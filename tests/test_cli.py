@@ -834,3 +834,30 @@ def test_flat_box_without_boundary_samples_exits_4(tmp_path, capsys):
     code = cli.main(["check-barriers", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "exterior-sphere samples lie in the domain" in capsys.readouterr().err
+
+
+def test_solve_draws_its_field_samples_by_seed_without_numpy_random(tmp_path):
+    # importing numpy.random is a sizeable part of a solve-only process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys, alap.cli\n"
+        "cfg, out = sys.argv[1], sys.argv[2]\n"
+        "for tag, seed in (('a', '7'), ('b', '7'), ('c', '8')):\n"
+        "    argv = ['solve', '--config', cfg, '--out', f'{out}/{tag}', '--seed', seed]\n"
+        "    assert alap.cli.main(argv) == 0, tag\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, write_config(tmp_path), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), timeout=600, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    data = {
+        tag: (tmp_path / "out" / tag / "field_certification.csv").read_bytes()
+        for tag in "abc"
+    }
+    assert data["a"] == data["b"] and data["a"] != data["c"]
+    rows = list(csv.DictReader(data["a"].decode("utf-8").splitlines()))
+    assert len(rows) == 128 and all(row["pass"] == "1" for row in rows)
+    points = np.array([[float(row["x1"]), float(row["x2"])] for row in rows])
+    assert np.all((points >= 0.0) & (points <= 1.0)) and len(np.unique(points, axis=0)) == 128

@@ -1,9 +1,10 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
-from alap import fields, geometry, profiles, solver
+from alap import config, fields, geometry, profiles, solver
 from alap.errors import NonConvergenceError
 
 
@@ -938,3 +939,42 @@ def test_published_pair_meets_the_fixed_point_stop(p):
     assert report.converged
     assert report.fixed_point_residual == residual <= cfg.outer_tol
     assert f"fixed-point residual (max norm): {residual:.6e}" in report.summary_lines()
+
+
+# --- wide-stage hand-off: a stage ends once its front is placed ----------------
+
+
+def test_dam_chi_is_within_five_outer_tol_of_its_tight_reference(monkeypatch):
+    # the reference places each wide stage's front to a fifth of the
+    # hand-off's travel (0.08 of the next width) and stops at outer_tol 1e-13
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "dam.cfg")
+    cfg = config.load(path)
+    grid = cfg.grid(cfg.resolution)
+    pair, _ = solver.solve_problem(grid, cfg.profile, cfg.fieldh, cfg.domain, cfg.solver_config)
+    monkeypatch.setattr(solver, "HANDOFF_TRAVEL", 0.08)
+    tight_cfg = dataclasses.replace(cfg.solver_config, outer_tol=1e-13)
+    tight, _ = solver.solve_problem(grid, cfg.profile, cfg.fieldh, cfg.domain, tight_cfg)
+    assert np.max(np.abs(pair.chi - tight.chi)) <= 5 * cfg.solver_config.outer_tol
+    # the head's error against (0.6 - y)+ is the reference's, up to roundoff
+    tight_err = np.max(np.abs(tight.u - dam_exact(grid)))
+    assert np.max(np.abs(pair.u - dam_exact(grid))) <= 1.001 * tight_err
+
+
+def test_fine_dam_hands_off_each_wide_stage_once_its_front_is_placed():
+    # fine-grid sweeps at 257x257: 13 with the hand-off, 36 when each wide
+    # stage places its front to 0.08 of the next width
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, (257, 257))
+    prof = profiles.make_power(2.0)
+    f = fields.make_constant_field([0.0, 1.0])
+    eps = solver.SolverConfig().resolved(grid, prof, f).eps
+    stages = solver._penalization_stages(eps, dom.m_ceiling)
+    _, report = solver.solve_problem(grid, prof, f, dom)
+    assert report.converged
+    assert report.grid_sweeps[grid.counts] <= 18
+    assert list(report.stage_sweeps) == stages
+    assert sum(report.stage_sweeps.values()) == report.outer_iterations
+    lines = report.summary_lines()
+    per_stage = " ".join(f"{e:.3e}:{n}" for e, n in report.stage_sweeps.items())
+    at = lines.index(f"sweeps per stage: {per_stage}")
+    assert lines[at - 1].startswith("sweeps per grid: ")
