@@ -160,49 +160,43 @@ def cmd_check_barriers(args):
     scales = cfg["barriers.hopf_scales"]
     center = tuple(0.5 * (dom.lower + dom.upper))
 
-    def radial_job():
-        b = barriers.make_radial_barrier(center, radius, margin_frac * radius, floor, dom.dim, prof.a0)
-        return [barriers.certify_radial_inequality(b, prof, seed=cfg.seed)]
+    b = barriers.make_radial_barrier(center, radius, margin_frac * radius, floor, dom.dim, prof.a0)
+    results = [barriers.certify_radial_inequality(b, prof, seed=cfg.seed)]
 
-    def hopf_job():
-        lo, hi = barriers.hopf_kappa_range(dom.dim, prof.a0)
-        valid_lo = max(lo, 0.5 * (1.0 + dom.dim / prof.a0))
-        out = []
-        if valid_lo < hi:
-            for kap in np.linspace(valid_lo + 1e-6 * (hi - valid_lo), hi - 1e-2 * (hi - valid_lo), kappa_count):
-                b = barriers.make_hopf_barrier(center, radius, float(kap), dom.dim, prof.a0)
-                for s in scales:
-                    out.append(barriers.certify_hopf_inequality(b, prof, s, seed=cfg.seed))
-        return out
+    lo, hi = barriers.hopf_kappa_range(dom.dim, prof.a0)
+    valid_lo = max(lo, 0.5 * (1.0 + dom.dim / prof.a0))
+    if valid_lo < hi:
+        for kap in np.linspace(valid_lo + 1e-6 * (hi - valid_lo), hi - 1e-2 * (hi - valid_lo), kappa_count):
+            b = barriers.make_hopf_barrier(center, radius, float(kap), dom.dim, prof.a0)
+            for s in scales:
+                results.append(barriers.certify_hopf_inequality(b, prof, s, seed=cfg.seed))
 
-    def boundary_job():
-        # exterior sphere tangent to the bottom face, centered below it
-        sphere_r = 0.2 * dom.delta
-        mid = 0.5 * (dom.lower + dom.upper)
-        x1 = np.array(list(mid[:-1]) + [float(dom.lower[-1]) - sphere_r])
-        bb = barriers.make_boundary_barrier(
-            prof, tuple(x1), sphere_r, dom.m_ceiling, cfg.fieldh.h_upper, dom.delta, dom.dim
-        )
-        # the inequality is claimed in the domain only: draw batches from the
-        # seeded rng and keep the points inside the box, in order, until 200
-        rng = np.random.default_rng(cfg.seed)
-        kept, count = [], 0
-        for _ in range(100):
-            if count >= 200:
-                break
-            dists = rng.uniform(1e-3 * dom.delta, 0.999 * dom.delta, 200)
-            raw = rng.normal(size=(200, dom.dim))
-            raw[:, -1] = np.abs(raw[:, -1])  # keep samples on the domain side
-            raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-            pts = x1 + (sphere_r + dists)[:, None] * raw
-            kept.append(pts[dom.contains(pts)])
-            count += len(kept[-1])
-        if count < 200:
-            raise ConfigError(f"only {count} of 20000 exterior-sphere samples lie in the domain")
-        pts = np.concatenate(kept)[:200]
-        return [barriers.certify_boundary_supersolution(bb, prof, cfg.fieldh, pts)]
+    # exterior sphere tangent to the bottom face, centered below it
+    sphere_r = 0.2 * dom.delta
+    mid = 0.5 * (dom.lower + dom.upper)
+    x1 = np.array(list(mid[:-1]) + [float(dom.lower[-1]) - sphere_r])
+    bb = barriers.make_boundary_barrier(
+        prof, tuple(x1), sphere_r, dom.m_ceiling, cfg.fieldh.h_upper, dom.delta, dom.dim
+    )
+    # the inequality is claimed in the domain only: draw batches from the
+    # seeded rng and keep the points inside the box, in order, until 200
+    rng = np.random.default_rng(cfg.seed)
+    kept, count = [], 0
+    for _ in range(100):
+        if count >= 200:
+            break
+        dists = rng.uniform(1e-3 * dom.delta, 0.999 * dom.delta, 200)
+        raw = rng.normal(size=(200, dom.dim))
+        raw[:, -1] = np.abs(raw[:, -1])  # keep samples on the domain side
+        raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+        pts = x1 + (sphere_r + dists)[:, None] * raw
+        kept.append(pts[dom.contains(pts)])
+        count += len(kept[-1])
+    if count < 200:
+        raise ConfigError(f"only {count} of 20000 exterior-sphere samples lie in the domain")
+    pts = np.concatenate(kept)[:200]
+    results.append(barriers.certify_boundary_supersolution(bb, prof, cfg.fieldh, pts))
 
-    results = [item for job in (radial_job, hopf_job, boundary_job) for item in job()]
     rows = [r for rep in results for r in rep.rows()]
     csvio.write_csv(
         os.path.join(cfg.out_dir, "barriers.csv"),

@@ -60,30 +60,51 @@ from alap import geometry, profiles
 from alap.errors import NonConvergenceError, SingularJacobianError
 
 
+#: inner_tol, when left as None, is this multiple of the flux scale
+#: (a(M/delta) + h_upper) * V / h_min
+INNER_TOL_FACTOR = 1e-9
+
+#: a Newton line search that backtracks below this step length stalls
+DAMPING_MIN = 1e-6
+
+#: relative residual at which the Newton CG stops, and its iteration budget
+CG_FORCING = 1e-2
+CG_MAXITER = 20000
+
+#: gradient regularization mu of the Newton operator, in units of M/delta
+MU_FACTOR = 1e-8
+
+#: floor of each Newton operator conductance, relative to the largest
+COND_FLOOR = 1e-6
+
+#: largest Newton step per node, in units of M
+STEP_CLAMP = 0.25
+
+#: steps and residual changes an Anderson history holds
+ANDERSON_DEPTH = 5
+
+#: a wide stage hands off once its front's remaining travel is at most this
+#: fraction of the next stage's width (see ``solve_problem``)
+HANDOFF_TRAVEL = 0.4
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs of the coupled solve.
+    """The knobs of the coupled solve, one per ``solver.*`` config key.
 
     ``eps`` (penalization) and ``inner_tol`` (absolute residual max-norm)
     resolve to grid-dependent defaults when left as None: eps = 4 * eps_u
-    and inner_tol = inner_tol_factor * (a(M/delta) + h_upper) * V / h_min.
+    and inner_tol = INNER_TOL_FACTOR * (a(M/delta) + h_upper) * V / h_min.
     The final stage stops once the fixed-point residual, the largest
     |chi - min(u/eps, 1)| over the cells, is at most ``outer_tol``.
     """
 
     eps: Optional[float] = None
     inner_tol: Optional[float] = None
-    inner_tol_factor: float = 1e-9
     outer_tol: float = 1e-7
     max_inner: int = 60
     max_outer: int = 1000
     relax: float = 0.5
-    damping_min: float = 1e-6
-    cg_forcing: float = 1e-2
-    cg_maxiter: int = 20000
-    mu_factor: float = 1e-8
-    cond_floor: float = 1e-6
-    step_clamp: float = 0.25
 
     def resolved(self, grid, profile, fieldh):
         eps = self.eps
@@ -93,7 +114,7 @@ class SolverConfig:
         if inner is None:
             dom = grid.domain
             flux_scale = float(profile.a(dom.m_ceiling / dom.delta)) + fieldh.h_upper
-            inner = self.inner_tol_factor * flux_scale * grid.cell_volume / float(
+            inner = INNER_TOL_FACTOR * flux_scale * grid.cell_volume / float(
                 np.min(grid.spacing)
             )
         return replace(self, eps=eps, inner_tol=inner)
@@ -110,7 +131,7 @@ class SolveReport:
     # max |chi - target(u)|: of the published pair once converged, else at
     # the last stop test
     fixed_point_residual: float = np.inf
-    energy_history: list = field(default_factory=list)
+    energy: float = np.nan  # of the published pair (``energy``)
     stalled_sweeps: int = 0  # sweeps whose Newton line search stalled
     grid_sweeps: dict = field(default_factory=dict)  # node counts -> sweeps run there
     stage_sweeps: dict = field(default_factory=dict)  # width eps_k -> sweeps, in order
@@ -122,8 +143,8 @@ class SolveReport:
         """The lines of ``solve_report.txt``. The sweeps per grid give each
         grid's node counts and the outer sweeps run on it, coarsest first;
         the sweeps per stage give each penalization width and the sweeps
-        run at it, widest first; each sweep's energy is that of the grid it
-        ran on."""
+        run at it, widest first; the last line gives the energy of the
+        published pair."""
         per_grid = " ".join(f"{'x'.join(map(str, c))}:{n}" for c, n in self.grid_sweeps.items())
         per_stage = " ".join(f"{eps:.3e}:{n}" for eps, n in self.stage_sweeps.items())
         lines = [
@@ -146,7 +167,7 @@ class SolveReport:
                 f"max cell complementarity u(1-chi): {c.max_cell_complementarity:.6e}",
                 f"wet cells with chi < 1-1e-6: {c.wet_cells_low_chi}",
             ]
-        lines.append("energy per outer iteration: " + " ".join(f"{e:.12e}" for e in self.energy_history))
+        lines.append(f"energy of the published pair: {self.energy:.12e}")
         return lines
 
 
@@ -224,23 +245,19 @@ def _is_linear(profile):
     return profile.family == "power" and profile.params == (2.0,)
 
 
-def residual(grid, profile, fieldh, u, chi, drift=None, faces=None, diffusive=None):
+def residual(grid, profile, fieldh, u, chi, drift=None, diffusive=None):
     """Weak-form residual of div(flux(grad u) + chi H) at interior nodes.
 
     Zero on boundary nodes. The returned values carry the dual cell volume,
     so they match integration of the flux against nodal hat functions.
     ``drift`` holds the face drift fluxes of this chi and field (as from
-    ``_drift_fluxes``), ``diffusive`` the diffusive face fluxes of u (as
-    from ``_diffusive_fluxes``) and ``faces`` the face gradient components
-    of u (as from ``geometry.face_gradient_components``); each is evaluated
-    here when None, and ``faces`` is read only to build ``diffusive``.
+    ``_drift_fluxes``) and ``diffusive`` the diffusive face fluxes of u (as
+    from ``_diffusive_fluxes``); each is evaluated here when None.
     """
     if drift is None:
         drift = _drift_fluxes(grid, chi, _face_field_values(grid, fieldh))
     if diffusive is None:
-        if faces is None:
-            faces = geometry.face_gradient_components(grid, u)
-        diffusive = _diffusive_fluxes(grid, profile, faces)
+        diffusive = _diffusive_fluxes(grid, profile, geometry.face_gradient_components(grid, u))
     out = np.zeros(grid.counts)
     interior = tuple(slice(1, -1) for _ in range(grid.dim))
     vol = grid.cell_volume
@@ -463,10 +480,8 @@ class _Head:
         self.laplacian = _laplacian_eigenvalues(grid)
         # the linear law's conductances are all 1 up to roundoff, so its
         # Newton operator is the surrogate at coefficient 1 (floored at
-        # cond_floor, as a reference coefficient always was)
-        self.linear_inverse = _SpectralPreconditioner(
-            grid, max(1.0, cfg.cond_floor), self.laplacian
-        )
+        # COND_FLOOR, as a reference coefficient always was)
+        self.linear_inverse = _SpectralPreconditioner(grid, max(1.0, COND_FLOOR), self.laplacian)
         self.u = np.asarray(u, dtype=float).copy()
         self.normals = geometry.face_normal_differences(grid, self.u)
         self._faces = None
@@ -490,7 +505,7 @@ class _Head:
         [0, M] while the coupled loop still drives them back (the converged
         penalized pair is nonnegative on its own). Globalization: Armijo
         backtracking on the residual 2-norm plus a per-node step clamp. A
-        line search that backtracks below ``damping_min`` stops the loop
+        line search that backtracks below ``DAMPING_MIN`` stops the loop
         with ok False and sets ``stalled``.
         """
         grid, cfg = self.grid, self.cfg
@@ -517,12 +532,12 @@ class _Head:
             if not np.all(np.isfinite(d)):
                 raise SingularJacobianError("non-finite Newton direction")
             # trust-region style clamp: degenerate zones can request huge moves
-            step_max = cfg.step_clamp * m_top
+            step_max = STEP_CLAMP * m_top
             np.clip(d, -step_max, step_max, out=d)
             rnorm = float(np.linalg.norm(res))
             lam = 1.0
             accepted = False
-            while lam >= cfg.damping_min:
+            while lam >= DAMPING_MIN:
                 u_trial = self.u + lam * d
                 normals = geometry.face_normal_differences(grid, u_trial)
                 faces = None if linear else geometry.face_gradient_components(grid, u_trial, normals)
@@ -547,10 +562,10 @@ class _Head:
         """Interior-node Newton direction of a law that is not linear: CG
         on the face conductances of the head, preconditioned by the
         diagonally scaled DST inverse."""
-        grid, cfg = self.grid, self.cfg
+        grid = self.grid
         dom = grid.domain
-        mu = cfg.mu_factor * dom.m_ceiling / dom.delta
-        weights = _face_weights(grid, _conductances(grid, profile, self.faces, mu, cfg.cond_floor))
+        mu = MU_FACTOR * dom.m_ceiling / dom.delta
+        weights = _face_weights(grid, _conductances(grid, profile, self.faces, mu, COND_FLOOR))
         precond = _SpectralPreconditioner(
             grid, 1.0, self.laplacian, _diagonal_scaling(grid, weights)
         )
@@ -558,7 +573,7 @@ class _Head:
         def apply_op(v):
             return _neg_jacobian_apply(weights, v, self.padded)
 
-        return _pcg(apply_op, precond.apply, res, cfg.cg_forcing, cfg.cg_maxiter)
+        return _pcg(apply_op, precond.apply, res, CG_FORCING, CG_MAXITER)
 
 
 def _converged(result):
@@ -572,17 +587,13 @@ def _converged(result):
     return u, steps, rmax
 
 
-def energy(grid, profile, fieldh, u, chi, hcells=None, normals=None):
+def energy(grid, profile, fieldh, u, chi):
     """Diagnostic functional sum_cells [A(|grad u|) + chi H . grad u] vol.
 
     Gradients are taken at cell centers; stationarity in u at frozen chi
-    reproduces the head equation up to quadrature placement. ``hcells``
-    holds H at the cell centers and ``normals`` the face normal differences
-    of u (as from ``geometry.face_normal_differences``); each is evaluated
-    here when None.
+    reproduces the head equation up to quadrature placement.
     """
-    if normals is None:
-        normals = geometry.face_normal_differences(grid, np.asarray(u, dtype=float))
+    normals = geometry.face_normal_differences(grid, np.asarray(u, dtype=float))
     comps = []
     for k, g in enumerate(normals):
         for j in range(grid.dim):  # onto cell centers along the other axes
@@ -592,8 +603,7 @@ def energy(grid, profile, fieldh, u, chi, hcells=None, normals=None):
                 g = 0.5 * (g[lo] + g[hi])
         comps.append(g)
     mag = np.sqrt(geometry.component_dot(comps, comps))
-    if hcells is None:
-        hcells = fieldh(grid.cell_centers())
+    hcells = fieldh(grid.cell_centers())
     h_dot_grad = geometry.component_dot(np.moveaxis(hcells, -1, 0), comps)
     dens = profile.big_a(mag) + np.asarray(chi) * h_dot_grad
     return float(np.sum(dens) * grid.cell_volume)
@@ -604,14 +614,6 @@ def _chi_target(grid, u, eps):
     # which also pins cell complementarity of the published pair at eps/4
     clipped = np.clip(u, 0.0, grid.domain.m_ceiling)
     return np.clip(geometry.cell_average(clipped) / eps, 0.0, 1.0)
-
-
-#: steps and residual changes an Anderson history holds
-ANDERSON_DEPTH = 5
-
-#: a wide stage hands off once its front's remaining travel is at most this
-#: fraction of the next stage's width (see ``solve_problem``)
-HANDOFF_TRAVEL = 0.4
 
 
 class _Anderson:
@@ -626,7 +628,7 @@ class _Anderson:
 
     and clips chi + step to [0, 1]. The history restarts (after Zhang,
     O'Donoghue & Boyd 2020) whenever |f|_2 grows, and whenever its owner
-    calls ``clear`` (a new stage, width or relaxation), so that step is a
+    calls ``clear`` (at each new stage), so that step is a
     plain relaxed one. dX and dF are held in float32: they only steer the
     step, while f itself is always the float64 residual. The slot of the
     newest step holds -f until the next f completes its dF, so no copy of
@@ -767,12 +769,15 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     grid ``_stage_grids`` assigns it; the warm-up solve and the first
     sweep run on the first stage's grid, and each change of grid carries
     the pair over by ``_refine`` and builds a new head, so H is evaluated
-    once per grid. The final stage stops when the fixed-point residual
-    max |chi - target(u)| is at most ``outer_tol``, then solves the head
-    strictly at that chi; the report gives the residual of the published
-    pair. Raises NonConvergenceError naming the stop reason (a plateau at
-    the final width, or the max_outer budget) otherwise. Newton directions
-    use numpy sine-matrix products, never scipy.
+    on the faces once per grid. The final stage stops when the fixed-point
+    residual max |chi - target(u)| is at most ``outer_tol``, then solves
+    the head strictly at that chi; the report gives the residual and the
+    ``energy`` of the published pair, the one evaluation of H at cell
+    centers. Raises NonConvergenceError naming the stop reason otherwise:
+    the max_outer budget, or a plateau at the final width (the L1 residual
+    fell by less than 15% over 8 sweeps while reversing its direction in at
+    least 4 of them). Newton directions use numpy sine-matrix products,
+    never scipy.
 
     Hand-off. A wide stage of width eps_k only places the front for the
     next stage, of width eps_{k+1} = eps_k / 2. With f = target - chi,
@@ -802,11 +807,10 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     stages = _penalization_stages(cfg.eps, domain.m_ceiling)
     stage_grids = _stage_grids(grid, stages)
     cross_area = grid.cell_volume / float(np.min(grid.spacing)) * max(grid.counts)
-    # H is fixed for the whole solve: evaluated once per grid on faces (by
-    # the head) and once on cells
+    # H is fixed for the whole solve: the head of each grid evaluates it on
+    # that grid's faces, and the energy of the published pair on its cells
     g = stage_grids[0]
     head = _Head(g, fieldh, cfg, g.dirichlet_array())
-    hcells = fieldh(g.cell_centers())
     laplace = profiles.make_power(2.0)
     chi0 = np.zeros(g.cell_counts)
     u, inner_used, _ = _converged(head.newton(laplace, chi0, cfg.max_inner))
@@ -822,20 +826,17 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     # front (inexact Newton); the converged pair is polished strictly below
     converged = False
     plateau = False
-    outer_total = 0
     mixer = _Anderson(ANDERSON_DEPTH, g.cell_counts)
     for eps_k, eps_next, stage_grid in zip(stages, stages[1:] + [None], stage_grids):
         if stage_grid is not g:
             g = stage_grid
             # the coarser grid's arrays go before the finer grid's are built
-            head = hcells = mixer = None
+            head = mixer = None
             u, chi = _refine(u, chi, g)
             head = _Head(g, fieldh, cfg, u)
-            hcells = fieldh(g.cell_centers())
             mixer = _Anderson(ANDERSON_DEPTH, g.cell_counts)
         final_stage = eps_next is None
         report.stage_sweeps[eps_k] = 0
-        stage_relax = cfg.relax
         history, turns = [], []
         mixer.clear()
         target = _chi_target(g, u, eps_k)
@@ -853,43 +854,33 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             history.append(spread)
             turns.append(mixer.reverses(f))
             if len(history) >= 8 and spread >= 0.85 * history[-8]:
-                if final_stage:
-                    # a plateau whose residual keeps reversing is a relaxation
-                    # limit cycle (they appear when the penalization layer
-                    # spans several cells), and stronger damping restores
-                    # contraction; a front that fills cell by cell keeps the
-                    # sign of its residual and only needs the sweeps
-                    if sum(turns[-8:]) >= 4:
-                        if stage_relax <= 0.05:
-                            plateau = True
-                            break
-                        stage_relax = max(0.05, 0.5 * stage_relax)
-                        history.clear()
-                        mixer.clear()
-                else:
+                if not final_stage:
                     # warmup stages only position the front; a bounded
                     # oscillation around the smeared fixed point is an
                     # acceptable hand-off state
                     break
-            if outer_total >= cfg.max_outer:
+                # a final-stage plateau whose residual keeps reversing is an
+                # oscillation the mixing does not damp; a front that fills
+                # cell by cell keeps the sign of its residual and only needs
+                # the sweeps
+                if sum(turns[-8:]) >= 4:
+                    plateau = True
+                    break
+            if report.outer_iterations >= cfg.max_outer:
                 break
-            chi_new = mixer.step(chi, f, stage_relax)
+            chi_new = mixer.step(chi, f, cfg.relax)
             report.final_chi_change = float(np.sum(np.abs(chi_new - chi)) * g.cell_volume)
             chi = chi_new
             f = target = None  # not held through the Newton step
             u, inner_used, rmax, _ = head.newton(profile, chi, 1)
-            outer_total += 1
             report.inner_iterations += inner_used
             report.stalled_sweeps += head.stalled
-            report.outer_iterations = outer_total
+            report.outer_iterations += 1
             report.grid_sweeps[g.counts] = report.grid_sweeps.get(g.counts, 0) + 1
             report.stage_sweeps[eps_k] += 1
             report.final_residual = rmax
-            report.energy_history.append(
-                energy(g, profile, fieldh, u, chi, hcells, normals=head.normals)
-            )
             target = _chi_target(g, u, eps_k)
-        if converged or plateau or outer_total >= cfg.max_outer:
+        if converged or plateau or report.outer_iterations >= cfg.max_outer:
             break
     mixer = None  # the history is not held through the polish
     if converged:
@@ -902,9 +893,9 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
         except NonConvergenceError as exc:
             report.wall_time = time.perf_counter() - t0
             raise NonConvergenceError(str(exc), report=report) from exc
+    head = None  # the head's arrays are not held with the published pair's
     if g is not grid:  # the budget ran out on a coarser grid
         u, chi = _refine(u, chi, grid)
-    report.wall_time = time.perf_counter() - t0
     report.converged = converged
     # the converged head is nonnegative up to an exponentially small tail;
     # the projection finalizes the bound constraints of the published pair
@@ -912,9 +903,14 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
         u=np.clip(u, 0.0, domain.m_ceiling), chi=chi, eps_u=grid.positivity_threshold()
     )
     report.constraints = pair.validate(domain.m_ceiling, comp_bound=cfg.eps)
+    report.energy = energy(grid, profile, fieldh, pair.u, pair.chi)
+    report.wall_time = time.perf_counter() - t0
     if not converged:
         if plateau:
-            reason = f"outer loop plateaued at the final penalization width after {outer_total} sweeps"
+            reason = (
+                "outer loop plateaued at the final penalization width"
+                f" after {report.outer_iterations} sweeps"
+            )
         else:
             reason = f"outer loop exhausted {cfg.max_outer} iterations"
         raise NonConvergenceError(

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from alap import config, fields, geometry, profiles, solver
+from alap import cli, config, fields, geometry, profiles, solver
 from alap.errors import NonConvergenceError
 
 
@@ -192,7 +192,7 @@ def test_solve_deterministic():
     pair2, rep2 = solver.solve_problem(grid, prof, f, dom)
     assert np.array_equal(pair1.u, pair2.u)
     assert np.array_equal(pair1.chi, pair2.chi)
-    assert rep1.energy_history == rep2.energy_history
+    assert rep1.energy == rep2.energy
 
 
 def test_solve_3d_small():
@@ -241,16 +241,28 @@ def test_final_stage_plateau_names_the_stop_reason(monkeypatch):
     assert not report.converged
 
 
-def test_p3_dam_sweeps_take_one_newton_step_each():
+def test_p3_dam_sweeps_take_one_newton_step_each(monkeypatch):
     # sweeps track the moving front with one damped step; only the warm-up
     # p=2 solve and the strict final polish take several
     dom = dam_domain()
     grid = geometry.build_grid(dom, (65, 65))
     prof = profiles.make_power(3.0)
     f = fields.make_constant_field([0.0, float(prof.a(1.0))])
+    sweep_steps = []
+    real_newton = solver._Head.newton
+
+    def recording_newton(head, profile, chi, max_steps):
+        result = real_newton(head, profile, chi, max_steps)
+        if max_steps == 1:
+            sweep_steps.append(result[1])
+        return result
+
+    monkeypatch.setattr(solver._Head, "newton", recording_newton)
     pair, report = solver.solve_problem(grid, prof, f, dom)
     assert report.converged
-    assert report.inner_iterations < 2 * report.outer_iterations
+    # the first sweep, at the first stage's target, runs before the counted ones
+    assert len(sweep_steps) == report.outer_iterations + 1
+    assert sweep_steps == [1] * len(sweep_steps)
     assert report.final_residual <= solver.SolverConfig().resolved(grid, prof, f).inner_tol
     assert np.max(np.abs(pair.u - dam_exact(grid))) <= grid.spacing[1]
 
@@ -273,7 +285,31 @@ def test_solve_evaluates_the_field_once():
     assert report.outer_iterations > 1
     assert len(calls) == grid.dim + 1
     assert np.array_equal(pair.u, plain_pair.u) and np.array_equal(pair.chi, plain_pair.chi)
-    assert report.energy_history == plain_report.energy_history
+    assert report.energy == plain_report.energy
+
+
+def test_solver_config_has_one_field_per_solver_key():
+    # every knob of the solve is a config key; the rest are module constants
+    keys = {name[len("solver."):] for name in config.SCHEMA if name.startswith("solver.")}
+    assert {fld.name for fld in dataclasses.fields(solver.SolverConfig)} == keys
+    assert len(keys) == 6
+
+
+def test_solve_report_ends_with_the_energy_of_the_published_pair(tmp_path):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "dam.cfg")
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", "--config", path, "--out", out]) == 0
+    cfg = config.load(path)
+    grid = cfg.grid(cfg.resolution)
+    # the CSVs hold each float in repr, so they read back to the published pair
+    u = np.loadtxt(os.path.join(out, "u.csv"), delimiter=",", skiprows=1)[:, -1]
+    chi = np.loadtxt(os.path.join(out, "chi.csv"), delimiter=",", skiprows=1)[:, -1]
+    value = solver.energy(
+        grid, cfg.profile, cfg.fieldh, u.reshape(grid.counts), chi.reshape(grid.cell_counts)
+    )
+    with open(os.path.join(out, "solve_report.txt"), encoding="utf-8") as fh:
+        last = fh.read().splitlines()[-1]
+    assert last == f"energy of the published pair: {value:.12e}"
 
 
 # --- nested iteration: wide stages on coarser nested grids --------------------
@@ -334,7 +370,6 @@ def test_fine_dam_runs_each_stage_on_the_grid_its_width_admits():
     assert report.converged
     assert list(report.grid_sweeps) == [(n, n) for n in dict.fromkeys(predicted)]
     assert sum(report.grid_sweeps.values()) == report.outer_iterations
-    assert len(report.energy_history) == report.outer_iterations
     per_grid = " ".join(f"{n}x{n}:{report.grid_sweeps[(n, n)]}" for n in dict.fromkeys(predicted))
     assert f"sweeps per grid: {per_grid}" in report.summary_lines()
     assert "stalled sweeps: 0" in report.summary_lines()
@@ -343,6 +378,9 @@ def test_fine_dam_runs_each_stage_on_the_grid_its_width_admits():
 
 
 def test_each_grid_of_a_solve_evaluates_the_field_once():
+    # H is fixed for a solve: once on each axis's faces of every grid the
+    # solve runs on, and once on the final grid's cells for the energy of the
+    # published pair, however many sweeps, Newton steps and residuals it takes
     dom = dam_domain()
     grid = geometry.build_grid(dom, (65, 65))
     base = fields.make_constant_field([0.0, 1.0])
@@ -353,10 +391,14 @@ def test_each_grid_of_a_solve_evaluates_the_field_once():
         return base.eval_fn(x)
 
     f = dataclasses.replace(base, eval_fn=counting_eval)
-    _, report = solver.solve_problem(grid, profiles.make_power(2.0), f, dom)
+    pair, report = solver.solve_problem(grid, profiles.make_power(2.0), f, dom)
+    plain_pair, plain_report = solver.solve_problem(grid, profiles.make_power(2.0), base, dom)
     assert report.converged and list(report.grid_sweeps) == [(33, 33), (65, 65)]
-    assert len(calls) == (grid.dim + 1) * len(report.grid_sweeps)
-    assert calls.count((32, 32, 2)) == calls.count((64, 64, 2)) == 1
+    assert all(n > 1 for n in report.grid_sweeps.values())
+    faces = [(32, 33, 2), (33, 32, 2), (64, 65, 2), (65, 64, 2)]
+    assert calls == faces + [(64, 64, 2)]
+    assert np.array_equal(pair.u, plain_pair.u) and np.array_equal(pair.chi, plain_pair.chi)
+    assert report.energy == plain_report.energy
 
 
 def test_odd_cell_count_never_coarsens():
@@ -498,7 +540,9 @@ def test_face_kernel_matches_the_stacked_formulas_bit_for_bit(dim, name):
     with np.errstate(all="raise"):
         faces = geometry.face_gradient_components(grid, u)
         res = solver.residual(grid, prof, fieldh, u, chi)
-        res_given = solver.residual(grid, prof, fieldh, u, chi, faces=faces)
+        res_given = solver.residual(
+            grid, prof, fieldh, u, chi, diffusive=solver._diffusive_fluxes(grid, prof, faces)
+        )
         cond = solver._conductances(grid, prof, faces, mu, floor)
         val = solver.energy(grid, prof, fieldh, u, chi)
         fluxes = _normal_fluxes(grid, prof, faces, zero_drift)
@@ -577,15 +621,11 @@ def test_carried_head_matches_a_head_built_from_u_bit_for_bit(dim, name):
             diffusive=diffusive,
         )
         built = solver.residual(grid, prof, fieldh, u, new_chi)
-        normals = [comps[k] for k, comps in enumerate(faces)]
-        carried_energy = solver.energy(grid, prof, fieldh, u, new_chi, normals=normals)
-        built_energy = solver.energy(grid, prof, fieldh, u, new_chi)
     assert all(
         np.array_equal(c, _padded_face_chi(grid, new_chi, k)) for k, c in enumerate(face_chi)
     )
     assert np.array_equal(carried, built)
     assert np.array_equal(built, _stacked_residual(grid, prof, fieldh, u, new_chi))
-    assert carried_energy == built_energy == _stacked_energy(grid, prof, fieldh, u, new_chi)
 
 
 def _count_head_builds(monkeypatch, prof):
@@ -623,16 +663,17 @@ def test_solve_builds_one_face_gradient_per_head_iterate(monkeypatch):
     # a sweep's first residual reuses the accepted head's face gradient, so
     # only a new head value (the boundary data, then each trial) builds its
     # normal differences; the p=3 law adds the transverse components of each
-    # of its trials, and of the last head of the linear warm-up
+    # of its trials, and of the last head of the linear warm-up. The energy
+    # of the published pair builds one more set of normal differences.
     normal_builds, full_builds, heads = _count_head_builds(monkeypatch, profiles.make_power(3.0))
-    assert normal_builds == heads
+    assert normal_builds == heads + 1
     assert 0 < full_builds < heads
 
 
 def test_linear_law_solve_builds_only_normal_differences(monkeypatch):
     normal_builds, full_builds, heads = _count_head_builds(monkeypatch, profiles.make_power(2.0))
     assert full_builds == 0
-    assert normal_builds == heads
+    assert normal_builds == heads + 1  # one for the published pair's energy
 
 
 def test_stalled_sweep_is_counted(monkeypatch):
@@ -775,12 +816,12 @@ def test_exact_linear_direction_matches_the_cg_direction(dim):
     res = np.random.default_rng(11 + dim).standard_normal(grid.counts)
     boundary = grid.boundary_mask()
     res[boundary] = 0.0
-    mu = cfg.mu_factor * grid.domain.m_ceiling / grid.domain.delta
-    cond = solver._conductances(grid, prof, head.faces, mu, cfg.cond_floor)
+    mu = solver.MU_FACTOR * grid.domain.m_ceiling / grid.domain.delta
+    cond = solver._conductances(grid, prof, head.faces, mu, solver.COND_FLOOR)
     c_ref = float(np.median(np.concatenate([c.ravel() for c in cond])))
     weights = solver._face_weights(grid, cond)
     precond = solver._SpectralPreconditioner(
-        grid, max(c_ref, cfg.cond_floor), solver._laplacian_eigenvalues(grid)
+        grid, max(c_ref, solver.COND_FLOOR), solver._laplacian_eigenvalues(grid)
     )
     applies = []
 
@@ -788,7 +829,7 @@ def test_exact_linear_direction_matches_the_cg_direction(dim):
         applies.append(1)
         return solver._neg_jacobian_apply(weights, v, head.padded)
 
-    cg = solver._pcg(apply_op, precond.apply, res[head.inner], cfg.cg_forcing, cfg.cg_maxiter)
+    cg = solver._pcg(apply_op, precond.apply, res[head.inner], solver.CG_FORCING, solver.CG_MAXITER)
     exact = np.zeros(grid.counts)
     exact[head.inner] = head.linear_inverse.apply(res[head.inner])
     assert len(applies) == 1
