@@ -27,6 +27,7 @@ regularization enters, so certification margins are meaningful at the
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,18 +171,18 @@ def radial_a_laplacian(barrier, profile, x, scale=1.0):
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
-def ring_sampling_plan(barrier, rng_or_seed=0, random_points=100):
+#: uniform ring points that ``ring_sampling_plan`` draws after its tensor grid
+RING_RANDOM_POINTS = 100
+
+
+def ring_sampling_plan(barrier, seed=0):
     """Deterministic ring sampling: tensor radii x angles plus seeded extras.
 
     40 radii span the closed ring [radius/2, outer_radius]. Angles: 16 in
-    2D; a 12 x 12 (polar x azimuthal) grid in 3D. ``random_points`` uniform
-    ring points are appended from the given seed or generator.
+    2D; a 12 x 12 (polar x azimuthal) grid in 3D. RING_RANDOM_POINTS
+    uniform ring points are appended from the given seed.
     """
-    rng = (
-        rng_or_seed
-        if isinstance(rng_or_seed, np.random.Generator)
-        else np.random.default_rng(rng_or_seed)
-    )
+    rng = np.random.default_rng(seed)
     radii = np.linspace(barrier.radius / 2.0, barrier.outer_radius, 40)
     center = np.asarray(barrier.center)
     if barrier.dim == 2:
@@ -195,8 +196,8 @@ def ring_sampling_plan(barrier, rng_or_seed=0, random_points=100):
             [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
         ).reshape(-1, 3)
     pts = (radii[:, None, None] * dirs[None, :, :] + center).reshape(-1, barrier.dim)
-    extra_r = rng.uniform(barrier.radius / 2.0, barrier.outer_radius, random_points)
-    raw = rng.normal(size=(random_points, barrier.dim))
+    extra_r = rng.uniform(barrier.radius / 2.0, barrier.outer_radius, RING_RANDOM_POINTS)
+    raw = rng.normal(size=(RING_RANDOM_POINTS, barrier.dim))
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
     pts_extra = center + extra_r[:, None] * raw
     return np.concatenate([pts, pts_extra], axis=0)
@@ -217,9 +218,14 @@ class BarrierReport:
     rhs: np.ndarray
     lhs_above: bool = True
 
-    @property
+    @cached_property
     def margins(self):
         return self.lhs - self.rhs if self.lhs_above else self.rhs - self.lhs
+
+    @cached_property
+    def ok(self):
+        """Per point, whether its margin is at least -INEQ_TOL."""
+        return self.margins >= -INEQ_TOL
 
     @property
     def min_margin(self):
@@ -227,19 +233,12 @@ class BarrierReport:
 
     @property
     def passed(self):
-        return bool(np.all(self.margins >= -INEQ_TOL))
+        return bool(np.all(self.ok))
 
-    def rows(self):
-        out = []
-        margins = self.margins
-        for i in range(self.points.shape[0]):
-            m = float(margins[i])
-            out.append(
-                (self.label,)
-                + tuple(map(float, self.points[i]))
-                + (float(self.lhs[i]), float(self.rhs[i]), m, int(m >= -INEQ_TOL))
-            )
-        return out
+    def columns(self):
+        """CSV columns: label, point coordinates, lhs, rhs, margin and pass."""
+        label = [self.label] * len(self.points)
+        return [label, *self.points.T, self.lhs, self.rhs, self.margins, self.ok.astype(int)]
 
 
 def _certify_ring(label, barrier, profile, scale, samples, seed):
@@ -345,26 +344,33 @@ def _theta_derivatives(barrier, profile, t):
     return sl, -rate * (exp_arg(t) + c) / profile.da(sl)
 
 
-def make_boundary_barrier(profile, center, sphere_radius, m_ceiling, h_upper, diameter, dim,
-                          knot_count=257, quad_tol_factor=1e-10):
+#: knots of the tabulated boundary profile theta on [0, D]
+THETA_KNOTS = 257
+
+#: the tabulated theta's absolute tolerance, relative to max(M, crude integral)
+THETA_QUAD_TOL = 1e-10
+
+
+def make_boundary_barrier(profile, center, sphere_radius, m_ceiling, h_upper, diameter, dim):
     """Tabulate theta on [0, D] with certified absolute tolerance.
 
-    The tolerance is quad_tol_factor * max(M, crude integral) overall,
-    split across knot intervals; the integral scale enters because theta
-    can exceed M by orders of magnitude for strongly degenerate laws, and
-    an absolute M-scaled tolerance would then sit below float resolution.
+    The tolerance is THETA_QUAD_TOL * max(M, crude integral) overall,
+    split across the THETA_KNOTS - 1 knot intervals; the integral scale
+    enters because theta can exceed M by orders of magnitude for strongly
+    degenerate laws, and an absolute M-scaled tolerance would then sit
+    below float resolution.
     """
     if sphere_radius <= 0 or m_ceiling <= 0 or h_upper <= 0 or diameter <= 0:
         raise ValueError("sphere_radius, m_ceiling, h_upper, diameter must be positive")
     if dim not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
     _, _, slope = _theta_core(profile, m_ceiling, sphere_radius, h_upper, diameter, dim)
-    knots = np.linspace(0.0, diameter, knot_count)
+    knots = np.linspace(0.0, diameter, THETA_KNOTS)
     crude = float(np.trapezoid(slope(knots), knots))
-    quad_tol = quad_tol_factor * max(m_ceiling, abs(crude))
-    per_interval = quad_tol / (knot_count - 1)
-    table = np.zeros(knot_count)
-    for i in range(1, knot_count):
+    quad_tol = THETA_QUAD_TOL * max(m_ceiling, abs(crude))
+    per_interval = quad_tol / (THETA_KNOTS - 1)
+    table = np.zeros(THETA_KNOTS)
+    for i in range(1, THETA_KNOTS):
         piece = adaptive_simpson(lambda s: float(slope(s)), knots[i - 1], knots[i], per_interval)
         table[i] = table[i - 1] + piece
     return BoundaryBarrier(

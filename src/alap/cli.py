@@ -110,19 +110,20 @@ def cmd_solve(args):
         [f"x{k+1}" for k in range(cfg.domain.dim)]
         + [f"H{k+1}" for k in range(cfg.domain.dim)]
         + ["divH", "divH_fd", "pass"],
-        field_rep.rows,
+        [*field_rep.points.T, *field_rep.values.T, field_rep.divergence,
+         field_rep.fd_divergence, field_rep.ok.astype(int)],
     )
     grid, pair, report = _solved(cfg)
     coords = [f"x{k+1}" for k in range(grid.dim)]
     csvio.write_csv(
         os.path.join(cfg.out_dir, "u.csv"),
         coords + ["u"],
-        np.column_stack((grid.nodes().reshape(-1, grid.dim), pair.u.ravel())),
+        [*grid.nodes().reshape(-1, grid.dim).T, pair.u.ravel()],
     )
     csvio.write_csv(
         os.path.join(cfg.out_dir, "chi.csv"),
         coords + ["chi"],
-        np.column_stack((grid.cell_centers().reshape(-1, grid.dim), pair.chi.ravel())),
+        [*grid.cell_centers().reshape(-1, grid.dim).T, pair.chi.ravel()],
     )
     _write_summary(cfg, "solve_report.txt", report.summary_lines())
     return EXIT_OK if report.constraints.passed else EXIT_CERTIFICATION
@@ -134,7 +135,9 @@ def cmd_check_profile(args):
     samples = np.logspace(-6, 6, 200)
     report = profiles_mod.certify_ellipticity(cfg.profile, samples)
     csvio.write_csv(
-        os.path.join(cfg.out_dir, "ellipticity.csv"), ["t", "ratio", "pass"], report.rows()
+        os.path.join(cfg.out_dir, "ellipticity.csv"),
+        ["t", "ratio", "pass"],
+        [report.samples, report.ratios, report.ok.astype(int)],
     )
     _write_summary(
         cfg,
@@ -197,11 +200,11 @@ def cmd_check_barriers(args):
     pts = np.concatenate(kept)[:200]
     results.append(barriers.certify_boundary_supersolution(bb, prof, cfg.fieldh, pts))
 
-    rows = [r for rep in results for r in rep.rows()]
+    labels, *numbers = zip(*(rep.columns() for rep in results))
     csvio.write_csv(
         os.path.join(cfg.out_dir, "barriers.csv"),
         ["barrier"] + [f"x{k+1}" for k in range(dom.dim)] + ["lhs", "rhs", "margin", "pass"],
-        rows,
+        [[label for part in labels for label in part]] + [np.concatenate(c) for c in numbers],
     )
     all_pass = all(rep.passed for rep in results)
     _write_summary(
@@ -237,18 +240,17 @@ def cmd_trace(args):
     orbit_list = orbits_mod.integrate_orbits(fieldh, omegas, level, dom)
     times = np.array([np.linspace(orbit.t_minus, orbit.t_plus, 32) for orbit in orbit_list])
     numeric = orbits_mod.jacobian_numeric_batch(fieldh, omegas, level, times)
-    rows = []
-    for om, orbit, ts, yn in zip(omegas, orbit_list, times, numeric):
-        xs = orbits_mod.orbit_point(fieldh, orbit, ts)
-        ya = orbits_mod.jacobian_analytic(fieldh, orbit, ts)
-        rows.extend(tuple(om) + (t,) + tuple(x) + (a, n) for t, x, a, n in zip(ts, xs, ya, yn))
+    pairs = list(zip(orbit_list, times))
+    points = np.concatenate([orbits_mod.orbit_point(fieldh, o, ts) for o, ts in pairs])
+    analytic = np.concatenate([orbits_mod.jacobian_analytic(fieldh, o, ts) for o, ts in pairs])
     csvio.write_csv(
         os.path.join(cfg.out_dir, "trace.csv"),
         [f"omega{k+1}" for k in range(dom.dim - 1)]
         + ["t"]
         + [f"x{k+1}" for k in range(dom.dim)]
         + ["jacobian_analytic", "jacobian_numeric"],
-        rows,
+        [*np.repeat(omegas, times.shape[1], axis=0).T, times.ravel(), *points.T, analytic,
+         numeric.ravel()],
     )
     return EXIT_OK
 
@@ -280,18 +282,17 @@ def cmd_extract_fb(args):
     levels, omegas = _fb_setup(cfg, args)
     grid, pair, _ = _solved(cfg)
     lsc_tol = _lsc_tol(cfg, grid, pair.u)
-    rows = []
+    parts = []
     for level in levels:
         _, _, graph, lsc = _fb_level(cfg, grid, pair, level, omegas, lsc_tol)
-        for i, om in enumerate(omegas):
-            rows.append(
-                (level, float(om), float(graph.values[i]), int(graph.set_empty[i]),
-                 int(graph.boundary_touching[i]), int(graph.identity_ok[i]), int(lsc.passed))
-            )
+        flags = (graph.set_empty, graph.boundary_touching, graph.identity_ok,
+                 np.repeat(lsc.passed, len(omegas)))
+        parts.append([np.repeat(float(level), len(omegas)), omegas, graph.values]
+                     + [flag.astype(int) for flag in flags])
     csvio.write_csv(
         os.path.join(cfg.out_dir, "free_boundary.csv"),
         ["level", "omega", "phi", "set_empty", "boundary_touching", "identity_ok", "lsc_pass"],
-        rows,
+        [np.concatenate(column) for column in zip(*parts)],
     )
     return EXIT_OK
 
@@ -339,6 +340,15 @@ def cmd_verify_fb(args):
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
+def _row_columns(rows, dim, points, scalars):
+    """CSV columns of harness report rows: one per coordinate of each point
+    field named in ``points`` (``dim`` of them, so that no rows still give
+    every column), then one per field named in ``scalars``."""
+    return [[getattr(row, name)[k] for row in rows] for name in points for k in range(dim)] + [
+        [getattr(row, name) for row in rows] for name in scalars
+    ]
+
+
 def cmd_growth(args):
     cfg = _load(args)
     _require(cfg, "domain", "resolution", "profile", "fieldh")
@@ -349,26 +359,19 @@ def cmd_growth(args):
     res_list = [tuple(raw_res[i : i + dim]) for i in range(0, len(raw_res), dim)] or [cfg.resolution]
     count = cfg["growth.ball_count"]
 
-    def one(res):
+    reports = []
+    for res in res_list:
         grid, pair, _ = _solved(cfg, res)
         balls = harness.find_touching_balls(pair, grid, count)
-        return res, harness.growth_report(pair, grid, balls, cfg.profile, cfg.fieldh)
-
-    reports = [one(res) for res in res_list]
-    rows = []
-    passed = True
-    for res, rep in reports:
-        passed = passed and rep.passed
-        for row in rep.rows:
-            rows.append(
-                (res[0],) + row.center + (row.radius, row.sup_half_ball, row.ratio, row.bound)
-            )
+        reports.append(harness.growth_report(pair, grid, balls, cfg.profile, cfg.fieldh))
+    rows = [row for rep in reports for row in rep.rows]
     csvio.write_csv(
         os.path.join(cfg.out_dir, "growth.csv"),
         ["resolution"] + [f"x{k+1}" for k in range(dim)] + ["r", "sup_half_ball", "ratio", "bound"],
-        rows,
+        [[res[0] for res, rep in zip(res_list, reports) for _ in rep.rows]]
+        + _row_columns(rows, dim, ("center",), ("radius", "sup_half_ball", "ratio", "bound")),
     )
-    return EXIT_OK if passed else EXIT_CERTIFICATION
+    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CERTIFICATION
 
 
 def cmd_boundary_growth(args):
@@ -391,7 +394,7 @@ def cmd_boundary_growth(args):
     csvio.write_csv(
         os.path.join(cfg.out_dir, "boundary_growth.csv"),
         [f"x{k+1}" for k in range(dom.dim)] + [f"anchor{k+1}" for k in range(dom.dim)] + ["u", "distance", "ratio"],
-        [row.point + row.anchor + (row.head, row.distance, row.ratio) for row in rep.rows],
+        _row_columns(rep.rows, dom.dim, ("point", "anchor"), ("head", "distance", "ratio")),
     )
     _write_summary(
         cfg,
@@ -416,7 +419,8 @@ def cmd_harnack(args):
     csvio.write_csv(
         os.path.join(cfg.out_dir, "harnack.csv"),
         [f"x{k+1}" for k in range(cfg.domain.dim)] + ["r", "sup", "inf", "data_term", "constant"],
-        [row.center + (row.radius, row.sup, row.inf, row.data_term, row.constant) for row in rep.rows],
+        _row_columns(rep.rows, cfg.domain.dim, ("center",),
+                     ("radius", "sup", "inf", "data_term", "constant")),
     )
     _write_summary(cfg, "harnack.txt", [f"max measured constant: {rep.max_constant!r}"])
     return EXIT_OK

@@ -4,10 +4,13 @@ All files use '.' decimal, comma separator, a header row, UTF-8, and
 shortest-roundtrip float formatting, so identical runs produce identical
 bytes.
 
-Files are written column by column. A column whose cells are all floats
-formats each distinct float64 bit pattern once with ``repr``; any other
-column formats each cell with ``format_value`` and quotes it the way
-``csv.writer`` does. The bytes are those of a per-row ``csv.writer`` loop.
+A table is handed over as columns, one 1-D sequence per header name, all
+of one length. A float array column formats each distinct float64 bit
+pattern once with ``repr``; any other column (a list, an int array, labels)
+formats each cell with ``format_value`` and quotes it the way
+``csv.writer`` does. Both write a float as ``repr(float(v))``, so the path
+a column takes changes speed, not bytes: the bytes are those of a per-row
+``csv.writer`` loop over the same cells.
 """
 
 import csv
@@ -60,30 +63,27 @@ def _text_cells(column, alone):
     return cells
 
 
-def write_csv(path, header, rows):
-    """Write ``header`` and ``rows``: an iterable of mixed-type rows, or a
-    2-D float array. Every row must have one cell per header name."""
+def write_csv(path, header, columns):
+    """Write ``header`` and ``columns``, one 1-D sequence per header name,
+    all of one length. A flag column must hold ints: a ``np.bool_`` cell
+    formats as ``True``."""
     width = len(header)
     if not width:
         raise ValueError("a CSV file needs at least one column")
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        if rows.ndim != 2 or rows.shape[1] != width:
-            raise ValueError(f"rows of shape {rows.shape} do not fit {width} header names")
-        formatters = [_float_cells(col) for col in rows.T]
-    else:
-        rows = [tuple(row) for row in rows]
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, the header has {width}")
-        formatters = [
-            _float_cells(col)
-            if all(isinstance(v, (float, np.floating)) for v in col)
-            else _text_cells(col, width == 1)
-            for col in zip(*rows)
-        ]
+    if len(columns) != width:
+        raise ValueError(f"{len(columns)} columns do not fit {width} header names")
+    lengths = sorted({len(col) for col in columns})
+    if len(lengths) != 1:
+        raise ValueError(f"columns of unequal lengths {lengths}")
+    formatters = [
+        _float_cells(col)
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f"
+        else _text_cells(col, width == 1)
+        for col in columns
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(rows), _BLOCK_ROWS):
+        for start in range(0, lengths[0], _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             cells = [cells_of(block) for cells_of in formatters]
             fh.write("\r\n".join(map(",".join, zip(*cells))))

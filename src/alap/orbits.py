@@ -58,11 +58,6 @@ class Orbit:
     def seed(self):
         return np.array(list(self.omega) + [self.level])
 
-    def state_before(self, t):
-        """Index of the last stored sample with time <= t."""
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return max(0, min(idx, len(self.times) - 1))
-
 
 def _generator(fieldh):
     """The augmented matrix M = [[A, b], [0, 0]] of an affine field."""
@@ -341,7 +336,7 @@ def jacobian_analytic(fieldh, orbit, t):
     # the stored samples start at the backward exit; the formula integrates
     # from the seed time 0, which is a stored sample by construction
     idx = _sample_index(orbit, flat)
-    integral = cum[idx] - cum[orbit.state_before(0.0)]
+    integral = cum[idx] - cum[_sample_index(orbit, 0.0)]
     rest = flat - orbit.times[idx]
     moved = rest != 0.0
     if np.any(moved):
@@ -463,7 +458,3 @@ class OrbitFamily:
 
     def orbit(self, omega):
         return self.orbits([omega])[0]
-
-    def interval(self, omega):
-        orb = self.orbit(omega)
-        return orb.t_minus, orb.t_plus

@@ -247,22 +247,13 @@ class EllipticityReport:
 
     samples: np.ndarray
     ratios: np.ndarray
+    ok: np.ndarray
     a0: float
     a1: float
     min_ratio: float
     max_ratio: float
     passed: bool
     failures: tuple
-
-    def rows(self):
-        """CSV rows (t, ratio, pass)."""
-        ok = (self.ratios >= self.a0 - ELLIPTICITY_SLACK) & (
-            self.ratios <= self.a1 + ELLIPTICITY_SLACK
-        )
-        return [
-            (float(t), float(r), int(p))
-            for t, r, p in zip(self.samples, self.ratios, ok)
-        ]
 
 
 def certify_ellipticity(profile, t_samples):
@@ -278,6 +269,7 @@ def certify_ellipticity(profile, t_samples):
     return EllipticityReport(
         samples=t,
         ratios=ratios,
+        ok=ok,
         a0=profile.a0,
         a1=profile.a1,
         min_ratio=float(np.min(ratios)),

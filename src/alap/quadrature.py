@@ -16,12 +16,16 @@ _GL_X01 = 0.5 * (_GL_NODES + 1.0)
 _GL_W01 = 0.5 * _GL_WEIGHTS
 
 
-def adaptive_simpson(f, a, b, tol, max_depth=60):
+#: bisection depth at which ``adaptive_simpson`` gives up
+SIMPSON_MAX_DEPTH = 60
+
+
+def adaptive_simpson(f, a, b, tol):
     """Integral of ``f`` on [a, b] to absolute tolerance ``tol``.
 
     Classic recursive Simpson bisection with the 1/15 error estimate.
-    Raises QuadratureError if the recursion depth limit is hit before the
-    local tolerance is met (signals an inconsistent integrand).
+    Raises QuadratureError if SIMPSON_MAX_DEPTH bisections are reached
+    before the local tolerance is met (signals an inconsistent integrand).
     """
     if b == a:
         return 0.0
@@ -29,7 +33,7 @@ def adaptive_simpson(f, a, b, tol, max_depth=60):
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, SIMPSON_MAX_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):

@@ -145,13 +145,15 @@ def test_cli_csv_cells_parse_as_floats(tmp_path, monkeypatch):
 
 
 def test_float_array_rows_write_the_bytes_of_mixed_rows(tmp_path):
+    """Float array columns write the bytes of the same cells as Python floats
+    in lists, which go through the mixed-cell path."""
     rng = np.random.default_rng(3)
     # more rows than one output block, and the float values with unusual reprs
     table = rng.normal(size=(2 * csvio._BLOCK_ROWS + 3, 3)) * 10.0 ** rng.integers(-300, 300, (1, 3))
     table[:6, 0] = [-0.0, 0.1, 1.0 / 3.0, np.nan, np.inf, -np.inf]
     header = ["x1", "x2", "u"]
-    csvio.write_csv(tmp_path / "array.csv", header, table)
-    csvio.write_csv(tmp_path / "rows.csv", header, [tuple(row) for row in table])
+    csvio.write_csv(tmp_path / "array.csv", header, list(table.T))
+    csvio.write_csv(tmp_path / "rows.csv", header, table.T.tolist())
     assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 

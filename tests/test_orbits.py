@@ -233,8 +233,7 @@ def test_orbit_family_memoizes():
     a = fam.orbit((0.5,))
     b = fam.orbit((0.5,))
     assert a is b
-    tmin, tmax = fam.interval((0.5,))
-    assert tmin < 0.0 < tmax
+    assert a.t_minus < 0.0 < a.t_plus
 
 
 def test_orbit_and_jacobian_3d():
