@@ -26,6 +26,7 @@ regularization enters, so certification margins are meaningful at the
 """
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -179,10 +180,11 @@ def ring_sampling_plan(barrier, seed=0):
     """Deterministic ring sampling: tensor radii x angles plus seeded extras.
 
     40 radii span the closed ring [radius/2, outer_radius]. Angles: 16 in
-    2D; a 12 x 12 (polar x azimuthal) grid in 3D. RING_RANDOM_POINTS
-    uniform ring points are appended from the given seed.
+    2D; a 12 x 12 (polar x azimuthal) grid in 3D. RING_RANDOM_POINTS ring
+    points are appended from the stdlib generator ``random.Random(seed)``:
+    uniform radii, then normalized Gaussian directions.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     radii = np.linspace(barrier.radius / 2.0, barrier.outer_radius, 40)
     center = np.asarray(barrier.center)
     if barrier.dim == 2:
@@ -196,8 +198,10 @@ def ring_sampling_plan(barrier, seed=0):
             [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
         ).reshape(-1, 3)
     pts = (radii[:, None, None] * dirs[None, :, :] + center).reshape(-1, barrier.dim)
-    extra_r = rng.uniform(barrier.radius / 2.0, barrier.outer_radius, RING_RANDOM_POINTS)
-    raw = rng.normal(size=(RING_RANDOM_POINTS, barrier.dim))
+    extra_r = np.array([rng.uniform(barrier.radius / 2.0, barrier.outer_radius)
+                        for _ in range(RING_RANDOM_POINTS)])
+    raw = np.array([[rng.gauss(0.0, 1.0) for _ in range(barrier.dim)]
+                    for _ in range(RING_RANDOM_POINTS)])
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
     pts_extra = center + extra_r[:, None] * raw
     return np.concatenate([pts, pts_extra], axis=0)

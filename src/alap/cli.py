@@ -99,7 +99,7 @@ def _solved(cfg, resolution=None):
 def cmd_solve(args):
     cfg = _load(args)
     _require(cfg, "domain", "resolution", "profile", "fieldh")
-    # the stdlib generator: numpy.random is not imported by a solve
+    # the stdlib generator: no command imports numpy.random
     rng = random.Random(cfg.seed)
     unit = np.array([rng.random() for _ in range(128 * cfg.domain.dim)]).reshape(128, -1)
     samples = cfg.domain.lower + unit * (cfg.domain.upper - cfg.domain.lower)
@@ -181,23 +181,24 @@ def cmd_check_barriers(args):
     bb = barriers.make_boundary_barrier(
         prof, tuple(x1), sphere_r, dom.m_ceiling, cfg.fieldh.h_upper, dom.delta, dom.dim
     )
-    # the inequality is claimed in the domain only: draw batches from the
-    # seeded rng and keep the points inside the box, in order, until 200
-    rng = np.random.default_rng(cfg.seed)
-    kept, count = [], 0
-    for _ in range(100):
-        if count >= 200:
-            break
-        dists = rng.uniform(1e-3 * dom.delta, 0.999 * dom.delta, 200)
-        raw = rng.normal(size=(200, dom.dim))
-        raw[:, -1] = np.abs(raw[:, -1])  # keep samples on the domain side
-        raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-        pts = x1 + (sphere_r + dists)[:, None] * raw
-        kept.append(pts[dom.contains(pts)])
-        count += len(kept[-1])
-    if count < 200:
-        raise ConfigError(f"only {count} of 20000 exterior-sphere samples lie in the domain")
-    pts = np.concatenate(kept)[:200]
+    # the inequality is claimed in the domain only: draw points one at a
+    # time from the seeded stdlib generator and keep those inside the box,
+    # in order, until 200
+    rng = random.Random(cfg.seed)
+    dist_lo, dist_hi = 1e-3 * dom.delta, 0.999 * dom.delta
+    kept = []
+    for _ in range(20000):
+        dist = rng.uniform(dist_lo, dist_hi)
+        raw = np.array([rng.gauss(0.0, 1.0) for _ in range(dom.dim)])
+        raw[-1] = abs(raw[-1])  # keep samples on the domain side
+        pt = x1 + (sphere_r + dist) * raw / np.linalg.norm(raw)
+        if dom.contains(pt):
+            kept.append(pt)
+            if len(kept) == 200:
+                break
+    else:
+        raise ConfigError(f"only {len(kept)} of 20000 exterior-sphere samples lie in the domain")
+    pts = np.array(kept)
     results.append(barriers.certify_boundary_supersolution(bb, prof, cfg.fieldh, pts))
 
     labels, *numbers = zip(*(rep.columns() for rep in results))

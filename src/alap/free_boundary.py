@@ -17,17 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from alap import geometry
-from alap.orbits import Orbit, OrbitFamily, orbit_point
+from alap.orbits import OrbitFamily, orbit_point
 
 
-def sample_along_orbit(solution, grid, orbit, count=None):
+def sample_along_orbit(solution, grid, orbit):
     """(u-samples, chi-samples) at the orbit's stored sample points.
 
     The head is interpolated multilinearly; chi is read from the containing
     cell, because blending an indicator-like field would fabricate
     intermediate values and corrupt monotonicity measurements.
     """
-    pts = orbit.points if count is None else _resample(orbit, count)
+    pts = orbit.points
     inside = grid.domain.contains(pts, tol=1e-12 * grid.domain.delta)
     if not np.all(inside):
         raise ValueError("orbit samples leave the solved grid")
@@ -44,13 +44,6 @@ def _samples_of(solution, grid, orbits, samples):
     if len(samples) != len(orbits):
         raise ValueError(f"{len(samples)} sample sets for {len(orbits)} orbits")
     return samples
-
-
-def _resample(orbit, count):
-    ts = np.linspace(orbit.times[0], orbit.times[-1], count)
-    idx = np.searchsorted(orbit.times, ts, side="right") - 1
-    idx = np.clip(idx, 0, len(orbit.times) - 1)
-    return orbit.points[idx]
 
 
 def default_chi_monotone_tol(eps, eps_u, m_ceiling, outer_tol=1e-7):
@@ -87,20 +80,14 @@ class MonotonicityReport:
     passed: bool
 
 
-def certify_chi_monotone(solution, grid, orbits, tol=None, samples=None):
+def certify_chi_monotone(solution, grid, orbits, tol, samples=None):
     """Largest uptick of chi along each orbit against the tolerance.
 
     The uptick of one orbit is max_j (chi_j - min_{i<=j} chi_i) over its
-    samples in time order. ``tol`` defaults to ``default_chi_monotone_tol``
-    at the default penalization width 4 * eps_u and the default
-    ``solver.outer_tol``. ``samples`` holds each orbit's
+    samples in time order. ``samples`` holds each orbit's
     (u-samples, chi-samples) as from ``sample_along_orbit``; the orbits are
     sampled here when None.
     """
-    if tol is None:
-        tol = default_chi_monotone_tol(
-            4.0 * solution.eps_u, solution.eps_u, grid.domain.m_ceiling
-        )
     upticks = []
     for _, chi_vals in _samples_of(solution, grid, orbits, samples):
         running = np.minimum.accumulate(chi_vals)
@@ -114,49 +101,33 @@ def certify_chi_monotone(solution, grid, orbits, tol=None, samples=None):
     )
 
 
-def _wet_bracket(orbit, u_vals, eps_u, stride):
-    """(lo, hi) times of the last wet scan sample and the scan sample after
-    it, or (t, t) with t the exit time when the scan is all dry (t_minus)
-    or wet up to its last sample (t_plus)."""
-    scan = np.arange(0, len(u_vals), stride)
-    if scan[-1] != len(u_vals) - 1:
-        scan = np.append(scan, len(u_vals) - 1)
-    wet = u_vals[scan] > eps_u
-    if not np.any(wet):
+def _wet_bracket(orbit, u_vals, eps_u):
+    """(lo, hi) times of the last wet sample and the sample after it, or
+    (t, t) with t the exit time when the orbit is all dry (t_minus) or wet
+    up to its last sample (t_plus)."""
+    wet = np.flatnonzero(u_vals > eps_u)
+    if not wet.size:
         return orbit.t_minus, orbit.t_minus
-    last_wet = int(scan[np.max(np.nonzero(wet)[0])])
+    last_wet = int(wet[-1])
     if last_wet == len(u_vals) - 1:
         return orbit.t_plus, orbit.t_plus
-    nxt = min(last_wet + stride, len(u_vals) - 1)
-    return float(orbit.times[last_wet]), float(orbit.times[nxt])
+    return float(orbit.times[last_wet]), float(orbit.times[last_wet + 1])
 
 
-def wet_interval_sup(solution, grid, fieldh, orbit, refine_tol=1e-9, stride=1, u_vals=None):
-    """Largest orbit time with head above the wet threshold.
+def wet_interval_sup(solution, grid, fieldh, orbits, u_vals, refine_tol=1e-9):
+    """Largest orbit time with head above the wet threshold, per orbit.
 
-    Scans the stored samples (every ``stride``-th one) for the last wet
-    sample, bisects between it and the first dry scan sample after it down
-    to refine_tol * delta(Omega) in position, and returns the entry time
-    t_minus when no sample is wet. The bisection makes the result
-    insensitive to the scan density. ``u_vals`` holds the head at the
-    orbit's samples (as from ``sample_along_orbit``); it is sampled here
-    when None.
-
-    ``orbit`` may also be a list of orbits, with ``u_vals`` then None or a
-    list of one head array per orbit: every orbit's bracket halves in one
+    ``u_vals`` holds one head array per orbit, at the orbit's samples (as
+    from ``sample_along_orbit``). Each orbit's last wet sample and the
+    sample after it bracket the supremum, which is bisected down to
+    refine_tol * delta(Omega) in position; the entry time t_minus is
+    returned when no sample is wet. Every orbit's bracket halves in one
     batched ``orbit_point`` call per step, each leaving the batch once its
-    own bracket is resolved, and the array of suprema is returned. A lone
-    orbit is a batch of one and returns a float.
+    own bracket is resolved. Returns the array of suprema.
     """
-    lone = isinstance(orbit, Orbit)
-    orbit_list = [orbit] if lone else list(orbit)
-    if u_vals is None:
-        u_list = [sample_along_orbit(solution, grid, o)[0] for o in orbit_list]
-    else:
-        u_list = [u_vals] if lone else list(u_vals)
-        if len(u_list) != len(orbit_list):
-            raise ValueError(f"{len(u_list)} head arrays for {len(orbit_list)} orbits")
-    brackets = [_wet_bracket(o, u, solution.eps_u, stride) for o, u in zip(orbit_list, u_list)]
+    if len(u_vals) != len(orbits):
+        raise ValueError(f"{len(u_vals)} head arrays for {len(orbits)} orbits")
+    brackets = [_wet_bracket(o, u, solution.eps_u) for o, u in zip(orbits, u_vals)]
     lo = np.array([b[0] for b in brackets], dtype=float)
     hi = np.array([b[1] for b in brackets], dtype=float)
     tol_t = refine_tol * grid.domain.delta / max(fieldh.h_upper, 1e-300)
@@ -166,13 +137,12 @@ def wet_interval_sup(solution, grid, fieldh, orbit, refine_tol=1e-9, stride=1, u
         if not rows.size:
             break
         mid = 0.5 * (lo[rows] + hi[rows])
-        x = orbit_point(fieldh, [orbit_list[i] for i in rows], mid)
+        x = orbit_point(fieldh, [orbits[i] for i in rows], mid)
         wet = geometry.interpolate_nodes(grid, solution.u, x) > solution.eps_u
         lo[rows] = np.where(wet, mid, lo[rows])
         hi[rows] = np.where(wet, hi[rows], mid)
     # an exit-time bracket (t, t) gives 0.5 * (t + t) = t exactly
-    sup = 0.5 * (lo + hi)
-    return float(sup[0]) if lone else sup
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -183,7 +153,7 @@ class FreeBoundaryGraph:
     time), ``boundary_touching`` (the graph point lies on the domain
     boundary, excluded from interior-only statements), ``identity_ok``
     (the wet set along the orbit is an initial interval within one sample
-    step), ``lsc_ok`` (filled by the lower semi-continuity check).
+    step).
     """
 
     level: float
@@ -194,7 +164,6 @@ class FreeBoundaryGraph:
     set_empty: np.ndarray
     boundary_touching: np.ndarray
     identity_ok: np.ndarray
-    lsc_ok: np.ndarray
 
 
 def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9, orbits=None,
@@ -223,7 +192,7 @@ def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9
     elif [o.omega for o in orbits] != om_list or any(o.level != level for o in orbits):
         raise ValueError("the given orbits do not start at the omegas on this level")
     u_list = [u_vals for u_vals, _ in _samples_of(solution, grid, orbits, samples)]
-    values = wet_interval_sup(solution, grid, fieldh, orbits, refine_tol, u_vals=u_list)
+    values = wet_interval_sup(solution, grid, fieldh, orbits, u_list, refine_tol)
     graph_points = orbit_point(fieldh, orbits, values)
     tmin = np.array([orbit.t_minus for orbit in orbits], dtype=float)
     tmax = np.array([orbit.t_plus for orbit in orbits], dtype=float)
@@ -252,7 +221,6 @@ def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9
         set_empty=set_empty,
         boundary_touching=near | set_empty,
         identity_ok=identity,
-        lsc_ok=np.ones(len(values), dtype=bool),
     )
 
 
@@ -279,7 +247,7 @@ class LscReport:
     passed: bool
 
 
-def certify_lower_semicontinuity(graph, tol, modulus=0.0):
+def certify_lower_semicontinuity(graph, tol):
     """Discrete lower semi-continuity of the graph on its omega grid.
 
     Lower semi-continuity asks that no value exceed the smaller of its
@@ -289,11 +257,10 @@ def certify_lower_semicontinuity(graph, tol, modulus=0.0):
     The slope is that of the side's two nearest samples, or of the other
     side's two where the side holds only one (none where neither holds
     two). A value is flagged when it exceeds the smallest estimate by more
-    than tol + modulus, so a straight graph of any slope meets its
-    estimates exactly while a value on the upper side of a jump, or on a
-    spike, is flagged. ``modulus`` budgets genuine variation of the graph
-    between samples, such as curvature. Boundary-touching and empty
-    omegas are excluded.
+    than tol, so a straight graph of any slope meets its estimates exactly
+    while a value on the upper side of a jump, or on a spike, is flagged;
+    ``tol`` also budgets genuine variation of the graph between samples,
+    such as curvature. Boundary-touching and empty omegas are excluded.
     """
     values = np.asarray(graph.values, dtype=float)
     omegas = np.asarray(graph.omegas, dtype=float).reshape(len(values), -1)
@@ -313,7 +280,7 @@ def certify_lower_semicontinuity(graph, tol, modulus=0.0):
             limit = np.minimum(limit, np.moveaxis(side, 0, axis)[across])
     excess = vals[interior] - limit
     checked = ~excluded[interior]
-    flagged = np.argwhere(checked & (excess > tol + modulus))
+    flagged = np.argwhere(checked & (excess > tol))
     violations = tuple(
         (int(i[0]) + 1 if len(shape) == 1 else tuple(int(k) + 1 for k in i),
          float(excess[tuple(i)]))
@@ -346,13 +313,13 @@ class RewettingReport:
     passed: bool
 
 
-def certify_no_rewetting(solution, grid, fieldh, orbits, slack=None, samples=None):
+def certify_no_rewetting(solution, grid, fieldh, orbits, samples=None):
     """Once the head falls to the wet threshold along an orbit it must stay
-    there; counts samples that re-wet after the first dry sample.
-    ``samples`` holds each orbit's (u-samples, chi-samples) as from
-    ``sample_along_orbit``; the orbits are sampled here when None."""
-    if slack is None:
-        slack = solution.eps_u
+    there; counts samples that re-wet, above twice the threshold, after the
+    first dry sample. ``samples`` holds each orbit's (u-samples,
+    chi-samples) as from ``sample_along_orbit``; the orbits are sampled
+    here when None."""
+    slack = solution.eps_u
     violations = []
     for idx, (u_vals, _) in enumerate(_samples_of(solution, grid, orbits, samples)):
         dry = u_vals <= solution.eps_u

@@ -438,23 +438,17 @@ def certify_jacobian_bounds(fieldh, orbits, times_per_orbit=16):
 
 
 class OrbitFamily:
-    """Memoized orbits of one field at a fixed level, integrated in batches."""
+    """Orbits of one field at a fixed level, integrated in batches."""
 
     def __init__(self, fieldh, domain, level, tol=1e-9):
         self.fieldh = fieldh
         self.domain = domain
         self.level = float(level)
         self.tol = tol
-        self._cache = {}
 
     def orbits(self, omegas):
-        """Orbits through every omega; the uncached ones march as one batch."""
-        keys = [tuple(np.atleast_1d(np.asarray(w, dtype=float))) for w in omegas]
-        missing = list(dict.fromkeys(k for k in keys if k not in self._cache))
-        if missing:
-            batch = integrate_orbits(self.fieldh, missing, self.level, self.domain, self.tol)
-            self._cache.update(zip(missing, batch))
-        return [self._cache[k] for k in keys]
+        """Orbits through every omega, marched as one batch."""
+        return integrate_orbits(self.fieldh, omegas, self.level, self.domain, self.tol)
 
     def orbit(self, omega):
         return self.orbits([omega])[0]

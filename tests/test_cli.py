@@ -283,17 +283,19 @@ def test_cli_growth_multi_resolution(tmp_path):
     assert set(np.unique(data["resolution"])) == {17.0, 33.0}
 
 
-def test_cli_check_barriers_parallel_matches_serial(tmp_path, monkeypatch):
-    # --parallel is gone; two serial runs, each solving afresh, must write the same bytes
+def test_cli_check_barriers_bytes_follow_the_seed(tmp_path, monkeypatch):
+    # two runs with one seed, each solving afresh, write the same bytes;
+    # another seed draws other sample points
     cfg_path = write_config(tmp_path)
     outs = []
-    for tag in ("a", "b"):
+    for tag, seed in (("a", "42"), ("b", "42"), ("c", "43")):
         out = str(tmp_path / f"bar_{tag}")
         monkeypatch.setattr(cli, "_last_solve", None)
-        assert cli.main(["check-barriers", "--config", cfg_path, "--out", out]) == 0
+        argv = ["check-barriers", "--config", cfg_path, "--out", out, "--seed", seed]
+        assert cli.main(argv) == 0
         with open(os.path.join(out, "barriers.csv"), "rb") as fh:
             outs.append(fh.read())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] and outs[0] != outs[2]
 
 
 @pytest.mark.parametrize(
@@ -836,6 +838,29 @@ def test_flat_box_without_boundary_samples_exits_4(tmp_path, capsys):
     code = cli.main(["check-barriers", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "exterior-sphere samples lie in the domain" in capsys.readouterr().err
+
+
+def test_certificate_commands_draw_their_samples_without_numpy_random(tmp_path):
+    # the eight certificate commands on the shipped dam, in one process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "dam.cfg")
+    code = (
+        "import sys, alap.cli\n"
+        "cfg, out = sys.argv[1], sys.argv[2]\n"
+        "for command in ('check-profile', 'check-barriers', 'trace', 'verify-fb --h 0.2',\n"
+        "                'growth', 'harnack', 'rescale', 'boundary-growth'):\n"
+        "    name, *extra = command.split()\n"
+        "    argv = [name, '--config', cfg, '--out', out, *extra]\n"
+        "    assert alap.cli.main(argv) == 0, command\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), timeout=600, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    rows = list(csv.DictReader((tmp_path / "out" / "barriers.csv").read_text().splitlines()))
+    assert rows and all(row["pass"] == "1" for row in rows)
 
 
 def test_solve_draws_its_field_samples_by_seed_without_numpy_random(tmp_path):

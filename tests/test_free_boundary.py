@@ -94,18 +94,20 @@ def test_wet_time_sup_saturated_and_dry():
     full = geometry.SolutionPair(
         u=np.full(grid.counts, 0.6), chi=np.ones(grid.cell_counts), eps_u=pair.eps_u
     )
-    assert fb.wet_interval_sup(full, grid, f, orb) == orb.t_plus
+    u_full = fb.sample_along_orbit(full, grid, orb)[0]
+    assert fb.wet_interval_sup(full, grid, f, [orb], [u_full]) == [orb.t_plus]
     dry = geometry.SolutionPair(
         u=np.zeros(grid.counts), chi=np.zeros(grid.cell_counts), eps_u=pair.eps_u
     )
-    assert fb.wet_interval_sup(dry, grid, f, orb) == orb.t_minus
+    u_dry = fb.sample_along_orbit(dry, grid, orb)[0]
+    assert fb.wet_interval_sup(dry, grid, f, [orb], [u_dry]) == [orb.t_minus]
 
 
 def test_wet_time_sup_matches_closed_form():
     dom, grid, pair = dam_setup()
     f = vertical_field()
     orb = orbits.integrate_orbit(f, [0.5], 0.2, dom)
-    phi = fb.wet_interval_sup(pair, grid, f, orb)
+    (phi,) = fb.wet_interval_sup(pair, grid, f, [orb], [fb.sample_along_orbit(pair, grid, orb)[0]])
     # the threshold crossing resolves within one cell of the interface
     assert phi == pytest.approx(0.4, abs=float(grid.spacing[1]))
 
@@ -180,7 +182,6 @@ def _graph_from_values(values):
         set_empty=np.zeros(n, dtype=bool),
         boundary_touching=np.zeros(n, dtype=bool),
         identity_ok=np.ones(n, dtype=bool),
-        lsc_ok=np.ones(n, dtype=bool),
     )
 
 
@@ -195,8 +196,8 @@ def test_lsc_jump_value_conventions():
 
 def test_lsc_modulus_budgets_resolved_variation():
     ramp = _graph_from_values([0.0, 0.2, 0.1, 0.3, 0.4])
-    assert not fb.certify_lower_semicontinuity(ramp, tol=1e-6, modulus=0.0).passed
-    assert fb.certify_lower_semicontinuity(ramp, tol=1e-6, modulus=0.25).passed
+    assert not fb.certify_lower_semicontinuity(ramp, tol=1e-6).passed
+    assert fb.certify_lower_semicontinuity(ramp, tol=0.25 + 1e-6).passed
 
 
 def test_lsc_passes_sloped_graphs_and_flags_jumps_on_them():
@@ -304,15 +305,6 @@ def test_interior_minima_of_wet_components():
     assert minimum is not None and minimum > pair.eps_u
 
 
-def test_wet_time_sup_stride_invariance():
-    dom, grid, pair = dam_setup()
-    f = vertical_field()
-    orb = orbits.integrate_orbit(f, [0.37], 0.2, dom)
-    phi1 = fb.wet_interval_sup(pair, grid, f, orb)
-    phi2 = fb.wet_interval_sup(pair, grid, f, orb, stride=2)
-    assert phi1 == pytest.approx(phi2, abs=1e-8 * dom.delta)
-
-
 def test_given_samples_reproduce_the_self_sampled_certificates():
     dom, grid, pair = dam_setup()
     xs, ys = grid.nodes()[..., 0], grid.nodes()[..., 1]
@@ -337,8 +329,6 @@ def test_given_samples_reproduce_the_self_sampled_certificates():
         own = fb.extract_graph(sol, grid, f, 0.2, omegas, dom, orbits=orbs)
         assert np.array_equal(given.values, own.values)
         assert np.array_equal(given.identity_ok, own.identity_ok)
-        phi = fb.wet_interval_sup(sol, grid, f, orbs[1], u_vals=samples[1][0])
-        assert phi == fb.wet_interval_sup(sol, grid, f, orbs[1])
     rewet = fb.certify_no_rewetting(bad, grid, f, orbs, samples=samples)
     assert [v[0] for v in rewet.violations] == [0]
     upticks = fb.certify_chi_monotone(bad, grid, orbs, 1e-9, samples=samples).per_orbit
@@ -350,21 +340,17 @@ def test_given_samples_reproduce_the_self_sampled_certificates():
 # --- batched bisection against the lone-orbit reference ---------------------
 
 
-def ref_wet_interval_sup(solution, grid, fieldh, orbit, refine_tol=1e-9, stride=1, u_vals=None):
+def ref_wet_interval_sup(solution, grid, fieldh, orbit, refine_tol=1e-9, u_vals=None):
     """One orbit's scan and scalar bisection, one ``orbit_point`` per halving."""
     if u_vals is None:
         u_vals, _ = fb.sample_along_orbit(solution, grid, orbit)
-    scan = np.arange(0, len(u_vals), stride)
-    if scan[-1] != len(u_vals) - 1:
-        scan = np.append(scan, len(u_vals) - 1)
-    wet = u_vals[scan] > solution.eps_u
+    wet = u_vals > solution.eps_u
     if not np.any(wet):
         return orbit.t_minus
-    last_wet = int(scan[np.max(np.nonzero(wet)[0])])
+    last_wet = int(np.max(np.nonzero(wet)[0]))
     if last_wet == len(u_vals) - 1:
         return orbit.t_plus
-    nxt = min(last_wet + stride, len(u_vals) - 1)
-    lo, hi = float(orbit.times[last_wet]), float(orbit.times[nxt])
+    lo, hi = float(orbit.times[last_wet]), float(orbit.times[last_wet + 1])
     tol_t = refine_tol * grid.domain.delta / max(fieldh.h_upper, 1e-300)
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
@@ -423,7 +409,6 @@ def ref_extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=
         set_empty=np.asarray(set_empty, dtype=bool),
         boundary_touching=np.asarray(touching, dtype=bool),
         identity_ok=np.asarray(identity, dtype=bool),
-        lsc_ok=np.ones(len(values), dtype=bool),
     )
 
 
@@ -444,24 +429,21 @@ BISECTION_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("field", sorted(BISECTION_FIELDS))
-def test_batched_wet_interval_sup_equals_lone_bisection(field, stride):
+def test_batched_wet_interval_sup_equals_lone_bisection(field):
     dom, grid, pair = dam_setup()
     f = BISECTION_FIELDS[field](dom)
     omegas = np.linspace(0.03, 0.97, 15)
     orbs = orbits.integrate_orbits(f, omegas, 0.2, dom)
     for sol in (pair, banded_pair(grid, pair.eps_u)):
         u_list = [fb.sample_along_orbit(sol, grid, o)[0] for o in orbs]
-        batch = fb.wet_interval_sup(sol, grid, f, orbs, stride=stride, u_vals=u_list)
-        assert np.array_equal(batch, fb.wet_interval_sup(sol, grid, f, orbs, stride=stride))
-        ref = [ref_wet_interval_sup(sol, grid, f, o, stride=stride) for o in orbs]
+        batch = fb.wet_interval_sup(sol, grid, f, orbs, u_list)
+        ref = [ref_wet_interval_sup(sol, grid, f, o) for o in orbs]
         assert np.array_equal(batch, ref)
         for orbit, u_vals, phi in zip(orbs, u_list, batch):
-            lone = fb.wet_interval_sup(sol, grid, f, orbit, stride=stride, u_vals=u_vals)
-            assert isinstance(lone, float) and lone == phi
+            assert fb.wet_interval_sup(sol, grid, f, [orbit], [u_vals]) == [phi]
     # the banded head has orbits that are always wet and orbits never wet
-    banded = fb.wet_interval_sup(banded_pair(grid, pair.eps_u), grid, f, orbs, stride=stride)
+    banded = batch  # the loop's last head is the banded one
     exits = [(o.t_minus, o.t_plus) for o in orbs]
     assert any(phi == t_plus for phi, (_, t_plus) in zip(banded, exits))
     assert any(phi == t_minus for phi, (t_minus, _) in zip(banded, exits))
@@ -472,9 +454,9 @@ def test_batched_wet_interval_sup_edge_cases():
     dom, grid, pair = dam_setup()
     f = vertical_field()
     orbs = orbits.integrate_orbits(f, [0.2, 0.5], 0.2, dom)
-    assert fb.wet_interval_sup(pair, grid, f, []).shape == (0,)
+    assert fb.wet_interval_sup(pair, grid, f, [], []).shape == (0,)
     with pytest.raises(ValueError, match="1 head arrays for 2 orbits"):
-        fb.wet_interval_sup(pair, grid, f, orbs, u_vals=[np.ones(3)])
+        fb.wet_interval_sup(pair, grid, f, orbs, [np.ones(3)])
 
 
 @pytest.mark.parametrize("field", sorted(BISECTION_FIELDS))
@@ -487,7 +469,7 @@ def test_extract_graph_equals_the_lone_loop(field):
             got = fb.extract_graph(sol, grid, f, level, omegas, dom)
             ref = ref_extract_graph(sol, grid, f, level, omegas, dom)
             for name in ("values", "t_minus", "t_plus", "set_empty", "boundary_touching",
-                         "identity_ok", "lsc_ok"):
+                         "identity_ok"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 

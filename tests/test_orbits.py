@@ -227,13 +227,22 @@ def test_flow_map_injective_on_grid():
     assert dist.min() > 1e-3
 
 
-def test_orbit_family_memoizes():
+def test_orbit_family_equals_integrate_orbits_bit_for_bit():
     dom, f = spiral_affine()
-    fam = orbits.OrbitFamily(f, dom, 0.4)
-    a = fam.orbit((0.5,))
-    b = fam.orbit((0.5,))
-    assert a is b
-    assert a.t_minus < 0.0 < a.t_plus
+    omegas = [(0.3,), (0.5,), (0.3,), (0.7,)]
+    fam = orbits.OrbitFamily(f, dom, 0.4, tol=1e-7)
+    got = fam.orbits(omegas)
+    ref = orbits.integrate_orbits(f, omegas, 0.4, dom, 1e-7)
+    alone = [fam.orbit(w) for w in omegas]
+    assert len(got) == len(ref) == len(alone) == 4
+    for a, b, c in zip(got, ref, alone):
+        for field in dataclasses.fields(orbits.Orbit):
+            name = field.name
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert np.array_equal(getattr(a, name), getattr(c, name)), name
+    # the repeated omega marches twice, to the same bits
+    assert got[0] is not got[2] and np.array_equal(got[0].points, got[2].points)
+    assert got[0].t_minus < 0.0 < got[0].t_plus
 
 
 def test_orbit_and_jacobian_3d():
