@@ -22,7 +22,10 @@ discrete-sine-transform (DST) solve. For every other law the linear steps
 are matrix-free conjugate gradients at a loose inexact-Newton forcing,
 preconditioned by the DST Laplacian inverse scaled on both sides by the
 square root of the ratio of the Laplacian's diagonal to the operator's
-(Concus & Golub 1973).
+(Concus & Golub 1973), whose transforms run in float32. The DST is one
+product with the orthonormal sine matrix per axis. The strict polish sets
+each step's forcing from its residual's observed contraction (after
+Eisenstat & Walker 1996).
 
 Outer loop: chi is tied to u through the cut-off min(u/eps, 1) evaluated
 at cell centers, under-relaxed to damp free-boundary oscillation and
@@ -70,6 +73,11 @@ DAMPING_MIN = 1e-6
 #: relative residual at which the Newton CG stops, and its iteration budget
 CG_FORCING = 1e-2
 CG_MAXITER = 20000
+
+#: CG forcing of a polish's first Newton step, and the cap of its later
+#: ones, which follow the residual's contraction (see ``_Head.newton``)
+POLISH_FORCING = 0.1
+POLISH_FORCING_MAX = 0.5
 
 #: gradient regularization mu of the Newton operator, in units of M/delta
 MU_FACTOR = 1e-8
@@ -362,39 +370,31 @@ def _laplacian_eigenvalues(grid):
 
 
 @functools.lru_cache(maxsize=None)
-def _sine_halves(n):
-    """Odd and even rows (read-only) of the orthonormal DST-I matrix of
-    length n, on the first half of the columns. Odd rows are symmetric and
-    even rows antisymmetric under j -> n+1-j, so they act on x + x[::-1]
-    and x - x[::-1]; for odd n that fold counts the middle entry twice, so
-    its column is halved."""
+def _sine_matrix(n, dtype):
+    """The orthonormal DST-I matrix of length n in ``dtype``, read-only;
+    it is symmetric."""
     i = np.arange(1, n + 1)
     # reducing the angle exactly in integers keeps sin accurate for large n
     s = np.sqrt(2.0 / (n + 1)) * np.sin((np.outer(i, i) % (2 * n + 2)) * (np.pi / (n + 1)))
-    odd, even = s[0::2, : n - n // 2].copy(), s[1::2, : n // 2].copy()
-    if n % 2:
-        odd[:, -1] *= 0.5
-    odd.flags.writeable = even.flags.writeable = False
-    return odd, even
+    s = s.astype(dtype)
+    s.flags.writeable = False
+    return s
 
 
 def dstn(x):
     """Orthonormal DST-I over every axis, ``scipy.fft.dstn(x, type=1,
-    norm="ortho")`` up to roundoff: per axis one even/odd fold and two
-    half-size products with the cached ``_sine_halves``."""
-    y = np.asarray(x, dtype=float)
-    # the last pass, over axis 0, leaves a C-ordered result
-    for axis in reversed(range(y.ndim)):
-        v = y.swapaxes(0, axis)
-        n, h = v.shape[0], v.shape[0] // 2
-        odd, even = _sine_halves(n)
-        flat = v.reshape(n, -1)
-        mirror = flat[::-1]
-        y = np.empty(flat.shape)
-        np.matmul(odd, flat[: n - h] + mirror[: n - h], out=y[0::2])
-        np.matmul(even, flat[:h] - mirror[:h], out=y[1::2])
-        y = y.reshape(v.shape).swapaxes(0, axis)
-    return y
+    norm="ortho")`` up to roundoff: one product per axis with the cached
+    ``_sine_matrix``. A float32 input stays float32; any other is taken
+    in float64."""
+    y = np.asarray(x)
+    if y.dtype != np.float32:
+        y = y.astype(float, copy=False)
+    for axis in range(y.ndim - 1):
+        # the product runs over the second-to-last axis; in 2-D it is axis 0
+        s = _sine_matrix(y.shape[axis], y.dtype)
+        y = (s @ y.swapaxes(axis, -2)).swapaxes(axis, -2)
+    # the last pass, over the last axis, leaves a C-ordered result
+    return y @ _sine_matrix(y.shape[-1], y.dtype)
 
 
 #: S is symmetric and orthogonal, so the transform is its own inverse
@@ -408,25 +408,28 @@ class _SpectralPreconditioner:
     with homogeneous Dirichlet data by fast diagonalization (Lynch, Rice &
     Thomas 1964; Buzbee, Golub & Nielson 1970): one ``dstn``, a division by
     the eigenvalues and one ``idstn``. For a linear flux law this is the
-    exact Newton operator. With ``scale`` S (as from
+    exact Newton operator, applied in float64. With ``scale`` S (as from
     ``_diagonal_scaling``) it applies S L^-1 S instead, whose inverse
     shares the diagonal of the degenerate laws' operator; CG then needs
-    fewer iterations than under L^-1 alone. Never assembles the operator;
-    deterministic. ``laplacian`` holds the eigenvalues from
+    fewer iterations than under L^-1 alone. That inverse only steers CG,
+    so its transforms and division run in float32: S r is cast down, and
+    the result, scaled by S, is a new float64 array. Its owner may replace
+    ``scale`` between applies; the float32 symbol stays. Never assembles
+    the operator; deterministic. ``laplacian`` holds the eigenvalues from
     ``_laplacian_eigenvalues``.
     """
 
     def __init__(self, grid, c_ref, laplacian, scale=None):
-        self.symbol = c_ref * grid.cell_volume * laplacian
+        symbol = c_ref * grid.cell_volume * laplacian
+        self.symbol = symbol if scale is None else symbol.astype(np.float32)
         self.scale = scale
 
     def apply(self, r):
-        if self.scale is not None:
-            r = r * self.scale
-        v = idstn(dstn(r) / self.symbol)
-        if self.scale is not None:
-            v *= self.scale
-        return v
+        if self.scale is None:
+            return idstn(dstn(r) / self.symbol)
+        v = idstn(dstn((r * self.scale).astype(np.float32)) / self.symbol)
+        # a new float64 array: CG's search direction is built from it
+        return v * self.scale
 
 
 def _pcg(apply_op, precond, rhs, rtol, maxiter):
@@ -460,10 +463,11 @@ def _pcg(apply_op, precond, rhs, rtol, maxiter):
 class _Head:
     """The head iterate of one solve, with what its residual is built from.
 
-    A solve fixes H, the Laplacian eigenvalues of the preconditioner and
-    the exact inverse of the linear law's Newton operator, so they are
-    built here once, with the zero-bordered node buffer of every operator
-    apply; Newton directions are solved on the interior nodes only. The
+    A solve fixes H, the exact inverse of the linear law's Newton operator
+    and the float32 symbol of the other laws' preconditioner, so they are
+    built here once (the symbol at the first CG step), with the
+    zero-bordered node buffer of every operator apply; Newton directions
+    are solved on the interior nodes only. The
     head keeps its face gradient and diffusive face fluxes: each iterate's
     face gradient is built once, and the next Newton loop (the next sweep,
     at a new chi) starts from the accepted head's flux, adding the new
@@ -477,11 +481,13 @@ class _Head:
         self.hface = _face_field_values(grid, fieldh)
         self.inner = (slice(1, -1),) * grid.dim
         self.padded = np.zeros(grid.counts)
-        self.laplacian = _laplacian_eigenvalues(grid)
         # the linear law's conductances are all 1 up to roundoff, so its
         # Newton operator is the surrogate at coefficient 1 (floored at
         # COND_FLOOR, as a reference coefficient always was)
-        self.linear_inverse = _SpectralPreconditioner(grid, max(1.0, COND_FLOOR), self.laplacian)
+        self.linear_inverse = _SpectralPreconditioner(
+            grid, max(1.0, COND_FLOOR), _laplacian_eigenvalues(grid)
+        )
+        self.scaled_inverse = None  # the other laws' CG preconditioner
         self.u = np.asarray(u, dtype=float).copy()
         self.normals = geometry.face_normal_differences(grid, self.u)
         self._faces = None
@@ -507,6 +513,15 @@ class _Head:
         backtracking on the residual 2-norm plus a per-node step clamp. A
         line search that backtracks below ``DAMPING_MIN`` stops the loop
         with ok False and sets ``stalled``.
+
+        A law that is not linear solves each Newton system by CG to a
+        relative residual, the forcing. A sweep (``max_steps`` 1) uses
+        ``CG_FORCING``. A longer loop, the strict polish, starts at
+        ``POLISH_FORCING`` and then uses min(``POLISH_FORCING_MAX``,
+        max(``CG_FORCING``, |r_k|_2 / |r_{k-1}|_2)), after Eisenstat &
+        Walker (1996): on the p = 3 dam its residual falls only 2-10x per
+        step, held up in dry rows where the conductance degenerates, so a
+        tighter system solve buys no faster descent.
         """
         grid, cfg = self.grid, self.cfg
         m_top = grid.domain.m_ceiling
@@ -520,21 +535,25 @@ class _Head:
             self.diffusive = self.normals if linear else _diffusive_fluxes(grid, profile, self.faces)
             self.flux_profile = profile
         res = residual(grid, profile, self.fieldh, self.u, chi, drift, diffusive=self.diffusive)
+        forcing = CG_FORCING if max_steps == 1 else POLISH_FORCING
+        rnorm = None
         for _ in range(max_steps):
             rmax = float(np.max(np.abs(res)))
             if rmax <= cfg.inner_tol:
                 return self.u, steps_used, rmax, True
+            rnorm_last, rnorm = rnorm, float(np.linalg.norm(res))
+            if rnorm_last is not None:
+                forcing = min(POLISH_FORCING_MAX, max(CG_FORCING, rnorm / rnorm_last))
             d = np.zeros(grid.counts)
             if linear:
                 d[self.inner] = self.linear_inverse.apply(res[self.inner])
             else:
-                d[self.inner] = self._cg_direction(profile, res[self.inner])
+                d[self.inner] = self._cg_direction(profile, res[self.inner], forcing)
             if not np.all(np.isfinite(d)):
                 raise SingularJacobianError("non-finite Newton direction")
             # trust-region style clamp: degenerate zones can request huge moves
             step_max = STEP_CLAMP * m_top
             np.clip(d, -step_max, step_max, out=d)
-            rnorm = float(np.linalg.norm(res))
             lam = 1.0
             accepted = False
             while lam >= DAMPING_MIN:
@@ -558,22 +577,27 @@ class _Head:
         rmax = float(np.max(np.abs(res)))
         return self.u, steps_used, rmax, rmax <= cfg.inner_tol
 
-    def _cg_direction(self, profile, res):
+    def _cg_direction(self, profile, res, forcing):
         """Interior-node Newton direction of a law that is not linear: CG
-        on the face conductances of the head, preconditioned by the
-        diagonally scaled DST inverse."""
+        to relative residual ``forcing`` on the face conductances of the
+        head, preconditioned by the diagonally scaled DST inverse."""
         grid = self.grid
         dom = grid.domain
         mu = MU_FACTOR * dom.m_ceiling / dom.delta
         weights = _face_weights(grid, _conductances(grid, profile, self.faces, mu, COND_FLOOR))
-        precond = _SpectralPreconditioner(
-            grid, 1.0, self.laplacian, _diagonal_scaling(grid, weights)
-        )
+        scale = _diagonal_scaling(grid, weights)
+        if self.scaled_inverse is None:
+            # built at the head's first CG step, so a linear-law head holds
+            # no float32 symbol; later steps only rescale it
+            self.scaled_inverse = _SpectralPreconditioner(
+                grid, 1.0, _laplacian_eigenvalues(grid), scale
+            )
+        self.scaled_inverse.scale = scale
 
         def apply_op(v):
             return _neg_jacobian_apply(weights, v, self.padded)
 
-        return _pcg(apply_op, precond.apply, res, CG_FORCING, CG_MAXITER)
+        return _pcg(apply_op, self.scaled_inverse.apply, res, forcing, CG_MAXITER)
 
 
 def _converged(result):
@@ -777,7 +801,8 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     the max_outer budget, or a plateau at the final width (the L1 residual
     fell by less than 15% over 8 sweeps while reversing its direction in at
     least 4 of them). Newton directions use numpy sine-matrix products,
-    never scipy.
+    never scipy; a sweep solves its CG to ``CG_FORCING``, the polish to a
+    forcing set by its residual's contraction (see ``_Head.newton``).
 
     Hand-off. A wide stage of width eps_k only places the front for the
     next stage, of width eps_{k+1} = eps_k / 2. With f = target - chi,

@@ -267,6 +267,72 @@ def test_p3_dam_sweeps_take_one_newton_step_each(monkeypatch):
     assert np.max(np.abs(pair.u - dam_exact(grid))) <= grid.spacing[1]
 
 
+def _p3_dam_solve_with_forcings(monkeypatch, counts):
+    """The p=3 dam solve at ``counts`` nodes, with the (max_steps, rtol) of
+    every CG solve it runs."""
+    dom = dam_domain()
+    grid = geometry.build_grid(dom, counts)
+    prof = profiles.make_power(3.0)
+    f = fields.make_constant_field([0.0, float(prof.a(1.0))])
+    loops, forcings = [], []
+    real_newton, real_pcg = solver._Head.newton, solver._pcg
+
+    def recording_newton(head, profile, chi, max_steps):
+        loops.append(max_steps)
+        return real_newton(head, profile, chi, max_steps)
+
+    def recording_pcg(apply_op, precond, rhs, rtol, maxiter):
+        forcings.append((loops[-1], rtol))
+        return real_pcg(apply_op, precond, rhs, rtol, maxiter)
+
+    monkeypatch.setattr(solver._Head, "newton", recording_newton)
+    monkeypatch.setattr(solver, "_pcg", recording_pcg)
+    pair, report = solver.solve_problem(grid, prof, f, dom)
+    inner_tol = solver.SolverConfig().resolved(grid, prof, f).inner_tol
+    return pair, report, inner_tol, forcings
+
+
+def test_polish_forcing_follows_the_residual_contraction(monkeypatch):
+    # sweeps solve each Newton system to CG_FORCING; the strict polish
+    # starts at POLISH_FORCING and then solves no tighter than its residual
+    # contracts, which moves its head by less than the tolerance it meets
+    pair, report, inner_tol, forcings = _p3_dam_solve_with_forcings(monkeypatch, (33, 33))
+    sweeps = [rtol for steps, rtol in forcings if steps == 1]
+    polish = [rtol for steps, rtol in forcings if steps > 1]
+    assert report.converged and sweeps and polish
+    assert all(rtol == solver.CG_FORCING for rtol in sweeps)
+    assert polish[0] == solver.POLISH_FORCING
+    assert all(solver.CG_FORCING <= rtol <= solver.POLISH_FORCING_MAX == 0.5 for rtol in polish)
+    assert report.final_residual <= inner_tol
+
+    monkeypatch.setattr(solver, "POLISH_FORCING", solver.CG_FORCING)
+    monkeypatch.setattr(solver, "POLISH_FORCING_MAX", solver.CG_FORCING)
+    pinned, pinned_report, _, pinned_forcings = _p3_dam_solve_with_forcings(monkeypatch, (33, 33))
+    assert all(rtol == solver.CG_FORCING for _, rtol in pinned_forcings)
+    assert pinned_report.final_residual <= inner_tol
+    # the polish runs at the converged chi and never moves it
+    assert np.array_equal(pinned.chi, pair.chi)
+    assert np.max(np.abs(pinned.u - pair.u)) <= 1e-9
+
+
+def test_p3_dam_preconditioner_applies_stay_bounded(monkeypatch):
+    # a deterministic work guard: preconditioner applies, counted as calls
+    # of solver.dstn as the benchmark's tracer counts them, on the 65^2 p=3
+    # dam. On a 2-core box with one BLAS thread the solve takes 205, and
+    # took 243 with every Newton system solved to CG_FORCING in float64;
+    # roundoff moves borderline CG stops by a few
+    applies = []
+    real = solver.dstn
+    monkeypatch.setattr(solver, "dstn", lambda x: applies.append(1) or real(x))
+    _, report, inner_tol, forcings = _p3_dam_solve_with_forcings(monkeypatch, (65, 65))
+    assert report.converged and report.final_residual <= inner_tol
+    assert len(applies) <= 215
+    # this polish takes several steps, and the later ones solve looser
+    # than CG_FORCING as its residual contracts slowly
+    polish = [rtol for steps, rtol in forcings if steps > 1]
+    assert len(polish) > 1 and max(polish[1:]) > solver.CG_FORCING
+
+
 def test_solve_evaluates_the_field_once():
     # H is fixed for a solve: once on each axis's faces and once on cells,
     # however many sweeps, Newton steps and residuals the solve takes
@@ -737,6 +803,37 @@ def test_preconditioner_apply_calls_each_transform_once(monkeypatch):
     r = np.random.default_rng(2).standard_normal(tuple(n - 2 for n in grid.counts))
     precond.apply(r)
     assert calls == ["dstn", "idstn"]
+
+
+@pytest.mark.parametrize("shape", DST_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_dstn_keeps_float32_in_float32(shape):
+    from scipy import fft
+
+    x = np.random.default_rng(len(shape) + sum(shape)).standard_normal(shape).astype(np.float32)
+    y = solver.dstn(x)
+    ref = fft.dstn(x.astype(float), type=1, norm="ortho")
+    assert y.dtype == np.float32 and y.shape == shape
+    # float32 roundoff, which grows slowly with the transform's length
+    assert np.max(np.abs(y - ref)) <= 2e-6 * np.max(np.abs(ref))
+
+
+def test_scaled_preconditioner_returns_float64_near_the_float64_inverse():
+    from scipy import fft
+
+    grid = geometry.build_grid(dam_domain(), (65, 49))
+    lap = solver._laplacian_eigenvalues(grid)
+    # conductances spanning four decades, as across a degenerate zone
+    rng = np.random.default_rng(4)
+    cond = [10.0 ** rng.uniform(-2.0, 2.0, grid.counts[:k] + (grid.counts[k] - 1,) + grid.counts[k + 1:])
+            for k in range(grid.dim)]
+    scale = solver._diagonal_scaling(grid, solver._face_weights(grid, cond))
+    r = rng.standard_normal(lap.shape)
+    v = solver._SpectralPreconditioner(grid, 1.0, lap, scale).apply(r)
+    ref = scale * fft.idstn(
+        fft.dstn(scale * r, type=1, norm="ortho") / (grid.cell_volume * lap), type=1, norm="ortho"
+    )
+    assert v.dtype == np.float64
+    assert np.max(np.abs(v - ref)) <= 1e-5 * np.max(np.abs(ref))
 
 
 # --- the Newton linear solve by flux law --------------------------------------
