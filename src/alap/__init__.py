@@ -15,28 +15,4 @@ monotonicity of chi along the flow, and the graph representation of the
 free boundary.
 """
 
-from alap import (
-    barriers,
-    config,
-    fields,
-    free_boundary,
-    geometry,
-    harness,
-    orbits,
-    profiles,
-    solver,
-)
-
-__all__ = [
-    "barriers",
-    "config",
-    "fields",
-    "free_boundary",
-    "geometry",
-    "harness",
-    "orbits",
-    "profiles",
-    "solver",
-]
-
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ regularization enters, so certification margins are meaningful at the
 1e-10 level.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -302,7 +303,9 @@ class BoundaryBarrier:
     theta(t) integrates a_inv(E(t)) with
     E(t) = (a(M/R0) + c) exp(((n-1)/R0)(D - t)) - c and c = h R0/(n-1),
     so that a'(theta') theta'' + ((n-1)/R0) a(theta') + h = 0 identically.
-    The tabulated knots carry cumulative adaptive-Simpson integrals.
+    The barrier holds its geometry only: theta' and theta'' are closed
+    forms, and theta itself is tabulated where it is read
+    (``boundary_profile_value``).
     """
 
     center: tuple
@@ -311,33 +314,22 @@ class BoundaryBarrier:
     h_upper: float
     diameter: float
     dim: int
-    knots: np.ndarray
-    table: np.ndarray
-    quad_tol: float
-
-    def distance(self, x):
-        pts = _as_points(x, self.dim)
-        return np.sqrt(np.sum((pts - np.asarray(self.center)) ** 2, axis=-1)) - self.sphere_radius
 
 
-def _theta_core(profile, m_ceiling, r0, h_upper, diameter, dim):
-    c = h_upper * r0 / (dim - 1.0)
-    base = float(profile.a(m_ceiling / r0)) + c
+def _theta(barrier, profile):
+    """(c, E, theta') of a boundary barrier."""
+    r0, dim = barrier.sphere_radius, barrier.dim
+    c = barrier.h_upper * r0 / (dim - 1.0)
+    base = float(profile.a(barrier.m_ceiling / r0)) + c
     rate = (dim - 1.0) / r0
 
     def exp_arg(t):
-        return base * np.exp(rate * (diameter - np.asarray(t, dtype=float))) - c
+        return base * np.exp(rate * (barrier.diameter - np.asarray(t, dtype=float))) - c
 
     def slope(t):
         return profile.a_inv(exp_arg(t))
 
     return c, exp_arg, slope
-
-
-def _theta(barrier, profile):
-    """(c, E, theta') of a built boundary barrier."""
-    return _theta_core(profile, barrier.m_ceiling, barrier.sphere_radius, barrier.h_upper,
-                       barrier.diameter, barrier.dim)
 
 
 def _theta_derivatives(barrier, profile, t):
@@ -356,27 +348,12 @@ THETA_QUAD_TOL = 1e-10
 
 
 def make_boundary_barrier(profile, center, sphere_radius, m_ceiling, h_upper, diameter, dim):
-    """Tabulate theta on [0, D] with certified absolute tolerance.
-
-    The tolerance is THETA_QUAD_TOL * max(M, crude integral) overall,
-    split across the THETA_KNOTS - 1 knot intervals; the integral scale
-    enters because theta can exceed M by orders of magnitude for strongly
-    degenerate laws, and an absolute M-scaled tolerance would then sit
-    below float resolution.
-    """
+    """The barrier of the exterior sphere of radius ``sphere_radius`` about
+    ``center``. It integrates nothing, so ``profile`` is not read."""
     if sphere_radius <= 0 or m_ceiling <= 0 or h_upper <= 0 or diameter <= 0:
         raise ValueError("sphere_radius, m_ceiling, h_upper, diameter must be positive")
     if dim not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
-    _, _, slope = _theta_core(profile, m_ceiling, sphere_radius, h_upper, diameter, dim)
-    knots = np.linspace(0.0, diameter, THETA_KNOTS)
-    crude = float(np.trapezoid(slope(knots), knots))
-    quad_tol = THETA_QUAD_TOL * max(m_ceiling, abs(crude))
-    per_interval = quad_tol / (THETA_KNOTS - 1)
-    table = np.zeros(THETA_KNOTS)
-    for i in range(1, THETA_KNOTS):
-        piece = adaptive_simpson(lambda s: float(slope(s)), knots[i - 1], knots[i], per_interval)
-        table[i] = table[i - 1] + piece
     return BoundaryBarrier(
         center=tuple(float(c) for c in center),
         sphere_radius=float(sphere_radius),
@@ -384,25 +361,48 @@ def make_boundary_barrier(profile, center, sphere_radius, m_ceiling, h_upper, di
         h_upper=float(h_upper),
         diameter=float(diameter),
         dim=dim,
-        knots=knots,
-        table=table,
-        quad_tol=quad_tol,
     )
 
 
+@functools.lru_cache
+def _theta_table(barrier, profile):
+    """(knots, table, quad_tol): theta on THETA_KNOTS knots of [0, D] with
+    certified absolute tolerance ``quad_tol``, read-only.
+
+    The tolerance is THETA_QUAD_TOL * max(M, crude integral) overall,
+    split across the THETA_KNOTS - 1 knot intervals; the integral scale
+    enters because theta can exceed M by orders of magnitude for strongly
+    degenerate laws, and an absolute M-scaled tolerance would then sit
+    below float resolution.
+    """
+    slope = _theta(barrier, profile)[2]
+    knots = np.linspace(0.0, barrier.diameter, THETA_KNOTS)
+    crude = float(np.trapezoid(slope(knots), knots))
+    quad_tol = THETA_QUAD_TOL * max(barrier.m_ceiling, abs(crude))
+    per_interval = quad_tol / (THETA_KNOTS - 1)
+    table = np.zeros(THETA_KNOTS)
+    for i in range(1, THETA_KNOTS):
+        piece = adaptive_simpson(lambda s: float(slope(s)), knots[i - 1], knots[i], per_interval)
+        table[i] = table[i - 1] + piece
+    knots.flags.writeable = table.flags.writeable = False
+    return knots, table, quad_tol
+
+
 def boundary_profile_value(barrier, profile, t):
-    """theta(t) on [0, D]: tabulated prefix plus an adaptive remainder."""
+    """theta(t) on [0, D]: the prefix from ``_theta_table``, built on the
+    first call for a barrier and profile, plus an adaptive remainder."""
     t = float(t)
     if t < 0.0 or t > barrier.diameter * (1.0 + 1e-12):
         raise ValueError(f"t = {t} outside [0, {barrier.diameter}]")
-    _, _, slope = _theta(barrier, profile)
-    idx = int(np.searchsorted(barrier.knots, t, side="right")) - 1
-    idx = max(0, min(idx, len(barrier.knots) - 1))
-    base_t = float(barrier.knots[idx])
+    knots, table, quad_tol = _theta_table(barrier, profile)
+    slope = _theta(barrier, profile)[2]
+    idx = int(np.searchsorted(knots, t, side="right")) - 1
+    idx = max(0, min(idx, len(knots) - 1))
+    base_t = float(knots[idx])
     tail = 0.0
     if t > base_t:
-        tail = adaptive_simpson(lambda s: float(slope(s)), base_t, t, barrier.quad_tol)
-    return float(barrier.table[idx] + tail)
+        tail = adaptive_simpson(lambda s: float(slope(s)), base_t, t, quad_tol)
+    return float(table[idx] + tail)
 
 
 def boundary_profile_slope(barrier, profile, t):

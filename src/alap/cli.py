@@ -388,6 +388,10 @@ def cmd_boundary_growth(args):
     if not np.any(harness.boundary_tube(cfg.grid(), dom, face, lo, hi, tube)[0]):
         raise ConfigError(f"boundary_growth.tube_width = {tube}, anchor_lo = {lo}, anchor_hi = "
                           f"{hi}: the tube over this patch of face {face} holds no grid node")
+    try:
+        harness.boundary_barrier_slope(dom, sphere_r, cfg.profile, cfg.fieldh)
+    except ValueError as exc:
+        raise ConfigError(f"boundary_growth.sphere_radius = {sphere_r}: {exc}") from exc
     grid, pair, _ = _solved(cfg)
     rep = harness.boundary_growth_report(
         pair, grid, dom, face, lo, hi, sphere_r, cfg.profile, cfg.fieldh, tube

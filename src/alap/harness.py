@@ -270,6 +270,21 @@ def boundary_tube(grid, domain, face, anchor_lo, anchor_hi, tube_width):
     return tube, np.broadcast_to(distance, grid.counts)
 
 
+def boundary_barrier_slope(domain, sphere_radius, profile, fieldh):
+    """theta'(0) of the boundary barrier on an exterior sphere of radius
+    ``sphere_radius``. Raises ValueError when it is not finite: a bound
+    of inf would pass, and one of nan fail, with nothing measured."""
+    bb = barriers.make_boundary_barrier(
+        profile, (0.0,) * domain.dim, sphere_radius, domain.m_ceiling, fieldh.h_upper,
+        domain.delta, domain.dim,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope0 = float(barriers.boundary_profile_slope(bb, profile, 0.0))
+    if not math.isfinite(slope0):
+        raise ValueError(f"the boundary barrier slope at 0 is {slope0}, not finite")
+    return slope0
+
+
 def boundary_growth_report(solution, grid, domain, face, anchor_lo, anchor_hi,
                            sphere_radius, profile, fieldh, tube_width,
                            interp_slack=0.0):
@@ -279,23 +294,15 @@ def boundary_growth_report(solution, grid, domain, face, anchor_lo, anchor_hi,
     [anchor_lo, anchor_hi] in the face coordinates. Ratios u(x)/d(x, patch)
     over the ``boundary_tube`` are compared against the boundary barrier
     slope at 0 for the exterior sphere of radius ``sphere_radius``. An
-    empty tube raises ValueError: it would pass with nothing measured.
+    empty tube raises ValueError: it would pass with nothing measured; so
+    does a slope that is not finite (``boundary_barrier_slope``).
     """
     tube, distance = boundary_tube(grid, domain, face, anchor_lo, anchor_hi, tube_width)
     if not np.any(tube):
         raise ValueError("the boundary tube holds no grid node")
     axis, side = geometry.face_axis_side(face)
     plane = domain.lower[axis] if side == "min" else domain.upper[axis]
-    bb = barriers.make_boundary_barrier(
-        profile,
-        tuple(0.0 for _ in range(domain.dim)),
-        sphere_radius,
-        domain.m_ceiling,
-        fieldh.h_upper,
-        domain.delta,
-        domain.dim,
-    )
-    slope0 = float(barriers.boundary_profile_slope(bb, profile, 0.0))
+    slope0 = boundary_barrier_slope(domain, sphere_radius, profile, fieldh)
     ratios = np.where(tube, solution.u / np.where(distance > 0, distance, 1.0), 0.0)
     rows = []
     flat_idx = np.argsort(ratios.ravel())[::-1][:16]

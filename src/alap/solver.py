@@ -841,10 +841,15 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
     u, inner_used, _ = _converged(head.newton(laplace, chi0, cfg.max_inner))
     report.inner_iterations += inner_used
 
+    # the first sweep goes straight to the first stage's target, unmixed
     chi = _chi_target(g, u, stages[0])
     u, inner_used, rmax, _ = head.newton(profile, chi, 1)
     report.inner_iterations += inner_used
     report.stalled_sweeps += head.stalled
+    report.outer_iterations = 1
+    report.grid_sweeps[g.counts] = 1
+    report.stage_sweeps[stages[0]] = 1
+    report.final_residual = rmax
 
     # each sweep takes one damped Newton step: the chi update moves the
     # target again right after, so the head only has to track the moving
@@ -861,7 +866,7 @@ def solve_problem(grid, profile, fieldh, domain, config=None):
             head = _Head(g, fieldh, cfg, u)
             mixer = _Anderson(ANDERSON_DEPTH, g.cell_counts)
         final_stage = eps_next is None
-        report.stage_sweeps[eps_k] = 0
+        report.stage_sweeps.setdefault(eps_k, 0)
         history, turns = [], []
         mixer.clear()
         target = _chi_target(g, u, eps_k)

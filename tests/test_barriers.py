@@ -366,9 +366,7 @@ def test_printed_ode_form_is_inconsistent():
     # defect: evidence the derivative form is the correct one
     prof = profiles.make_power(3.0)
     bb = boundary(prof)
-    c, exp_arg, slope = barriers._theta_core(
-        prof, GEOM["m_ceiling"], GEOM["sphere_radius"], GEOM["h_upper"], GEOM["diameter"], 2
-    )
+    c, exp_arg, slope = barriers._theta(bb, prof)
     rate = 1.0 / GEOM["sphere_radius"]
     ts = np.linspace(0.1, 1.0, 50)
     sl = slope(ts)

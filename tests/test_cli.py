@@ -661,6 +661,19 @@ def test_shipped_configs_load():
         assert cfg.domain is not None and cfg.resolution is not None
 
 
+def test_solver_import_leaves_the_certificate_modules_unloaded():
+    # a solve needs none of them, and the package imports no submodule itself
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys, alap.solver\n"
+        "names = ('barriers', 'harness', 'free_boundary', 'orbits')\n"
+        "sys.exit(sorted(n for n in names if f'alap.{n}' in sys.modules) or None)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # the log-power inverse is a numpy Newton iteration; scipy.optimize never loads
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -861,6 +874,51 @@ def test_certificate_commands_draw_their_samples_without_numpy_random(tmp_path):
     assert run.returncode == 0, run.stderr[-2000:]
     rows = list(csv.DictReader((tmp_path / "out" / "barriers.csv").read_text().splitlines()))
     assert rows and all(row["pass"] == "1" for row in rows)
+
+
+def test_certificate_commands_integrate_no_barrier_profile(tmp_path, monkeypatch):
+    # the certificates read theta' and theta'' in closed form; theta itself,
+    # the one integral, is for ``boundary_profile_value`` alone
+    from alap import barriers
+
+    def refuse(*args):
+        raise AssertionError("a certificate command integrated theta")
+
+    monkeypatch.setattr(barriers, "adaptive_simpson", refuse)
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "dam.cfg")
+    codes = {}
+    for command in ("check-profile", "check-barriers", "trace", "verify-fb --h 0.2",
+                    "growth", "harnack", "rescale", "boundary-growth"):
+        name, *extra = command.split()
+        argv = [name, "--config", cfg, "--out", str(tmp_path / name), *extra]
+        codes[command] = cli.main(argv)
+    assert codes == dict.fromkeys(codes, cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("old, new", [
+    # the slope's argument E(0) overflows: a bound of inf
+    ("rescale.radius = 0.2", "rescale.radius = 0.2\nboundary_growth.sphere_radius = 0.001"),
+    # a_inv(E(0)) is nan
+    ("profile.family = power\nprofile.p = 2",
+     "profile.family = logpower\nprofile.alpha = 0.01\nprofile.beta = 1000\nprofile.gamma = 1"),
+], ids=["small_sphere", "logpower"])
+def test_boundary_growth_refuses_a_bound_that_is_not_finite(tmp_path, monkeypatch, capsys, old, new):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "dam.cfg")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().replace("grid.resolution = 129 129", "grid.resolution = 33 33")
+    assert old in text
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the bound was checked")
+
+    monkeypatch.setattr(solver, "solve_problem", refuse)
+    out = tmp_path / "out"
+    argv = ["boundary-growth", "--config", write_config(tmp_path, text.replace(old, new)),
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "boundary_growth.sphere_radius" in err and "not finite" in err
+    assert not (out / "boundary_growth.csv").exists()
 
 
 def test_solve_draws_its_field_samples_by_seed_without_numpy_random(tmp_path):

@@ -140,6 +140,19 @@ def test_boundary_growth_rejects_an_empty_tube(lo, hi, width):
         )
 
 
+@pytest.mark.parametrize("radius, prof", [
+    (0.001, profiles.make_power(2.0)),  # E(0) overflows: a bound of inf
+    (0.09, profiles.make_logpower(0.01, 1000.0, 1.0)),  # a_inv(E(0)) is nan
+], ids=["small_sphere", "logpower"])
+def test_boundary_growth_rejects_a_slope_that_is_not_finite(radius, prof):
+    dom, grid, pair = dam_setup(res=33)
+    f = fields.make_constant_field([0.0, 1.0])
+    with pytest.raises(ValueError, match="slope at 0 is (inf|nan), not finite"):
+        harness.boundary_growth_report(
+            pair, grid, dom, "ymax", [0.3], [0.7], radius, prof, f, tube_width=0.2,
+        )
+
+
 def test_rescale_check_on_solved_dam():
     dom, grid, _ = dam_setup()
     prof = profiles.make_power(2.0)
