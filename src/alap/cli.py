@@ -4,17 +4,20 @@ Every subcommand reads one config file, writes CSV files plus a plain-text
 summary into the output directory, and exits with: 0 on success, 2 on
 solver non-convergence, 3 on certification failure, 4 on config and
 usage errors.
+
+The certificate modules (barriers, free_boundary, harness, orbits) are
+imported inside the commands that use them, so a solve loads none of them.
 """
 
 import argparse
+import functools
 import os
 import random
 import sys
 
 import numpy as np
 
-from alap import barriers, config, csvio, fields, free_boundary, geometry, harness
-from alap import orbits as orbits_mod
+from alap import config, csvio, fields, geometry
 from alap import profiles as profiles_mod
 from alap import solver as solver_mod
 from alap.errors import ConfigError, DryBallError, NonConvergenceError
@@ -153,6 +156,8 @@ def cmd_check_profile(args):
 
 
 def cmd_check_barriers(args):
+    from alap import barriers
+
     cfg = _load(args)
     _require(cfg, "profile", "domain", "fieldh")
     prof, dom = cfg.profile, cfg.domain
@@ -229,6 +234,8 @@ def _orbit_levels(cfg, args, key):
 
 
 def cmd_trace(args):
+    from alap import orbits
+
     cfg = _load(args)
     _require(cfg, "domain", "fieldh")
     (level,) = _orbit_levels(cfg, args, "trace.level")
@@ -238,12 +245,12 @@ def cmd_trace(args):
     dom, fieldh = cfg.domain, cfg.fieldh
     span = dom.upper - dom.lower
     omegas = np.array([dom.lower[:-1] + span[:-1] * (j + 0.5) / count for j in range(count)])
-    orbit_list = orbits_mod.integrate_orbits(fieldh, omegas, level, dom)
+    orbit_list = orbits.integrate_orbits(fieldh, omegas, level, dom)
     times = np.array([np.linspace(orbit.t_minus, orbit.t_plus, 32) for orbit in orbit_list])
-    numeric = orbits_mod.jacobian_numeric_batch(fieldh, omegas, level, times)
+    numeric = orbits.jacobian_numeric_batch(fieldh, omegas, level, times)
     pairs = list(zip(orbit_list, times))
-    points = np.concatenate([orbits_mod.orbit_point(fieldh, o, ts) for o, ts in pairs])
-    analytic = np.concatenate([orbits_mod.jacobian_analytic(fieldh, o, ts) for o, ts in pairs])
+    points = np.concatenate([orbits.orbit_point(fieldh, o, ts) for o, ts in pairs])
+    analytic = np.concatenate([orbits.jacobian_analytic(fieldh, o, ts) for o, ts in pairs])
     csvio.write_csv(
         os.path.join(cfg.out_dir, "trace.csv"),
         [f"omega{k+1}" for k in range(dom.dim - 1)]
@@ -270,7 +277,9 @@ def _fb_setup(cfg, args):
 def _fb_level(cfg, grid, pair, level, omegas, lsc_tol):
     """One level of the free-boundary pass: one batch of orbits, each sampled
     once, the graph over them and its lsc certificate."""
-    orbit_list = orbits_mod.OrbitFamily(cfg.fieldh, cfg.domain, level).orbits(omegas)
+    from alap import free_boundary, orbits
+
+    orbit_list = orbits.OrbitFamily(cfg.fieldh, cfg.domain, level).orbits(omegas)
     samples = [free_boundary.sample_along_orbit(pair, grid, o) for o in orbit_list]
     graph = free_boundary.extract_graph(
         pair, grid, cfg.fieldh, level, omegas, cfg.domain, orbits=orbit_list, samples=samples
@@ -301,15 +310,19 @@ def cmd_extract_fb(args):
 def _lsc_tol(cfg, grid, u):
     """The lsc time tolerance of the solved head, the same at every level: it
     reads the largest face gradient, the root of the largest squared one."""
+    from alap import free_boundary, orbits
+
     faces = geometry.face_gradient_components(grid, u)
     grad_max = float(np.sqrt(max(np.max(geometry.component_dot(c, c)) for c in faces)))
     return free_boundary.default_lsc_tol(
-        cfg.domain.delta / orbits_mod.STEP_DIVISOR, float(np.max(grid.spacing)), grad_max,
+        cfg.domain.delta / orbits.STEP_DIVISOR, float(np.max(grid.spacing)), grad_max,
         cfg.fieldh.h_lower,
     )
 
 
 def cmd_verify_fb(args):
+    from alap import free_boundary
+
     cfg = _load(args)
     levels, omegas = _fb_setup(cfg, args)
     grid, pair, report = _solved(cfg)
@@ -351,6 +364,8 @@ def _row_columns(rows, dim, points, scalars):
 
 
 def cmd_growth(args):
+    from alap import harness
+
     cfg = _load(args)
     _require(cfg, "domain", "resolution", "profile", "fieldh")
     dim = cfg.domain.dim
@@ -376,6 +391,8 @@ def cmd_growth(args):
 
 
 def cmd_boundary_growth(args):
+    from alap import harness
+
     cfg = _load(args)
     _require(cfg, "domain", "resolution", "profile", "fieldh")
     dom = cfg.domain
@@ -415,6 +432,8 @@ def cmd_boundary_growth(args):
 
 
 def cmd_harnack(args):
+    from alap import harness
+
     cfg = _load(args)
     count = cfg["growth.ball_count"]
     grid, pair, _ = _solved(cfg)
@@ -432,6 +451,8 @@ def cmd_harnack(args):
 
 
 def cmd_rescale(args):
+    from alap import harness
+
     cfg = _load(args)
     _require(cfg, "domain", "resolution", "profile", "fieldh")
     center, radius = cfg["rescale.center"], cfg["rescale.radius"]
@@ -481,7 +502,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and every parse fills a fresh namespace."""
     parser = _Parser(
         prog="alap",
         description="Solve and certify the saturated/dry free boundary problem on box domains.",
@@ -497,7 +521,11 @@ def main(argv=None):
             p.add_argument("--h", dest="level", type=float, default=None, help="orbit level")
         if name == "trace":
             p.add_argument("--omega-count", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

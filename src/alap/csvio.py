@@ -6,11 +6,12 @@ bytes.
 
 A table is handed over as columns, one 1-D sequence per header name, all
 of one length. A float array column formats each distinct float64 bit
-pattern once with ``repr``; any other column (a list, an int array, labels)
-formats each cell with ``format_value`` and quotes it the way
-``csv.writer`` does. Both write a float as ``repr(float(v))``, so the path
-a column takes changes speed, not bytes: the bytes are those of a per-row
-``csv.writer`` loop over the same cells.
+pattern once with ``repr``, and an int or bool array each distinct value
+once with ``str``; any other column (a list, labels) formats each cell with
+``format_value``, a ``str`` cell being its own text, and quotes it the way
+``csv.writer`` does. Every path gives ``format_value`` of the cell, so the
+path a column takes changes speed, not bytes: the bytes are those of a
+per-row ``csv.writer`` loop over the same cells.
 """
 
 import csv
@@ -35,6 +36,12 @@ _BLOCK_ROWS = 4096
 _QUOTE_CHARS = frozenset(',"\r\n')
 
 
+def _keyed_cells(text, inverse):
+    """A function of a row slice that gives ``text[inverse[row]]`` for each
+    row in it."""
+    return lambda rows: list(map(text.__getitem__, inverse[rows].tolist()))
+
+
 def _float_cells(column):
     """A function of a row slice that gives the repr of each value in it.
 
@@ -43,17 +50,26 @@ def _float_cells(column):
     """
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
     keys, inverse = np.unique(bits, return_inverse=True)
-    text = list(map(repr, keys.view(np.float64).tolist()))
-    return lambda rows: list(map(text.__getitem__, inverse[rows].tolist()))
+    return _keyed_cells(list(map(repr, keys.view(np.float64).tolist())), inverse)
+
+
+def _int_cells(column):
+    """A function of a row slice that gives format_value of each cell of an
+    int or bool array in it: each distinct value is formatted once, as the
+    ``str`` of its Python int or bool, which is what format_value gives for
+    the numpy scalar. No such cell needs quoting."""
+    keys, inverse = np.unique(column, return_inverse=True)
+    return _keyed_cells(list(map(str, keys.tolist())), inverse)
 
 
 def _text_cells(column, alone):
     """A function of a row slice that gives format_value of each cell in it,
     quoted as csv.writer quotes it; ``alone`` when the cell is its row's only
-    field, where csv.writer quotes an empty cell."""
+    field, where csv.writer quotes an empty cell. A ``str`` cell is its own
+    text."""
 
     def cells(rows):
-        text = list(map(format_value, column[rows]))
+        text = [v if type(v) is str else format_value(v) for v in column[rows]]
         quoted = {}
         for s in set(text):
             plain = _QUOTE_CHARS.isdisjoint(s) and (s or not alone)
@@ -61,6 +77,16 @@ def _text_cells(column, alone):
         return list(map(quoted.__getitem__, text))
 
     return cells
+
+
+def _cells_of(column, alone):
+    """The cell function of one column, by its kind."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return _float_cells(column)
+    if kind in ("b", "i", "u"):
+        return _int_cells(column)
+    return _text_cells(column, alone)
 
 
 def write_csv(path, header, columns):
@@ -75,12 +101,7 @@ def write_csv(path, header, columns):
     lengths = sorted({len(col) for col in columns})
     if len(lengths) != 1:
         raise ValueError(f"columns of unequal lengths {lengths}")
-    formatters = [
-        _float_cells(col)
-        if isinstance(col, np.ndarray) and col.dtype.kind == "f"
-        else _text_cells(col, width == 1)
-        for col in columns
-    ]
+    formatters = [_cells_of(col, width == 1) for col in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, lengths[0], _BLOCK_ROWS):

@@ -6,14 +6,23 @@ Gauss-Legendre rule is used where vectorized throughput matters (primitive
 of the nonlinearity evaluated on whole arrays).
 """
 
+import functools
+
 import numpy as np
 
 from alap.errors import QuadratureError
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# Map from [-1, 1] to [0, 1].
-_GL_X01 = 0.5 * (_GL_NODES + 1.0)
-_GL_W01 = 0.5 * _GL_WEIGHTS
+
+@functools.cache
+def _gauss_legendre_01():
+    """32-node Gauss-Legendre nodes and weights mapped from [-1, 1] to
+    [0, 1], read-only and built on first use: only the log-power primitive
+    reads them, so a power-law run never imports ``numpy.polynomial``."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    table = 0.5 * (nodes + 1.0), 0.5 * weights
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 #: bisection depth at which ``adaptive_simpson`` gives up
@@ -64,7 +73,8 @@ def gauss_primitive(f, t):
     Exact to near machine precision for integrands analytic on [0, t];
     ``t`` may be any array of non-negative values.
     """
+    x01, w01 = _gauss_legendre_01()
     t = np.asarray(t, dtype=float)
-    scaled = t[..., None] * _GL_X01
+    scaled = t[..., None] * x01
     vals = f(scaled)
-    return t * np.sum(vals * _GL_W01, axis=-1)
+    return t * np.sum(vals * w01, axis=-1)

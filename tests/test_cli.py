@@ -482,6 +482,23 @@ def test_help_exits_0(capsys):
     assert "--parallel" not in capsys.readouterr().out
 
 
+def test_parser_is_built_once_and_each_call_sees_only_its_own_flags(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "verify-fb", lambda args: seen.append(vars(args)) or 0)
+    cfg_path = write_config(tmp_path)
+    base = ["verify-fb", "--config", cfg_path]
+    assert cli.main(base + ["--h", "0.2", "--seed", "3", "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(base + ["--bogus"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert cli.main(base) == 0
+    assert seen == [
+        {"command": "verify-fb", "config": cfg_path, "out": str(tmp_path), "seed": 3, "level": 0.2},
+        {"command": "verify-fb", "config": cfg_path, "out": None, "seed": None, "level": None},
+    ]
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
 def test_unreadable_config_exits_4(tmp_path, capsys, kind):
     path = tmp_path / "run.cfg"
@@ -737,17 +754,26 @@ def test_cli_import_and_every_command_leave_scipy_unloaded(tmp_path):
         paths.append(str(path))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    # a solve, the first command, also loads no certificate module and no
+    # numpy.polynomial (the Gauss table is built on a log-power's first use)
     code = (
         "import sys, alap.cli\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "def certificate_layer():\n"
+        "    names = ('alap.barriers', 'alap.harness', 'alap.free_boundary', 'alap.orbits',\n"
+        "             'numpy.polynomial')\n"
+        "    return sorted(n for n in names if n in sys.modules)\n"
         "assert not loaded(), ('import', loaded())\n"
+        "assert not certificate_layer(), ('import', certificate_layer())\n"
         "out, paths = sys.argv[1], sys.argv[2:]\n"
         "for i, path in enumerate(paths):\n"
         "    for command in alap.cli._COMMANDS:\n"
         "        code = alap.cli.main([command, '--config', path, '--out', f'{out}/{i}/{command}'])\n"
         "        assert code == 0, (path, command, code)\n"
         "        assert not loaded(), (path, command, loaded())\n"
+        "        if (i, command) == (0, 'solve'):\n"
+        "            assert not certificate_layer(), ('solve', certificate_layer())\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "out"), *paths],

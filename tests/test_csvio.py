@@ -152,6 +152,27 @@ def test_mixed_rows(tmp_path):
     assert first == "label_0,0,True,0,0,0.0,0.0,0.0,0"
 
 
+def test_equal_cells_of_different_types_keep_their_own_text(tmp_path):
+    """Cells that compare equal but format apart (1, 1.0, True, np.bool_,
+    0.0, -0.0) keep their own text in a list column, beside labels that need
+    quoting; a negative int array and a bool array format as their cells."""
+    cells = [1, 1.0, True, np.bool_(True), 0.0, -0.0, 0, False, np.bool_(False), "a,b",
+             'say "hi"', "", "1", -0.0, 1]
+    ints = np.array([-3, 0, -3, 7, -(2**62), 0, 1, -1, 2**62, -3, 5, 0, -7, 1, -1])
+    flags = np.array([v % 2 == 0 for v in ints.tolist()])
+    assert_reference_bytes(tmp_path, ["cell", "n", "flag"], [cells, ints, flags])
+    written = (tmp_path / "out.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in written[1:8]] == [
+        "1", "1.0", "1", "True", "0.0", "-0.0", "0"
+    ]
+    assert written[1] == "1,-3,False"
+    # an empty cell alone in its row is quoted, in a list and beside ints
+    assert_reference_bytes(tmp_path, ["cell"], [cells])
+    assert (tmp_path / "out.csv").read_bytes().count(b'\r\n""\r\n') == 1
+    assert_reference_bytes(tmp_path, ["n"], [ints])
+    assert_reference_bytes(tmp_path, ["flag"], [flags])
+
+
 @pytest.mark.parametrize(
     "text",
     ["a,b", 'say "hi"', '"', "two\nlines", "carriage\rreturn", "crlf\r\n", "", " padded ", "plain"],

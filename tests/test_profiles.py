@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from alap import profiles
+from alap import profiles, quadrature
 from alap.errors import DegenerateInputError
 
 ALL_PROFILES = [
@@ -210,6 +210,18 @@ def test_primitive_matches_quadrature(prof):
     for t in (0.3, 1.7, 12.0):
         ref, _ = quad(lambda s: float(prof.a(s)), 0.0, t, epsabs=1e-14, epsrel=1e-12)
         assert float(prof.big_a(t)) == pytest.approx(ref, rel=1e-8)
+
+
+def test_gauss_table_is_bit_identical_to_leggauss():
+    """The table built on first use holds the bits of the direct 32-node
+    ``leggauss`` call mapped to [0, 1], and it cannot be written to."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    x01, w01 = quadrature._gauss_legendre_01()
+    assert x01.tobytes() == (0.5 * (nodes + 1.0)).tobytes()
+    assert w01.tobytes() == (0.5 * weights).tobytes()
+    assert quadrature._gauss_legendre_01() is quadrature._gauss_legendre_01()
+    with pytest.raises(ValueError):
+        x01[0] = 0.0
 
 
 def test_make_from_family_config_keys():
