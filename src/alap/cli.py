@@ -169,15 +169,19 @@ def cmd_check_barriers(args):
     center = tuple(0.5 * (dom.lower + dom.upper))
 
     b = barriers.make_radial_barrier(center, radius, margin_frac * radius, floor, dom.dim, prof.a0)
-    results = [barriers.certify_radial_inequality(b, prof, seed=cfg.seed)]
+    plan = barriers.ring_sampling_plan(b, cfg.seed)
+    results = [barriers.certify_radial_inequality(b, prof, samples=plan)]
 
     lo, hi = barriers.hopf_kappa_range(dom.dim, prof.a0)
     valid_lo = max(lo, 0.5 * (1.0 + dom.dim / prof.a0))
     if valid_lo < hi:
-        for kap in np.linspace(valid_lo + 1e-6 * (hi - valid_lo), hi - 1e-2 * (hi - valid_lo), kappa_count):
-            b = barriers.make_hopf_barrier(center, radius, float(kap), dom.dim, prof.a0)
+        kappas = np.linspace(valid_lo + 1e-6 * (hi - valid_lo), hi - 1e-2 * (hi - valid_lo), kappa_count)
+        hopf = [barriers.make_hopf_barrier(center, radius, float(k), dom.dim, prof.a0) for k in kappas]
+        # every Hopf ring has this centre and radius and no collar, so one plan
+        plan = barriers.ring_sampling_plan(hopf[0], cfg.seed)
+        for b in hopf:
             for s in scales:
-                results.append(barriers.certify_hopf_inequality(b, prof, s, seed=cfg.seed))
+                results.append(barriers.certify_hopf_inequality(b, prof, s, samples=plan))
 
     # exterior sphere tangent to the bottom face, centered below it
     sphere_r = 0.2 * dom.delta
@@ -186,24 +190,7 @@ def cmd_check_barriers(args):
     bb = barriers.make_boundary_barrier(
         prof, tuple(x1), sphere_r, dom.m_ceiling, cfg.fieldh.h_upper, dom.delta, dom.dim
     )
-    # the inequality is claimed in the domain only: draw points one at a
-    # time from the seeded stdlib generator and keep those inside the box,
-    # in order, until 200
-    rng = random.Random(cfg.seed)
-    dist_lo, dist_hi = 1e-3 * dom.delta, 0.999 * dom.delta
-    kept = []
-    for _ in range(20000):
-        dist = rng.uniform(dist_lo, dist_hi)
-        raw = np.array([rng.gauss(0.0, 1.0) for _ in range(dom.dim)])
-        raw[-1] = abs(raw[-1])  # keep samples on the domain side
-        pt = x1 + (sphere_r + dist) * raw / np.linalg.norm(raw)
-        if dom.contains(pt):
-            kept.append(pt)
-            if len(kept) == 200:
-                break
-    else:
-        raise ConfigError(f"only {len(kept)} of 20000 exterior-sphere samples lie in the domain")
-    pts = np.array(kept)
+    pts = _exterior_sphere_points(dom, x1, sphere_r, cfg.seed)
     results.append(barriers.certify_boundary_supersolution(bb, prof, cfg.fieldh, pts))
 
     labels, *numbers = zip(*(rep.columns() for rep in results))
@@ -213,12 +200,47 @@ def cmd_check_barriers(args):
         [[label for part in labels for label in part]] + [np.concatenate(c) for c in numbers],
     )
     all_pass = all(rep.passed for rep in results)
-    _write_summary(
-        cfg,
-        "barriers_report.txt",
-        [f"{rep.label}: pass={rep.passed} min_margin={rep.min_margin:.3e}" for rep in results],
-    )
+    _write_summary(cfg, "barriers_report.txt", [_barrier_line(rep) for rep in results])
     return EXIT_OK if all_pass else EXIT_CERTIFICATION
+
+
+def _barrier_line(rep):
+    """A barrier's report line; margins that are not finite (a ring that
+    over- or underflows float64) are counted against its points."""
+    line = f"{rep.label}: pass={rep.passed} min_margin={rep.min_margin:.3e}"
+    bad = int(np.sum(~np.isfinite(rep.margins)))
+    return line + f" ({bad} of {len(rep.margins)} margins not finite)" if bad else line
+
+
+def _exterior_sphere_points(dom, x1, sphere_r, seed):
+    """The first 200 points in the box, in order, of up to 20000 draws at
+    distances 1e-3 delta .. 0.999 delta from the sphere of centre ``x1``
+    and radius ``sphere_r``, where the boundary barrier's inequality is
+    claimed.
+
+    Each draw takes a uniform distance, then n Gaussians for a direction
+    whose last component is made non-negative (the domain side), from the
+    stdlib ``random.Random(seed)``. The draws come in blocks of 1000, each
+    tested with one ``Domain.contains`` call, and keep the points that
+    drawing and testing one at a time keeps, bit for bit. ConfigError when
+    fewer than 200 of the 20000 lie in the box.
+    """
+    rng = random.Random(seed)
+    dist_lo, dist_hi = 1e-3 * dom.delta, 0.999 * dom.delta
+    kept, count = [], 0
+    for _ in range(20):
+        block = np.array([[rng.uniform(dist_lo, dist_hi)]
+                          + [rng.gauss(0.0, 1.0) for _ in range(dom.dim)] for _ in range(1000)])
+        dist, raw = block[:, 0], block[:, 1:]
+        raw[:, -1] = np.abs(raw[:, -1])  # keep samples on the domain side
+        # each row's dot product with itself, as ``np.linalg.norm`` takes it
+        norm = np.sqrt(raw[:, None, :] @ raw[:, :, None])[:, 0]
+        pts = x1 + (sphere_r + dist)[:, None] * raw / norm
+        kept.append(pts[dom.contains(pts)])
+        count += len(kept[-1])
+        if count >= 200:
+            return np.concatenate(kept)[:200]
+    raise ConfigError(f"only {count} of 20000 exterior-sphere samples lie in the domain")
 
 
 def _orbit_levels(cfg, args, key):
@@ -264,14 +286,21 @@ def cmd_trace(args):
 
 
 def _fb_setup(cfg, args):
-    """Validated fb levels and the omega grid, read before any solve."""
+    """Validated fb levels and the omega grid, read before any solve: the
+    cell midpoints of ``fb.omega_count`` cells along each free axis, one
+    omega per entry in 2D and the tensor grid of rows, the first
+    coordinate slowest, in 3D."""
     _require(cfg, "domain", "resolution", "profile", "fieldh")
     levels = _orbit_levels(cfg, args, "fb.levels")
     count = cfg["fb.omega_count"]
     dom = cfg.domain
     span = dom.upper - dom.lower
-    omegas = np.array([dom.lower[0] + span[0] * (j + 0.5) / count for j in range(count)])
-    return levels, omegas
+    axes = [[dom.lower[k] + span[k] * (j + 0.5) / count for j in range(count)]
+            for k in range(dom.dim - 1)]
+    if dom.dim == 2:
+        return levels, np.array(axes[0])
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return levels, np.stack(mesh, axis=-1).reshape(-1, dom.dim - 1)
 
 
 def _fb_level(cfg, grid, pair, level, omegas, lsc_tol):
@@ -292,16 +321,18 @@ def cmd_extract_fb(args):
     levels, omegas = _fb_setup(cfg, args)
     grid, pair, _ = _solved(cfg)
     lsc_tol = _lsc_tol(cfg, grid, pair.u)
+    names = ["omega"] if omegas.ndim == 1 else [f"omega{k+1}" for k in range(omegas.shape[1])]
     parts = []
     for level in levels:
         _, _, graph, lsc = _fb_level(cfg, grid, pair, level, omegas, lsc_tol)
         flags = (graph.set_empty, graph.boundary_touching, graph.identity_ok,
                  np.repeat(lsc.passed, len(omegas)))
-        parts.append([np.repeat(float(level), len(omegas)), omegas, graph.values]
+        parts.append([np.repeat(float(level), len(omegas)), *omegas.reshape(len(omegas), -1).T,
+                      graph.values]
                      + [flag.astype(int) for flag in flags])
     csvio.write_csv(
         os.path.join(cfg.out_dir, "free_boundary.csv"),
-        ["level", "omega", "phi", "set_empty", "boundary_touching", "identity_ok", "lsc_pass"],
+        ["level", *names, "phi", "set_empty", "boundary_touching", "identity_ok", "lsc_pass"],
         [np.concatenate(column) for column in zip(*parts)],
     )
     return EXIT_OK

@@ -123,8 +123,16 @@ def find_touching_balls(solution, grid, count):
 
 
 def _ball_mask(grid, center, radius):
-    nodes = grid.nodes()
-    return np.sum((nodes - np.asarray(center)) ** 2, axis=-1) <= radius**2 + 1e-15
+    """Grid nodes within ``radius`` of ``center`` (up to 1e-15 in the square).
+
+    The squared offsets along each grid axis broadcast to the node array
+    and add axis by axis, the order in which ``np.sum`` over the node
+    coordinates adds them, so no node array is built.
+    """
+    sq = 0.0
+    for k, (coord, c) in enumerate(zip(grid.axes, np.asarray(center, dtype=float))):
+        sq = sq + ((coord - c) ** 2).reshape([-1 if j == k else 1 for j in range(grid.dim)])
+    return sq <= radius**2 + 1e-15
 
 
 def ball_interior(grid, center, radius):

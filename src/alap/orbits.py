@@ -138,21 +138,29 @@ def _march(fieldh, domain, seeds, dt, tol_len, max_steps):
     flow depends on its own samples only, so dropping the others changes
     none of its bits. The step after the last sample is bisected on the
     exact flow, all rows with one matrix per halving, until the bracket
-    length times h_upper is at most ``tol_len``. Every seed lies inside
-    the box. Returns (samples, steps, t_exit, x_exit): ``samples[i]`` holds
-    row i at the times k * dt, k = 0 .. steps[i].
+    length times h_upper is at most ``tol_len``. The flow matrices come in
+    two ``_expm`` stacks, one of every doubling shift 2**k dt the step
+    budget allows and one of every bisection width; ``_expm`` computes each
+    matrix of a stack on its own, so each is the matrix a lone call gives.
+    Every seed lies inside the box. Returns (samples, steps, t_exit,
+    x_exit): ``samples[i]`` holds row i at the times k * dt, k = 0 ..
+    steps[i].
     """
     gen = _generator(fieldh)
     x = np.array(seeds, dtype=float)[None]
     samples, steps = [None] * x.shape[1], np.zeros(x.shape[1], dtype=int)
     rows = np.arange(x.shape[1])  # the rows of ``x``, still inside
+    # the shifts past every row's exit go unused, and for a fast-growing
+    # field their matrices may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        doubling = _expm((dt * 2.0 ** np.arange(max_steps.bit_length()))[:, None, None] * gen)
     while len(rows):
         if len(x) > max_steps:
             raise StepFailureError("orbit march exceeded its step budget")
         # the samples at K dt .. (2K-1) dt are those at 0 .. (K-1) dt
-        # times exp(K dt M), K = len(x)
+        # times exp(K dt M), K = len(x), a power of two
         shift = len(x)
-        flows, block = _expm(shift * dt * gen), max(128, shift // 8)
+        flows, block = doubling[shift.bit_length() - 1], max(128, shift // 8)
         later = []
         for lo in range(0, shift, block):
             later.append(_apply(flows, x[lo:lo + block]))
@@ -171,14 +179,15 @@ def _march(fieldh, domain, seeds, dt, tol_len, max_steps):
     while dt * 0.5**halvings * max(fieldh.h_upper, 1e-30) > tol_len:
         halvings += 1
     widths = dt * 0.5 ** np.arange(halvings + 1)
+    halving = _expm(widths[:, None, None] * gen)
     x_lo = np.array([row[-1] for row in samples])
     lo = np.zeros(len(x_lo))
-    for width in widths[1:]:
-        trial = _flow(gen, x_lo, width)
+    for width, flows in zip(widths[1:], halving[1:]):
+        trial = _apply(flows, x_lo)
         stay = domain.contains(trial)
         x_lo[stay] = trial[stay]
         lo[stay] += width
-    return samples, steps, steps * dt + lo + widths[-1], _flow(gen, x_lo, widths[-1])
+    return samples, steps, steps * dt + lo + widths[-1], _apply(halving[-1], x_lo)
 
 
 def _omega_rows(omegas, dim):
@@ -280,8 +289,9 @@ def orbit_point(fieldh, orbit, t):
 
     ``orbit`` is one Orbit with ``t`` a time or an array of times, or a
     list of orbits with ``t`` one time per orbit (row i is X(t[i]) on
-    orbit i). All rows flow in one batched product; each row's result is
-    the one a lone call gives.
+    orbit i). A list finds every row's nearest sample in one search over
+    the orbits' times, padded with +inf to a table. All rows flow in one
+    batched product; each row's result is the one a lone call gives.
     """
     gen = _generator(fieldh)
     ts = np.asarray(t, dtype=float)
@@ -296,9 +306,20 @@ def orbit_point(fieldh, orbit, t):
             raise ValueError(f"{flat.size} times for {len(orbit)} orbits")
         exits = np.array([(o.t_minus, o.t_plus) for o in orbit]).reshape(-1, 2)
         _check_times(exits[:, 0], exits[:, 1], flat)
-        idx = [int(_nearest_sample(o, tk)) for o, tk in zip(orbit, flat)]
+        sizes = np.array([len(o.times) for o in orbit], dtype=int)
+        width = np.max(sizes, initial=0)
+        pad = np.full(width, np.inf)  # pad[:0] leaves an empty list something to join
+        table = np.concatenate(
+            [pad[:0], *(part for o in orbit for part in (o.times, pad[len(o.times):]))]
+        ).reshape(len(orbit), width)
+        # per row what ``_nearest_sample`` finds: the count of stored times
+        # below t is its ``searchsorted``, the padding is never below t
+        rows = np.arange(len(orbit))
+        right = np.clip(np.sum(table < flat[:, None], axis=1), 1, sizes - 1)
+        left = np.maximum(right - 1, 0)  # a one-sample orbit has right = 0
+        idx = np.where(flat - table[rows, left] <= table[rows, right] - flat, left, right)
         x = np.array([o.points[i] for o, i in zip(orbit, idx)]).reshape(-1, fieldh.dim)
-        start = np.array([o.times[i] for o, i in zip(orbit, idx)], dtype=float)
+        start = table[rows, idx]
     x = _flow(gen, x, flat - start)
     return x[0] if ts.ndim == 0 else x
 

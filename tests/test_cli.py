@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from alap import cli, config, csvio, orbits, solver
+from alap import cli, config, csvio, geometry, orbits, solver
 from alap.errors import ConfigError
 
 DAM_CONFIG = """
@@ -972,3 +972,114 @@ def test_solve_draws_its_field_samples_by_seed_without_numpy_random(tmp_path):
     assert len(rows) == 128 and all(row["pass"] == "1" for row in rows)
     points = np.array([[float(row["x1"]), float(row["x2"])] for row in rows])
     assert np.all((points >= 0.0) & (points <= 1.0)) and len(np.unique(points, axis=0)) == 128
+
+
+def _exterior_sphere(dom):
+    """The exterior sphere of ``check-barriers``: tangent to the bottom face,
+    centred below its middle."""
+    sphere_r = 0.2 * dom.delta
+    mid = 0.5 * (dom.lower + dom.upper)
+    return np.array(list(mid[:-1]) + [float(dom.lower[-1]) - sphere_r]), sphere_r
+
+
+def _ref_exterior_sphere_points(dom, x1, sphere_r, seed):
+    """The draws one at a time, each tested on its own, as they were made."""
+    import random
+
+    rng = random.Random(seed)
+    dist_lo, dist_hi = 1e-3 * dom.delta, 0.999 * dom.delta
+    kept = []
+    for _ in range(20000):
+        dist = rng.uniform(dist_lo, dist_hi)
+        raw = np.array([rng.gauss(0.0, 1.0) for _ in range(dom.dim)])
+        raw[-1] = abs(raw[-1])
+        pt = x1 + (sphere_r + dist) * raw / np.linalg.norm(raw)
+        if dom.contains(pt):
+            kept.append(pt)
+            if len(kept) == 200:
+                return np.array(kept)
+    raise ConfigError(f"only {len(kept)} of 20000 exterior-sphere samples lie in the domain")
+
+
+@pytest.mark.parametrize("lower, upper", [([0, 0], [1, 1]), ([-0.2, 0.1, 0.0], [0.9, 0.6, 1.3])],
+                         ids=["unit_square", "box_3d"])
+@pytest.mark.parametrize("seed", range(10))
+def test_block_sphere_draws_keep_the_points_of_the_lone_draws(lower, upper, seed):
+    faces = ["ymax"] if len(lower) == 2 else ["zmax"]
+    dom = geometry.box_domain(lower, upper, faces, geometry.BoundaryData("zero"), 1.0)
+    x1, sphere_r = _exterior_sphere(dom)
+    got = cli._exterior_sphere_points(dom, x1, sphere_r, seed)
+    assert got.shape == (200, dom.dim)
+    assert np.array_equal(got, _ref_exterior_sphere_points(dom, x1, sphere_r, seed))
+
+
+def test_thin_box_exits_4_with_the_count_of_the_lone_draws(tmp_path, capsys):
+    # 65 of the 20000 draws lie in a box 0.004 high at seed 42
+    text = DAM_CONFIG.replace("domain.upper = 1 1", "domain.upper = 1 0.004").replace(
+        "domain.m = 0.6", "domain.m = 1e-3").replace("domain.g.level = 0.6", "domain.g.level = 1e-3")
+    cfg_path = write_config(tmp_path, text)
+    dom = config.load(cfg_path).domain
+    with pytest.raises(ConfigError) as ref:
+        _ref_exterior_sphere_points(dom, *_exterior_sphere(dom), 42)
+    assert cli.main(["check-barriers", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == f"config error: {ref.value}\n"
+    assert "only 0 of" not in str(ref.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ring_margins_that_are_not_finite_are_counted(tmp_path):
+    # logpower with a small a0: the radial ring's exp(-alpha rho^2) underflows
+    # and (2 alpha k)^3 overflows, so margins are nan
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "dam.cfg")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().replace("grid.resolution = 129 129", "grid.resolution = 33 33")
+    text = text.replace("profile.p = 2", "profile.alpha = 0.01\nprofile.beta = 1000\nprofile.gamma = 1")
+    text = text.replace("profile.family = power", "profile.family = logpower")
+    out = tmp_path / "out"
+    argv = ["check-barriers", "--config", write_config(tmp_path, text), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CERTIFICATION
+    lines = (out / "barriers_report.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == (
+        "radial_logpower_n2_k402: pass=False min_margin=nan (366 of 740 margins not finite)"
+    )
+    # a line whose margins are all finite keeps its form
+    assert lines[-1].startswith("boundary_logpower_n2: pass=True min_margin=")
+    assert lines[-1].endswith("e+01")
+
+
+DAM_3D = """
+schema_version = 1
+seed = 5
+domain.lower = 0 0 0
+domain.upper = 1 1 1
+domain.t_faces = zmax
+domain.m = 0.6
+domain.g.kind = hydrostatic
+domain.g.level = 0.6
+grid.resolution = 17 17 17
+profile.family = power
+profile.p = 2
+field.kind = constant
+field.c = 0 0 1
+fb.levels = 0.1 0.3
+fb.omega_count = 5
+"""
+
+
+def test_free_boundary_commands_run_in_3d(tmp_path):
+    # the omegas are the tensor grid of 5 x 5 points of each level
+    cfg_path = write_config(tmp_path, DAM_3D)
+    out = tmp_path / "out"
+    assert cli.main(["extract-fb", "--config", cfg_path, "--out", str(out)]) in (0, 3)
+    with open(out / "free_boundary.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["level", "omega1", "omega2", "phi", "set_empty",
+                             "boundary_touching", "identity_ok", "lsc_pass"]
+    assert len(rows) == 2 * 25
+    grid = [0.1, 0.3, 0.5, 0.7, 0.9]
+    assert [(float(r["omega1"]), float(r["omega2"])) for r in rows[:25]] == [
+        (a, b) for a in grid for b in grid
+    ]
+    assert cli.main(["verify-fb", "--config", cfg_path, "--out", str(out)]) in (0, 3)
+    report = (out / "verify_fb.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split(":")[0] for line in report] == ["level 0.1", "level 0.3"]

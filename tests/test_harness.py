@@ -323,3 +323,52 @@ def test_ball_selection_with_tied_radii_equals_the_greedy_loop(res):
         assert harness.find_touching_balls(pair, grid, count) == ref_find_touching_balls(
             pair, grid, count
         )
+
+
+def ref_ball_mask(grid, center, radius):
+    """The ball mask as it was built, from the full node array."""
+    return np.sum((grid.nodes() - np.asarray(center)) ** 2, axis=-1) <= radius**2 + 1e-15
+
+
+def radius_on_a_rounding_edge(grid, center):
+    """A radius whose threshold r**2 + 1e-15 is the sum of squared offsets
+    of a node, at a node where adding the axes in the reverse order rounds
+    to a larger sum: the reverse order leaves that node out of the ball."""
+    sq = (grid.nodes() - np.asarray(center)) ** 2
+    ref = np.sum(sq, axis=-1)
+    rev = sq[..., 2] + sq[..., 1] + sq[..., 0]
+    for target in ref[rev > ref]:
+        r = float(np.sqrt(target - 1e-15))
+        for _ in range(8):
+            edge = r**2 + 1e-15
+            if edge == target:
+                return r
+            r = float(np.nextafter(r, np.inf if edge < target else 0.0))
+    raise AssertionError("no node on a rounding edge")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ball_mask_equals_the_node_array_form(seed):
+    rng = np.random.default_rng(seed)
+    grid = mask_grid(rng, 2 if seed % 2 else 3)
+    lower, upper = grid.domain.lower, grid.domain.upper
+    node = grid.nodes()[tuple(rng.integers(0, n) for n in grid.counts)]
+    other = grid.nodes()[tuple(rng.integers(0, n) for n in grid.counts)]
+    balls = [
+        (rng.uniform(lower, upper), rng.uniform(0.05, 0.5)),
+        # centred on a node, through another node
+        (node, float(np.sqrt(np.sum((other - node) ** 2)))),
+        # across the box edge, and one centred outside the box
+        (lower + 0.1 * (upper - lower), 0.4),
+        (upper + 0.05, 0.3),
+        # radii of whole cells from a node
+        (node, float(grid.spacing[0])),
+        (node, 3.0 * float(grid.spacing[-1])),
+    ]
+    if grid.dim == 3:
+        center = rng.uniform(lower, upper)
+        balls.append((center, radius_on_a_rounding_edge(grid, tuple(map(float, center)))))
+    for center, radius in balls:
+        got = harness._ball_mask(grid, tuple(map(float, center)), radius)
+        assert got.shape == grid.counts
+        assert np.array_equal(got, ref_ball_mask(grid, tuple(map(float, center)), radius))

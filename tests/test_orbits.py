@@ -609,6 +609,37 @@ def test_verify_fb_samples_each_orbit_once(tmp_path, monkeypatch):
     assert set(sampled.values()) == {1}
 
 
+def test_verify_fb_expm_calls_stay_bounded(tmp_path, monkeypatch):
+    # a deterministic work guard: a march takes its doubling shifts and its
+    # exit-bisection widths in one matrix stack each (72 calls; 238 with a
+    # call per doubling and per halving)
+    from alap import cli
+
+    calls = []
+    real = orbits._expm
+    monkeypatch.setattr(orbits, "_expm", lambda mats: calls.append(1) or real(mats))
+    cfg = tmp_path / "dam.cfg"
+    cfg.write_text(SMALL_DAM, encoding="utf-8")
+    assert cli.main(["verify-fb", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) <= 100
+
+
+def test_check_barriers_contains_calls_stay_bounded(tmp_path, monkeypatch):
+    # a deterministic work guard: the exterior-sphere draws are tested in
+    # blocks of 1000 (one call; 678 with one call per draw)
+    from alap import cli
+
+    calls = []
+    real = geometry.Domain.contains
+    monkeypatch.setattr(
+        geometry.Domain, "contains", lambda self, *a, **k: calls.append(1) or real(self, *a, **k)
+    )
+    cfg = tmp_path / "dam.cfg"
+    cfg.write_text(SMALL_DAM, encoding="utf-8")
+    assert cli.main(["check-barriers", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) <= 10
+
+
 def test_trace_csv_is_byte_identical_across_runs(tmp_path):
     from alap import cli
 
