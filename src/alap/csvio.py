@@ -5,13 +5,10 @@ shortest-roundtrip float formatting, so identical runs produce identical
 bytes.
 
 A table is handed over as columns, one 1-D sequence per header name, all
-of one length. A float array column formats each distinct float64 bit
-pattern once with ``repr``, and an int or bool array each distinct value
-once with ``str``; any other column (a list, labels) formats each cell with
-``format_value``, a ``str`` cell being its own text, and quotes it the way
-``csv.writer`` does. Every path gives ``format_value`` of the cell, so the
-path a column takes changes speed, not bytes: the bytes are those of a
-per-row ``csv.writer`` loop over the same cells.
+of one length. Each column is turned once into its distinct cell texts,
+each quoted once the way ``csv.writer`` quotes it, and an inverse that
+picks each row's text. A cell's text is ``format_value`` of it, so the
+bytes are those of a per-row ``csv.writer`` loop over the same cells.
 """
 
 import csv
@@ -36,57 +33,34 @@ _BLOCK_ROWS = 4096
 _QUOTE_CHARS = frozenset(',"\r\n')
 
 
-def _keyed_cells(text, inverse):
-    """A function of a row slice that gives ``text[inverse[row]]`` for each
-    row in it."""
-    return lambda rows: list(map(text.__getitem__, inverse[rows].tolist()))
+def _keyed_texts(column, alone):
+    """(texts, inverse) of ``column``: each row's cell is
+    ``texts[inverse[row]]``, each distinct text quoted once as csv.writer
+    quotes it (``alone``: the column is its rows' only field, where an
+    empty cell is quoted).
 
-
-def _float_cells(column):
-    """A function of a row slice that gives the repr of each value in it.
-
-    Each distinct float64 bit pattern of the column is formatted once. Bits,
-    not values, are the keys: values would merge 0.0 with -0.0.
-    """
-    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    return _keyed_cells(list(map(repr, keys.view(np.float64).tolist())), inverse)
-
-
-def _int_cells(column):
-    """A function of a row slice that gives format_value of each cell of an
-    int or bool array in it: each distinct value is formatted once, as the
-    ``str`` of its Python int or bool, which is what format_value gives for
-    the numpy scalar. No such cell needs quoting."""
-    keys, inverse = np.unique(column, return_inverse=True)
-    return _keyed_cells(list(map(str, keys.tolist())), inverse)
-
-
-def _text_cells(column, alone):
-    """A function of a row slice that gives format_value of each cell in it,
-    quoted as csv.writer quotes it; ``alone`` when the cell is its row's only
-    field, where csv.writer quotes an empty cell. A ``str`` cell is its own
-    text."""
-
-    def cells(rows):
-        text = [v if type(v) is str else format_value(v) for v in column[rows]]
-        quoted = {}
-        for s in set(text):
-            plain = _QUOTE_CHARS.isdisjoint(s) and (s or not alone)
-            quoted[s] = s if plain else '"' + s.replace('"', '""') + '"'
-        return list(map(quoted.__getitem__, text))
-
-    return cells
-
-
-def _cells_of(column, alone):
-    """The cell function of one column, by its kind."""
+    A float array is keyed by its float64 bit patterns, not its values,
+    which would merge 0.0 with -0.0 and the NaN payloads; an int or bool
+    array by value, whose Python ``str`` is format_value of the numpy
+    scalar; any other column by each cell's format_value text, a ``str``
+    cell being its own text."""
     kind = column.dtype.kind if isinstance(column, np.ndarray) else None
     if kind == "f":
-        return _float_cells(column)
+        bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
+        keys, inverse = np.unique(bits, return_inverse=True)
+        return list(map(repr, keys.view(np.float64).tolist())), inverse
     if kind in ("b", "i", "u"):
-        return _int_cells(column)
-    return _text_cells(column, alone)
+        keys, inverse = np.unique(column, return_inverse=True)
+        return list(map(str, keys.tolist())), inverse
+    # a number's text is never empty and holds no quote character; a cell's may
+    index = {}
+    cells = (v if type(v) is str else format_value(v) for v in column)
+    inverse = np.array([index.setdefault(s, len(index)) for s in cells], dtype=np.intp)
+    texts = [
+        s if _QUOTE_CHARS.isdisjoint(s) and (s or not alone) else '"' + s.replace('"', '""') + '"'
+        for s in index
+    ]
+    return texts, inverse
 
 
 def write_csv(path, header, columns):
@@ -101,11 +75,12 @@ def write_csv(path, header, columns):
     lengths = sorted({len(col) for col in columns})
     if len(lengths) != 1:
         raise ValueError(f"columns of unequal lengths {lengths}")
-    formatters = [_cells_of(col, width == 1) for col in columns]
+    keyed = [_keyed_texts(col, width == 1) for col in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, lengths[0], _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            cells = [cells_of(block) for cells_of in formatters]
+            # lists, not lazy maps: each column's block of ints is freed before the join
+            cells = [list(map(texts.__getitem__, inverse[start : start + _BLOCK_ROWS].tolist()))
+                     for texts, inverse in keyed]
             fh.write("\r\n".join(map(",".join, zip(*cells))))
             fh.write("\r\n")

@@ -160,6 +160,9 @@ def make_logpower(alpha, beta, gamma):
     def big_a(t):
         return gauss_primitive(a, t)
 
+    # a(t) and da(t) overflow near the top of float64's range: an infinite
+    # a(hi) ends the doubling, and a nan Newton step fails the bracket test
+    @np.errstate(over="ignore", invalid="ignore")
     def a_inv(s):
         s_arr = np.asarray(s, dtype=float)
         out = np.where(s_arr <= 0.0, 0.0, s_arr).ravel()  # NaN and inf pass through

@@ -1026,7 +1026,6 @@ def test_thin_box_exits_4_with_the_count_of_the_lone_draws(tmp_path, capsys):
     assert "only 0 of" not in str(ref.value)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ring_margins_that_are_not_finite_are_counted(tmp_path):
     # logpower with a small a0: the radial ring's exp(-alpha rho^2) underflows
     # and (2 alpha k)^3 overflows, so margins are nan

@@ -191,6 +191,28 @@ def test_empty_text_cell_alone_in_its_row_is_quoted(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == b"label,n\r\n,1\r\n"
 
 
+def test_string_and_object_array_columns_are_keyed_by_text(tmp_path):
+    """A str array and an object array that mixes floats, ints and bools are
+    keyed by their cells' text, across a block boundary: labels that need
+    quoting are quoted, equal cells of different types keep their own text,
+    and an empty label alone in its row is quoted."""
+    rows = csvio._BLOCK_ROWS + 7
+    labels = np.array(["a,b", 'say "hi"', "two\nlines", "", "plain"])[np.arange(rows) % 5]
+    cells = [0.5, -0.0, 1, True, float("nan"), 0, False, 1.0, np.float32(0.1), np.int64(-3),
+             np.bool_(True)]
+    mixed = np.empty(rows, dtype=object)
+    mixed[:] = [cells[i % len(cells)] for i in range(rows)]
+    assert labels.dtype.kind == "U" and mixed.dtype.kind == "O"
+    assert_reference_bytes(tmp_path, ["label", "mixed"], [labels, mixed])
+    assert (tmp_path / "out.csv").read_bytes().startswith(
+        b'label,mixed\r\n"a,b",0.5\r\n"say ""hi""",-0.0\r\n"two\nlines",1\r\n,1\r\nplain,nan\r\n'
+    )
+    assert_reference_bytes(tmp_path, ["mixed"], [mixed])
+    assert_reference_bytes(tmp_path, ["label"], [labels])
+    empty_rows = len(range(3, rows, 5))
+    assert (tmp_path / "out.csv").read_bytes().count(b'\r\n""\r\n') == empty_rows
+
+
 def test_every_ascii_and_some_wider_characters_quote_as_csv_writer(tmp_path):
     chars = [chr(c) for c in range(1, 128)] + ["\x85", " ", "é", "\U0001f600"]
     rows = [(f"a{c}b", c, 0) for c in chars]
