@@ -282,7 +282,18 @@ def cmd_trace(args):
         [*np.repeat(omegas, times.shape[1], axis=0).T, times.ravel(), *points.T, analytic,
          numeric.ravel()],
     )
-    return EXIT_OK
+    gap = float(np.max(np.abs(analytic - numeric.ravel()) / np.abs(analytic)))
+    gap_tol = orbits.jacobian_gap_tol(fieldh, dom, float(np.max(np.abs(times))))
+    bounds = orbits.certify_jacobian_bounds(fieldh, orbit_list)
+    _write_summary(cfg, "trace.txt", [
+        f"level {level}: {count} orbits, {times.shape[1]} times each",
+        f"jacobian gap: pass={gap <= gap_tol} max relative gap {gap:.3e} (tol {gap_tol:.3e})",
+        f"jacobian bounds: pass={bounds.passed} "
+        f"min -Y_h forward {bounds.min_neg_jacobian_forward:.6e} (h_lower {bounds.h_lower:.6e}), "
+        f"min -Y_h {bounds.min_neg_jacobian_full:.6e}, max -Y_h {bounds.max_neg_jacobian:.6e} "
+        f"({bounds.measured_upper_constant:.6e} h_upper)",
+    ])
+    return EXIT_OK if gap <= gap_tol and bounds.passed else EXIT_CERTIFICATION
 
 
 def _fb_setup(cfg, args):
@@ -322,9 +333,10 @@ def cmd_extract_fb(args):
     grid, pair, _ = _solved(cfg)
     lsc_tol = _lsc_tol(cfg, grid, pair.u)
     names = ["omega"] if omegas.ndim == 1 else [f"omega{k+1}" for k in range(omegas.shape[1])]
-    parts = []
+    parts, ok = [], True
     for level in levels:
         _, _, graph, lsc = _fb_level(cfg, grid, pair, level, omegas, lsc_tol)
+        ok = ok and lsc.passed
         flags = (graph.set_empty, graph.boundary_touching, graph.identity_ok,
                  np.repeat(lsc.passed, len(omegas)))
         parts.append([np.repeat(float(level), len(omegas)), *omegas.reshape(len(omegas), -1).T,
@@ -335,7 +347,7 @@ def cmd_extract_fb(args):
         ["level", *names, "phi", "set_empty", "boundary_touching", "identity_ok", "lsc_pass"],
         [np.concatenate(column) for column in zip(*parts)],
     )
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
 def _lsc_tol(cfg, grid, u):

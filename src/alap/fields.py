@@ -13,8 +13,9 @@ corner evaluation on a box, and together they realize every regime the
 toolkit exercises (zero / positive divergence, straight / curved orbits).
 """
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,31 +25,37 @@ DIV_FD_TOL = 1e-6
 
 @dataclass(frozen=True)
 class FieldH:
-    """Immutable drift field with its certified bounds.
+    """Immutable affine drift field H(x) = coeff @ x + offset with its
+    certified bounds.
 
-    ``eval_fn`` maps point arrays of shape (..., n) to vectors (..., n);
-    ``div_fn`` maps them to scalars (...).  ``h_lower`` and
-    ``lipschitz_const`` are present only for fields valid in transversal mode.
-    ``affine`` is the pair (coeff, offset) with H(x) = coeff @ x + offset,
-    set by the constant and affine makers; orbits are integrated exactly
-    from it, so a field without it has no orbits.
+    A field maps point arrays of shape (..., n) to vectors (..., n), and its
+    divergence is the constant tr(coeff). ``h_lower`` is present only for
+    fields valid in transversal mode. The pair (coeff, offset) is left out
+    of compare and hash, which see the kind and the bounds.
     """
 
     kind: str
-    dim: int
-    eval_fn: Callable = field(repr=False)
-    div_fn: Callable = field(repr=False)
+    coeff: np.ndarray = field(repr=False, compare=False)
+    offset: np.ndarray = field(repr=False, compare=False)
     h_upper: float = 0.0
     h_lower: Optional[float] = None
-    lipschitz_const: Optional[float] = None
-    params: tuple = ()
-    affine: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __call__(self, x):
-        return self.eval_fn(np.asarray(x, dtype=float))
+        out = np.asarray(x, dtype=float) @ self.coeff.T
+        out += self.offset  # in place: a face array's evaluation holds one array
+        return out
 
     def divergence(self, x):
-        return self.div_fn(np.asarray(x, dtype=float))
+        return np.full(np.shape(x)[:-1], float(np.trace(self.coeff)))
+
+    @property
+    def dim(self):
+        return len(self.offset)
+
+    @property
+    def lipschitz_const(self):
+        """The Lipschitz constant of H in the max norm: the largest row sum of |coeff|."""
+        return float(np.max(np.sum(np.abs(self.coeff), axis=1)))
 
     @property
     def transversal(self):
@@ -58,37 +65,15 @@ class FieldH:
 def make_constant_field(c):
     """Constant field H == c with c_n > 0; div H == 0."""
     c = np.asarray(c, dtype=float)
-    n = c.shape[0]
     if c[-1] <= 0.0:
         raise ValueError(f"constant field needs positive last component, got {c[-1]}")
-
-    def eval_fn(x):
-        out = np.empty(x.shape)
-        out[...] = c
-        return out
-
-    def div_fn(x):
-        return np.zeros(x.shape[:-1])
-
     return FieldH(
         kind="constant",
-        dim=n,
-        eval_fn=eval_fn,
-        div_fn=div_fn,
+        coeff=np.zeros((len(c), len(c))),
+        offset=c,
         h_upper=float(np.max(np.abs(c))),
         h_lower=float(c[-1]),
-        lipschitz_const=0.0,
-        params=tuple(c),
-        affine=(np.zeros((n, n)), c),
     )
-
-
-def _corners(lower, upper):
-    n = len(lower)
-    pts = np.array(
-        [[(upper if (k >> i) & 1 else lower)[i] for i in range(n)] for k in range(2**n)]
-    )
-    return pts
 
 
 def make_affine_field(coeff, offset, domain):
@@ -107,30 +92,13 @@ def make_affine_field(coeff, offset, domain):
     trace = float(np.trace(coeff))
     if trace < 0.0:
         raise ValueError(f"affine field needs tr(coeff) >= 0, got {trace}")
-    corners = _corners(domain.lower, domain.upper)
+    corners = np.array(list(itertools.product(*zip(domain.lower, domain.upper))))
     h_corner = corners @ coeff.T + offset
     hn_min = float(np.min(h_corner[:, -1]))
     if hn_min <= 0.0:
         raise ValueError(f"affine field needs H_n > 0 on the domain; corner min {hn_min}")
     h_upper = max(float(np.max(np.abs(h_corner))), abs(trace))
-
-    def eval_fn(x):
-        return x @ coeff.T + offset
-
-    def div_fn(x):
-        return np.full(x.shape[:-1], trace)
-
-    return FieldH(
-        kind="affine",
-        dim=n,
-        eval_fn=eval_fn,
-        div_fn=div_fn,
-        h_upper=h_upper,
-        h_lower=hn_min,
-        lipschitz_const=float(np.max(np.sum(np.abs(coeff), axis=1))),
-        params=(tuple(map(tuple, coeff)), tuple(offset)),
-        affine=(coeff, offset),
-    )
+    return FieldH(kind="affine", coeff=coeff, offset=offset, h_upper=h_upper, h_lower=hn_min)
 
 
 @dataclass(frozen=True)

@@ -360,7 +360,7 @@ def rescale_check(solution, grid, x0, radius, profile, fieldh, tol=1e-6):
     with those of u and the interior equation transforms into
     Delta_A v = -R div(chi H); inside the wet set chi = 1 and the mismatch
     against -R div H measures nothing but the solver residual and the
-    (exact, for affine fields) divergence discretization.
+    divergence discretization, exact for every (affine) field.
     """
     x0 = np.asarray(x0, dtype=float)
     interior = ball_interior(grid, x0, radius)

@@ -139,14 +139,22 @@ def make_logpower(alpha, beta, gamma):
     gamma >= 1 is required so that a >= 0 and a(0) = 0 hold on [0, inf);
     the inverse has no closed form and is computed for all elements at
     once by safeguarded Newton-bisection, polished with two Newton steps.
+    It is inf where s exceeds a(float max).
     """
     if alpha <= 0 or beta <= 0 or gamma <= 0:
         raise ValueError("logpower profile needs alpha, beta, gamma > 0")
     if gamma < 1.0:
         raise ValueError("gamma < 1 makes a(t) negative near 0; need gamma >= 1")
 
+    # beta t / gamma overflows only past ``big``, where gamma lies far below
+    # an ulp of beta t
+    big = math.inf if beta <= gamma else 0.5 * np.finfo(float).max * gamma / beta
+
     def log_term(t):
         # log(beta t + gamma) without the cancellation that zeroes a(t) below 1e-16
+        if np.any(t > big):
+            top = math.log(beta) + np.log(np.maximum(t, big))
+            return np.where(t > big, top, log_term(np.minimum(t, big)))
         return math.log(gamma) + np.log1p(beta * t / gamma)
 
     def a(t):
@@ -160,18 +168,21 @@ def make_logpower(alpha, beta, gamma):
     def big_a(t):
         return gauss_primitive(a, t)
 
+    t_max = np.finfo(float).max
+
     # a(t) and da(t) overflow near the top of float64's range: an infinite
     # a(hi) ends the doubling, and a nan Newton step fails the bracket test
     @np.errstate(over="ignore", invalid="ignore")
     def a_inv(s):
         s_arr = np.asarray(s, dtype=float)
         out = np.where(s_arr <= 0.0, 0.0, s_arr).ravel()  # NaN and inf pass through
+        out[out > a(t_max)] = np.inf  # the inverse lies beyond float64
         solve = np.isfinite(out) & (out > 0.0)
         s = out[solve]
-        # the bracket [0, hi], doubling hi where a(hi) < s
-        hi = 2.0 * np.maximum(1.0, s) ** (1.0 / alpha)
+        # the bracket [0, hi], hi doubled from 1 up to t_max while a(hi) < s
+        hi = np.ones_like(s)
         while np.any(short := a(hi) < s):
-            hi[short] *= 2.0
+            hi[short] = np.minimum(2.0 * hi[short], t_max)
         # safeguarded Newton from hi (a step that leaves the bracket bisects
         # it) until the step is below brentq's rtol of 4 eps; 2200 steps let
         # bisection alone span the double range

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from alap import cli, config, csvio, geometry, orbits, solver
+from alap import cli, config, csvio, fields, free_boundary, geometry, orbits, solver
 from alap.errors import ConfigError
 
 DAM_CONFIG = """
@@ -228,6 +228,52 @@ def test_cli_trace(tmp_path):
         data["jacobian_analytic"]
     )
     assert np.max(rel) < 1e-6
+
+
+def test_trace_fails_a_planted_jacobian_gap(tmp_path, monkeypatch):
+    # the closed form off by 1e-6 relative, far above the roundoff bound
+    plain = orbits.jacobian_analytic
+    monkeypatch.setattr(orbits, "jacobian_analytic", lambda *args: plain(*args) * (1.0 + 1e-6))
+    out = tmp_path / "trace"
+    argv = ["trace", "--config", write_config(tmp_path), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CERTIFICATION
+    lines = (out / "trace.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("jacobian gap: pass=False max relative gap 1.000e-06")
+    assert lines[2].startswith("jacobian bounds: pass=True")
+
+
+def test_trace_fails_a_field_of_negative_divergence(tmp_path, monkeypatch):
+    # make_affine_field refuses tr(A) < 0, so the field is built by hand:
+    # H_n = 1 - 0.1 y lies in [0.9, 1] on the box, and -Y_h = H_n(seed)
+    # e^(-0.2 t) falls below h_lower = 0.9 before the orbits leave the box
+    planted = fields.FieldH(
+        kind="affine", coeff=-0.1 * np.eye(2), offset=np.array([0.0, 1.0]),
+        h_upper=1.0, h_lower=0.9,
+    )
+    monkeypatch.setattr(config, "_build_field", lambda cfg: planted)
+    out = tmp_path / "trace"
+    argv = ["trace", "--config", write_config(tmp_path), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CERTIFICATION
+    lines = (out / "trace.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("jacobian gap: pass=True")
+    assert lines[2].startswith("jacobian bounds: pass=False")
+
+
+def test_extract_fb_fails_a_planted_graph_spike(tmp_path, monkeypatch):
+    plain = free_boundary.extract_graph
+
+    def spiked(*args, **kwargs):
+        graph = plain(*args, **kwargs)
+        values = graph.values.copy()
+        values[len(values) // 2] += 0.2
+        return dataclasses.replace(graph, values=values)
+
+    monkeypatch.setattr(free_boundary, "extract_graph", spiked)
+    out = tmp_path / "fb"
+    argv = ["extract-fb", "--config", write_config(tmp_path), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CERTIFICATION
+    data = np.genfromtxt(out / "free_boundary.csv", delimiter=",", names=True)
+    assert np.all(data["lsc_pass"] == 0)
 
 
 def test_cli_extract_and_verify_fb(tmp_path):
@@ -785,8 +831,8 @@ def test_cli_import_and_every_command_leave_scipy_unloaded(tmp_path):
 
 #: every command that can exit with EXIT_CERTIFICATION
 CERTIFICATE_COMMANDS = (
-    "solve", "check-profile", "check-barriers", "verify-fb", "growth", "boundary-growth",
-    "rescale",
+    "solve", "check-profile", "check-barriers", "trace", "extract-fb", "verify-fb", "growth",
+    "boundary-growth", "rescale",
 )
 
 
@@ -924,7 +970,7 @@ def test_certificate_commands_integrate_no_barrier_profile(tmp_path, monkeypatch
 @pytest.mark.parametrize("old, new", [
     # the slope's argument E(0) overflows: a bound of inf
     ("rescale.radius = 0.2", "rescale.radius = 0.2\nboundary_growth.sphere_radius = 0.001"),
-    # a_inv(E(0)) is nan
+    # a_inv(E(0)) lies beyond float64: it is inf
     ("profile.family = power\nprofile.p = 2",
      "profile.family = logpower\nprofile.alpha = 0.01\nprofile.beta = 1000\nprofile.gamma = 1"),
 ], ids=["small_sphere", "logpower"])
@@ -943,7 +989,7 @@ def test_boundary_growth_refuses_a_bound_that_is_not_finite(tmp_path, monkeypatc
             "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "boundary_growth.sphere_radius" in err and "not finite" in err
+    assert "boundary_growth.sphere_radius" in err and "slope at 0 is inf, not finite" in err
     assert not (out / "boundary_growth.csv").exists()
 
 

@@ -24,13 +24,13 @@ def test_constant_field_eval_matches_the_broadcast_copy(shape):
     c = np.array([0.3, 1.0])
     f = fields.make_constant_field(c)
     x = np.zeros(shape)
-    out = f.eval_fn(x)
+    out = f(x)
     assert out.dtype == np.float64 and out.shape == shape
     assert np.array_equal(out, np.broadcast_to(c, shape).copy())
     # a fresh writable array: writing to it leaves the field intact
     assert out.flags.writeable and not np.shares_memory(out, c)
     out[...] = -1.0
-    assert np.array_equal(f.eval_fn(x), np.broadcast_to(c, shape))
+    assert np.array_equal(f(x), np.broadcast_to(c, shape))
 
 
 def test_constant_field_rejects_nonpositive_last_component():
@@ -94,13 +94,8 @@ def test_certify_detects_downward_drift():
     # hand-built field with H_n < 0 (the constructor rightly refuses one)
     dom = unit_square()
     bad = fields.FieldH(
-        kind="constant",
-        dim=2,
-        eval_fn=lambda x: np.broadcast_to(np.array([0.0, -1.0]), x.shape).copy(),
-        div_fn=lambda x: np.zeros(x.shape[:-1]),
-        h_upper=1.0,
-        h_lower=1.0,
-        lipschitz_const=0.0,
+        kind="constant", coeff=np.zeros((2, 2)), offset=np.array([0.0, -1.0]),
+        h_upper=1.0, h_lower=1.0,
     )
     rep = fields.certify_field(bad, dom, _samples(dom), mode="transversal")
     assert not rep.passed

@@ -88,9 +88,9 @@ def _brentq_inverse(prof, s):
 
     if s <= 0.0:
         return 0.0
-    hi = 2.0 * max(1.0, s) ** (1.0 / prof.params[0])
+    hi, t_max = 1.0, np.finfo(float).max
     while prof.a(hi) < s:
-        hi *= 2.0
+        hi = min(2.0 * hi, t_max)
     # s = 1e-300 takes brentq about 1100 steps from [0, 2]
     t = brentq(lambda x: float(prof.a(x)) - s, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=2000)
     for _ in range(2):
@@ -113,6 +113,38 @@ def test_logpower_inverse_matches_brentq(prof):
     ref = np.vectorize(lambda v: _brentq_inverse(prof, float(v)))(s)
     assert np.all(np.abs(got - ref) <= bound * ref)
     assert np.isnan(prof.a_inv(np.nan)) and prof.a_inv(np.inf) == np.inf
+
+
+#: the log-power law of the damlog runs: a(t) < 1e6 for every float t
+DAMLOG_PROFILE = profiles.make_logpower(0.01, 1000.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "prof", [p for p in ALL_PROFILES if p.family == "logpower"] + [DAMLOG_PROFILE],
+    ids=lambda p: str(p.params),
+)
+def test_logpower_inverse_is_finite_up_to_a_of_1e300(prof):
+    # the first bracket of earlier versions, 2 s**(1/alpha), overflowed for
+    # alpha = 0.01 above s = 1200, and the search from inf returned nan
+    with np.errstate(over="ignore"):
+        top = min(float(prof.a(1e300)), 1e300)
+    s = np.geomspace(1e-300, top, 120)
+    got = prof.a_inv(s)
+    assert np.all(np.isfinite(got)) and np.all(np.diff(got) > 0.0)
+    ref = np.array([_brentq_inverse(prof, float(v)) for v in s])
+    # a flatter law leaves a wider range of t that rounds to the same s:
+    # an ulp of s spans 1 / ratio ulps of t, so both roots are exact there
+    bound = 4.0 * np.finfo(float).eps * np.maximum(1.0, 1.0 / prof.ratio(ref))
+    assert np.all(np.abs(got - ref) <= bound * ref)
+
+
+def test_logpower_inverse_is_inf_beyond_a_of_float_max():
+    prof = DAMLOG_PROFILE
+    top = float(prof.a(np.finfo(float).max))
+    assert 8e5 < top < 1e6  # a(t) of the damlog law stays below 1e6
+    got = prof.a_inv(np.array([0.5 * top, top, 2.0 * top, 6.05e7]))
+    assert np.isfinite(got[:2]).all() and np.all(got[2:] == np.inf)
+    assert prof.a(got[1]) == pytest.approx(top, rel=1e-12)
 
 
 def test_logpower_rejects_small_gamma():
