@@ -54,11 +54,18 @@ def _write_summary(cfg, name, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_csv(cfg, name, header, columns):
+    csvio.write_csv(os.path.join(cfg.out_dir, name), header, columns)
+
+
 def _require(cfg, *attrs):
     for attr in attrs:
         if getattr(cfg, attr) is None:
             raise ConfigError(f"config is missing its {attr} section")
 
+
+#: the config sections of the solved pair, which every command that solves reads
+_PAIR_SECTIONS = ("domain", "resolution", "profile", "fieldh")
 
 #: config sections that ``solver.solve_problem`` reads, through the grid,
 #: profile, field, domain and solver config built from them
@@ -82,7 +89,6 @@ def _solved(cfg, resolution=None):
     one certifies.
     """
     global _last_solve
-    _require(cfg, "domain", "resolution", "profile", "fieldh")
     solve = solver_mod.solve_problem
     res = tuple(resolution if resolution is not None else cfg.resolution)
     key = (solve, res, tuple(sorted(
@@ -99,67 +105,52 @@ def _solved(cfg, resolution=None):
     return grid, pair, report
 
 
-def cmd_solve(args):
-    cfg = _load(args)
-    _require(cfg, "domain", "resolution", "profile", "fieldh")
+def cmd_solve(cfg, args):
     # the stdlib generator: no command imports numpy.random
     rng = random.Random(cfg.seed)
     unit = np.array([rng.random() for _ in range(128 * cfg.domain.dim)]).reshape(128, -1)
     samples = cfg.domain.lower + unit * (cfg.domain.upper - cfg.domain.lower)
-    mode = "transversal" if cfg.fieldh.transversal else "basic"
-    field_rep = fields.certify_field(cfg.fieldh, cfg.domain, samples, mode=mode)
-    csvio.write_csv(
-        os.path.join(cfg.out_dir, "field_certification.csv"),
+    field_rep = fields.certify_field(cfg.fieldh, cfg.domain, samples)
+    _write_csv(
+        cfg, "field_certification.csv",
         [f"x{k+1}" for k in range(cfg.domain.dim)]
         + [f"H{k+1}" for k in range(cfg.domain.dim)]
         + ["divH", "divH_fd", "pass"],
         [*field_rep.points.T, *field_rep.values.T, field_rep.divergence,
          field_rep.fd_divergence, field_rep.ok.astype(int)],
     )
-    grid, pair, report = _solved(cfg)
+    try:
+        grid, pair, report = _solved(cfg)
+    except NonConvergenceError as exc:
+        if exc.report is not None:  # the counts of the solve that stalled
+            _write_summary(cfg, "solve_report.txt", exc.report.summary_lines())
+        raise
     coords = [f"x{k+1}" for k in range(grid.dim)]
-    csvio.write_csv(
-        os.path.join(cfg.out_dir, "u.csv"),
-        coords + ["u"],
-        [*grid.nodes().reshape(-1, grid.dim).T, pair.u.ravel()],
-    )
-    csvio.write_csv(
-        os.path.join(cfg.out_dir, "chi.csv"),
-        coords + ["chi"],
-        [*grid.cell_centers().reshape(-1, grid.dim).T, pair.chi.ravel()],
-    )
+    _write_csv(cfg, "u.csv", coords + ["u"],
+               [*grid.nodes().reshape(-1, grid.dim).T, pair.u.ravel()])
+    _write_csv(cfg, "chi.csv", coords + ["chi"],
+               [*grid.cell_centers().reshape(-1, grid.dim).T, pair.chi.ravel()])
     _write_summary(cfg, "solve_report.txt", report.summary_lines())
-    return EXIT_OK if report.constraints.passed else EXIT_CERTIFICATION
+    return report.constraints.passed and field_rep.passed
 
 
-def cmd_check_profile(args):
-    cfg = _load(args)
-    _require(cfg, "profile")
+def cmd_check_profile(cfg, args):
     samples = np.logspace(-6, 6, 200)
     report = profiles_mod.certify_ellipticity(cfg.profile, samples)
-    csvio.write_csv(
-        os.path.join(cfg.out_dir, "ellipticity.csv"),
-        ["t", "ratio", "pass"],
-        [report.samples, report.ratios, report.ok.astype(int)],
-    )
-    _write_summary(
-        cfg,
-        "profile_report.txt",
-        [
-            f"family: {cfg.profile.family} {cfg.profile.params}",
-            f"a0={cfg.profile.a0} a1={cfg.profile.a1}",
-            f"ratio range: [{report.min_ratio:.12f}, {report.max_ratio:.12f}]",
-            f"pass: {report.passed}",
-        ],
-    )
-    return EXIT_OK if report.passed else EXIT_CERTIFICATION
+    _write_csv(cfg, "ellipticity.csv", ["t", "ratio", "pass"],
+               [report.samples, report.ratios, report.ok.astype(int)])
+    _write_summary(cfg, "profile_report.txt", [
+        f"family: {cfg.profile.family} {cfg.profile.params}",
+        f"a0={cfg.profile.a0} a1={cfg.profile.a1}",
+        f"ratio range: [{report.min_ratio:.12f}, {report.max_ratio:.12f}]",
+        f"pass: {report.passed}",
+    ])
+    return report.passed
 
 
-def cmd_check_barriers(args):
+def cmd_check_barriers(cfg, args):
     from alap import barriers
 
-    cfg = _load(args)
-    _require(cfg, "profile", "domain", "fieldh")
     prof, dom = cfg.profile, cfg.domain
     radius = cfg["barriers.radius"]
     margin_frac = cfg["barriers.margin"]
@@ -194,14 +185,13 @@ def cmd_check_barriers(args):
     results.append(barriers.certify_boundary_supersolution(bb, prof, cfg.fieldh, pts))
 
     labels, *numbers = zip(*(rep.columns() for rep in results))
-    csvio.write_csv(
-        os.path.join(cfg.out_dir, "barriers.csv"),
+    _write_csv(
+        cfg, "barriers.csv",
         ["barrier"] + [f"x{k+1}" for k in range(dom.dim)] + ["lhs", "rhs", "margin", "pass"],
         [[label for part in labels for label in part]] + [np.concatenate(c) for c in numbers],
     )
-    all_pass = all(rep.passed for rep in results)
     _write_summary(cfg, "barriers_report.txt", [_barrier_line(rep) for rep in results])
-    return EXIT_OK if all_pass else EXIT_CERTIFICATION
+    return all(rep.passed for rep in results)
 
 
 def _barrier_line(rep):
@@ -245,21 +235,27 @@ def _exterior_sphere_points(dom, x1, sphere_r, seed):
 
 def _orbit_levels(cfg, args, key):
     """Orbit levels, as a list, from --h or the config key; each must lie
-    strictly inside the domain's last-coordinate range, or no orbit can start."""
+    strictly inside the domain's last-coordinate range, or no orbit can start,
+    and its orbits must cross the box within the time a march can follow."""
+    from alap import orbits
+
     source, levels = ("--h", args.level) if args.level is not None else (key, cfg[key])
     levels = levels if isinstance(levels, list) else [levels]
     lo, hi = float(cfg.domain.lower[-1]), float(cfg.domain.upper[-1])
+    h_lower, capacity = cfg.fieldh.h_lower, orbits.march_capacity(cfg.domain)
     for level in levels:
         if not lo < level < hi:
             raise ConfigError(f"{source} = {level} must lie strictly between {lo} and {hi}")
+        if (crossing := max(hi - level, level - lo) / h_lower) >= capacity:
+            raise ConfigError(
+                f"{source} = {level}: h_lower = {h_lower} lets an orbit take up to "
+                f"{crossing:.6g} to cross the box; a march follows it below {capacity:.6g}")
     return levels
 
 
-def cmd_trace(args):
+def cmd_trace(cfg, args):
     from alap import orbits
 
-    cfg = _load(args)
-    _require(cfg, "domain", "fieldh")
     (level,) = _orbit_levels(cfg, args, "trace.level")
     count = cfg["trace.omega_count"]
     if args.omega_count is not None:
@@ -273,8 +269,8 @@ def cmd_trace(args):
     pairs = list(zip(orbit_list, times))
     points = np.concatenate([orbits.orbit_point(fieldh, o, ts) for o, ts in pairs])
     analytic = np.concatenate([orbits.jacobian_analytic(fieldh, o, ts) for o, ts in pairs])
-    csvio.write_csv(
-        os.path.join(cfg.out_dir, "trace.csv"),
+    _write_csv(
+        cfg, "trace.csv",
         [f"omega{k+1}" for k in range(dom.dim - 1)]
         + ["t"]
         + [f"x{k+1}" for k in range(dom.dim)]
@@ -293,7 +289,7 @@ def cmd_trace(args):
         f"min -Y_h {bounds.min_neg_jacobian_full:.6e}, max -Y_h {bounds.max_neg_jacobian:.6e} "
         f"({bounds.measured_upper_constant:.6e} h_upper)",
     ])
-    return EXIT_OK if gap <= gap_tol and bounds.passed else EXIT_CERTIFICATION
+    return gap <= gap_tol and bounds.passed
 
 
 def _fb_setup(cfg, args):
@@ -301,7 +297,6 @@ def _fb_setup(cfg, args):
     cell midpoints of ``fb.omega_count`` cells along each free axis, one
     omega per entry in 2D and the tensor grid of rows, the first
     coordinate slowest, in 3D."""
-    _require(cfg, "domain", "resolution", "profile", "fieldh")
     levels = _orbit_levels(cfg, args, "fb.levels")
     count = cfg["fb.omega_count"]
     dom = cfg.domain
@@ -327,8 +322,7 @@ def _fb_level(cfg, grid, pair, level, omegas, lsc_tol):
     return orbit_list, samples, graph, free_boundary.certify_lower_semicontinuity(graph, lsc_tol)
 
 
-def cmd_extract_fb(args):
-    cfg = _load(args)
+def cmd_extract_fb(cfg, args):
     levels, omegas = _fb_setup(cfg, args)
     grid, pair, _ = _solved(cfg)
     lsc_tol = _lsc_tol(cfg, grid, pair.u)
@@ -342,12 +336,12 @@ def cmd_extract_fb(args):
         parts.append([np.repeat(float(level), len(omegas)), *omegas.reshape(len(omegas), -1).T,
                       graph.values]
                      + [flag.astype(int) for flag in flags])
-    csvio.write_csv(
-        os.path.join(cfg.out_dir, "free_boundary.csv"),
+    _write_csv(
+        cfg, "free_boundary.csv",
         ["level", *names, "phi", "set_empty", "boundary_touching", "identity_ok", "lsc_pass"],
         [np.concatenate(column) for column in zip(*parts)],
     )
-    return EXIT_OK if ok else EXIT_CERTIFICATION
+    return ok
 
 
 def _lsc_tol(cfg, grid, u):
@@ -363,10 +357,9 @@ def _lsc_tol(cfg, grid, u):
     )
 
 
-def cmd_verify_fb(args):
+def cmd_verify_fb(cfg, args):
     from alap import free_boundary
 
-    cfg = _load(args)
     levels, omegas = _fb_setup(cfg, args)
     grid, pair, report = _solved(cfg)
     rcfg = cfg.solver_config.resolved(grid, cfg.profile, cfg.fieldh)
@@ -374,8 +367,7 @@ def cmd_verify_fb(args):
         rcfg.eps, pair.eps_u, cfg.domain.m_ceiling, rcfg.outer_tol
     )
     lsc_tol = _lsc_tol(cfg, grid, pair.u)
-    summary = []
-    ok = True
+    summary, ok = [], True
     for level in levels:
         orbit_list, samples, graph, lsc = _fb_level(cfg, grid, pair, level, omegas, lsc_tol)
         mono = free_boundary.certify_chi_monotone(pair, grid, orbit_list, tol_chi, samples=samples)
@@ -394,7 +386,7 @@ def cmd_verify_fb(args):
             f"interval_identity violations {identity_violations}"
         )
     _write_summary(cfg, "verify_fb.txt", summary)
-    return EXIT_OK if ok else EXIT_CERTIFICATION
+    return ok
 
 
 def _row_columns(rows, dim, points, scalars):
@@ -406,11 +398,9 @@ def _row_columns(rows, dim, points, scalars):
     ]
 
 
-def cmd_growth(args):
+def cmd_growth(cfg, args):
     from alap import harness
 
-    cfg = _load(args)
-    _require(cfg, "domain", "resolution", "profile", "fieldh")
     dim = cfg.domain.dim
     raw_res = cfg["growth.resolutions"]
     if len(raw_res) % dim != 0:
@@ -424,20 +414,18 @@ def cmd_growth(args):
         balls = harness.find_touching_balls(pair, grid, count)
         reports.append(harness.growth_report(pair, grid, balls, cfg.profile, cfg.fieldh))
     rows = [row for rep in reports for row in rep.rows]
-    csvio.write_csv(
-        os.path.join(cfg.out_dir, "growth.csv"),
+    _write_csv(
+        cfg, "growth.csv",
         ["resolution"] + [f"x{k+1}" for k in range(dim)] + ["r", "sup_half_ball", "ratio", "bound"],
         [[res[0] for res, rep in zip(res_list, reports) for _ in rep.rows]]
         + _row_columns(rows, dim, ("center",), ("radius", "sup_half_ball", "ratio", "bound")),
     )
-    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CERTIFICATION
+    return all(rep.passed for rep in reports)
 
 
-def cmd_boundary_growth(args):
+def cmd_boundary_growth(cfg, args):
     from alap import harness
 
-    cfg = _load(args)
-    _require(cfg, "domain", "resolution", "profile", "fieldh")
     dom = cfg.domain
     face = cfg["boundary_growth.face"]
     if geometry.face_axis_side(face)[0] >= dom.dim:
@@ -456,48 +444,41 @@ def cmd_boundary_growth(args):
     rep = harness.boundary_growth_report(
         pair, grid, dom, face, lo, hi, sphere_r, cfg.profile, cfg.fieldh, tube
     )
-    csvio.write_csv(
-        os.path.join(cfg.out_dir, "boundary_growth.csv"),
+    _write_csv(
+        cfg, "boundary_growth.csv",
         [f"x{k+1}" for k in range(dom.dim)] + [f"anchor{k+1}" for k in range(dom.dim)] + ["u", "distance", "ratio"],
         _row_columns(rep.rows, dom.dim, ("point", "anchor"), ("head", "distance", "ratio")),
     )
-    _write_summary(
-        cfg,
-        "boundary_growth.txt",
-        [
-            f"max ratio: {rep.max_ratio!r}",
-            f"barrier slope at 0: {rep.barrier_slope!r}",
-            f"bound: {rep.bound!r}",
-            f"pass: {rep.passed}",
-        ],
-    )
-    return EXIT_OK if rep.passed else EXIT_CERTIFICATION
+    _write_summary(cfg, "boundary_growth.txt", [
+        f"max ratio: {rep.max_ratio!r}",
+        f"barrier slope at 0: {rep.barrier_slope!r}",
+        f"bound: {rep.bound!r}",
+        f"pass: {rep.passed}",
+    ])
+    return rep.passed
 
 
-def cmd_harnack(args):
+def cmd_harnack(cfg, args):
     from alap import harness
 
-    cfg = _load(args)
     count = cfg["growth.ball_count"]
     grid, pair, _ = _solved(cfg)
     balls = harness.find_touching_balls(pair, grid, count)
     shrunk = harness._shrunk(balls)
     rep = harness.harnack_check(pair, grid, shrunk, cfg.profile, cfg.fieldh)
-    csvio.write_csv(
-        os.path.join(cfg.out_dir, "harnack.csv"),
+    _write_csv(
+        cfg, "harnack.csv",
         [f"x{k+1}" for k in range(cfg.domain.dim)] + ["r", "sup", "inf", "data_term", "constant"],
         _row_columns(rep.rows, cfg.domain.dim, ("center",),
                      ("radius", "sup", "inf", "data_term", "constant")),
     )
     _write_summary(cfg, "harnack.txt", [f"max measured constant: {rep.max_constant!r}"])
-    return EXIT_OK
+    return True  # the measured constant has no bound to pass
 
 
-def cmd_rescale(args):
+def cmd_rescale(cfg, args):
     from alap import harness
 
-    cfg = _load(args)
-    _require(cfg, "domain", "resolution", "profile", "fieldh")
     center, radius = cfg["rescale.center"], cfg["rescale.radius"]
     if not np.any(harness.ball_interior(cfg.grid(), center, radius)):
         raise ConfigError(
@@ -509,31 +490,28 @@ def cmd_rescale(args):
         rep = harness.rescale_check(pair, grid, center, radius, cfg.profile, cfg.fieldh)
     except DryBallError as exc:
         raise ConfigError(f"rescale.center = {center}, rescale.radius = {radius}: {exc}") from exc
-    _write_summary(
-        cfg,
-        "rescale.txt",
-        [
-            f"radius: {rep.radius!r}",
-            f"max equation mismatch: {rep.max_equation_mismatch!r}",
-            f"tolerance: {rep.tol!r}",
-            f"max |grad v| half ball: {rep.max_gradient_half_ball!r}",
-            f"pass: {rep.passed}",
-        ],
-    )
-    return EXIT_OK if rep.passed else EXIT_CERTIFICATION
+    _write_summary(cfg, "rescale.txt", [
+        f"radius: {rep.radius!r}",
+        f"max equation mismatch: {rep.max_equation_mismatch!r}",
+        f"tolerance: {rep.tol!r}",
+        f"max |grad v| half ball: {rep.max_gradient_half_ball!r}",
+        f"pass: {rep.passed}",
+    ])
+    return rep.passed
 
 
+#: each command and the config sections it reads, checked in this order
 _COMMANDS = {
-    "solve": cmd_solve,
-    "check-profile": cmd_check_profile,
-    "check-barriers": cmd_check_barriers,
-    "trace": cmd_trace,
-    "extract-fb": cmd_extract_fb,
-    "verify-fb": cmd_verify_fb,
-    "growth": cmd_growth,
-    "boundary-growth": cmd_boundary_growth,
-    "harnack": cmd_harnack,
-    "rescale": cmd_rescale,
+    "solve": (cmd_solve, _PAIR_SECTIONS),
+    "check-profile": (cmd_check_profile, ("profile",)),
+    "check-barriers": (cmd_check_barriers, ("profile", "domain", "fieldh")),
+    "trace": (cmd_trace, ("domain", "fieldh")),
+    "extract-fb": (cmd_extract_fb, _PAIR_SECTIONS),
+    "verify-fb": (cmd_verify_fb, _PAIR_SECTIONS),
+    "growth": (cmd_growth, _PAIR_SECTIONS),
+    "boundary-growth": (cmd_boundary_growth, _PAIR_SECTIONS),
+    "harnack": (cmd_harnack, _PAIR_SECTIONS),
+    "rescale": (cmd_rescale, _PAIR_SECTIONS),
 }
 
 
@@ -568,9 +546,14 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one command: load its config, check the sections it reads, and
+    map its verdict, True or False, to EXIT_OK or EXIT_CERTIFICATION."""
     args = _parser().parse_args(argv)
+    command, sections = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load(args)
+        _require(cfg, *sections)
+        return EXIT_OK if command(cfg, args) else EXIT_CERTIFICATION
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

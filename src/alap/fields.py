@@ -1,21 +1,17 @@
 """Drift vector fields H(x) with certified structural bounds.
 
-Two regimes are distinguished, matching the two halves of the theory:
-
-* basic: |H|_inf <= h_upper and |div H| <= h_upper (enough for the
-  regularity machinery);
-* transversal: additionally 0 < h_lower <= H_n <= h_upper componentwise
-  bounds, H Lipschitz, and div H >= 0 (enough for the characteristic-flow
-  machinery, whose orbits then cross every level transversally).
+Every field satisfies |H|_inf <= h_upper and |div H| <= h_upper (enough
+for the regularity machinery), and 0 < h_lower <= H_n, H Lipschitz and
+div H >= 0 (enough for the characteristic-flow machinery, whose orbits
+then cross every level transversally).
 
 Only constant and affine fields are provided: their bounds are exact by
-corner evaluation on a box, and together they realize every regime the
+corner evaluation on a box, and together they realize every case the
 toolkit exercises (zero / positive divergence, straight / curved orbits).
 """
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -29,16 +25,15 @@ class FieldH:
     certified bounds.
 
     A field maps point arrays of shape (..., n) to vectors (..., n), and its
-    divergence is the constant tr(coeff). ``h_lower`` is present only for
-    fields valid in transversal mode. The pair (coeff, offset) is left out
-    of compare and hash, which see the kind and the bounds.
+    divergence is the constant tr(coeff). The pair (coeff, offset) is left
+    out of compare and hash, which see the kind and the bounds.
     """
 
     kind: str
     coeff: np.ndarray = field(repr=False, compare=False)
     offset: np.ndarray = field(repr=False, compare=False)
-    h_upper: float = 0.0
-    h_lower: Optional[float] = None
+    h_upper: float
+    h_lower: float
 
     def __call__(self, x):
         out = np.asarray(x, dtype=float) @ self.coeff.T
@@ -56,10 +51,6 @@ class FieldH:
     def lipschitz_const(self):
         """The Lipschitz constant of H in the max norm: the largest row sum of |coeff|."""
         return float(np.max(np.sum(np.abs(self.coeff), axis=1)))
-
-    @property
-    def transversal(self):
-        return self.h_lower is not None
 
 
 def make_constant_field(c):
@@ -106,7 +97,6 @@ class FieldReport:
     """Per-sample bound checks plus the FD divergence cross-check, with one
     entry per sample point in each array."""
 
-    mode: str
     passed: bool
     worst: dict
     points: np.ndarray
@@ -116,15 +106,13 @@ class FieldReport:
     ok: np.ndarray
 
 
-def certify_field(fieldh, domain, samples, mode="transversal"):
-    """Certify the bound set of ``mode`` at the given sample points.
+def certify_field(fieldh, domain, samples):
+    """Certify every bound of the field at the given sample points.
 
     Every sample point gets the field value, the divergence, the central
     finite-difference divergence, and one flag for all bounds. The FD cross-check
     must agree with the analytic divergence to DIV_FD_TOL.
     """
-    if mode not in ("basic", "transversal"):
-        raise ValueError(f"mode must be basic or transversal, got {mode!r}")
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
@@ -141,13 +129,10 @@ def certify_field(fieldh, domain, samples, mode="transversal"):
     ok_sup = np.max(np.abs(hvals), axis=-1) <= hu + 1e-12
     ok_div = np.abs(divs) <= hu + 1e-12
     ok_fd = np.abs(fd_div - divs) <= DIV_FD_TOL
-    ok = ok_sup & ok_div & ok_fd
-    if mode == "transversal":
-        hl = fieldh.h_lower if fieldh.h_lower is not None else -np.inf
-        ok_lower = hvals[..., -1] >= hl - 1e-12
-        ok_pos = hvals[..., -1] > 0.0
-        ok_divsign = divs >= -1e-12
-        ok = ok & ok_lower & ok_pos & ok_divsign
+    ok_lower = hvals[..., -1] >= fieldh.h_lower - 1e-12
+    ok_pos = hvals[..., -1] > 0.0
+    ok_divsign = divs >= -1e-12
+    ok = ok_sup & ok_div & ok_fd & ok_lower & ok_pos & ok_divsign
 
     worst_idx = int(np.argmax(np.abs(fd_div - divs)))
     worst = {
@@ -158,6 +143,6 @@ def certify_field(fieldh, domain, samples, mode="transversal"):
         "worst_fd_point": tuple(map(float, x[worst_idx])),
     }
     return FieldReport(
-        mode=mode, passed=bool(ok.all()), worst=worst, points=x, values=hvals,
+        passed=bool(ok.all()), worst=worst, points=x, values=hvals,
         divergence=divs, fd_divergence=fd_div, ok=ok,
     )

@@ -34,6 +34,9 @@ from alap.errors import DomainExitError, StepFailureError
 #: fixed integrator step as a fraction of the domain diameter
 STEP_DIVISOR = 2048
 
+#: step budget of a march: it doubles its samples while it holds at most this many
+MAX_STEPS = 64 * STEP_DIVISOR
+
 
 @dataclass(frozen=True)
 class Orbit:
@@ -179,6 +182,19 @@ def _march(fieldh, domain, seeds, dt, tol_len, max_steps):
     return samples, steps, steps * dt + lo + widths[-1], _apply(halving[-1], x_lo)
 
 
+def march_capacity(domain):
+    """The time (2 MAX_STEPS - 1) dt: a march follows every orbit that
+    leaves the box before it.
+
+    ``_march`` doubles its samples from one while it holds at most
+    MAX_STEPS, a power of two, so its last doubling reaches the sample
+    2 MAX_STEPS - 1, and it stops a row at its first sample past the exit.
+    H_n >= h_lower lifts x_n at least that fast inside the box, so the
+    orbit from level h leaves it within max(top - h, h - bottom) / h_lower.
+    """
+    return (2 * MAX_STEPS - 1) * domain.delta / STEP_DIVISOR
+
+
 def _omega_rows(omegas, dim):
     """Omegas as an (m, dim-1) array; in 2D a flat sequence of scalars
     is one omega per entry."""
@@ -204,17 +220,14 @@ def integrate_orbits(fieldh, omegas, level, domain, tol=1e-9):
     outside = ~domain.contains(seeds)
     if np.any(outside):
         raise ValueError(f"seed {seeds[np.argmax(outside)]} lies outside the domain")
-    if not fieldh.transversal:
-        raise ValueError("orbit tracing needs a transversal-mode field (H_n > 0)")
     if not len(seeds):
         return []
     delta = domain.delta
     dt = delta / STEP_DIVISOR
     tol_len = tol * delta
-    max_steps = STEP_DIVISOR * 64
-    fwd_pts, fwd_steps, t_plus, exit_plus = _march(fieldh, domain, seeds, dt, tol_len, max_steps)
+    fwd_pts, fwd_steps, t_plus, exit_plus = _march(fieldh, domain, seeds, dt, tol_len, MAX_STEPS)
     bwd_pts, bwd_steps, t_back, exit_minus = _march(
-        _reversed(fieldh), domain, seeds, dt, tol_len, max_steps
+        _reversed(fieldh), domain, seeds, dt, tol_len, MAX_STEPS
     )
     out = []
     for i, omega in enumerate(omegas):
@@ -249,7 +262,7 @@ def integrate_orbit(fieldh, omega, level, domain, tol=1e-9):
 
 def _check_times(t_minus, t_plus, ts):
     """DomainExitError unless every time of ``ts`` lies in its orbit's
-    interval; the exit times are scalars or one per time."""
+    interval; the exit times are one pair for all times or one per time."""
     lo, hi, ts = np.broadcast_arrays(t_minus, t_plus, ts)
     bad = (ts < lo - 1e-15) | (ts > hi + 1e-15)
     if np.any(bad):
@@ -257,51 +270,39 @@ def _check_times(t_minus, t_plus, ts):
         raise DomainExitError(f"t = {ts[i]} outside ({lo[i]}, {hi[i]})")
 
 
-def _nearest_sample(orbit, ts):
-    """Per time, the index of the stored sample nearest to it."""
-    times = orbit.times
-    right = np.clip(np.searchsorted(times, ts), 1, len(times) - 1)
-    left = right - 1
-    return np.where(ts - times[left] <= times[right] - ts, left, right)
-
-
 def orbit_point(fieldh, orbit, t):
     """Dense output X(t): the exact flow from the nearest stored sample.
 
     ``orbit`` is one Orbit with ``t`` a time or an array of times, or a
     list of orbits with ``t`` one time per orbit (row i is X(t[i]) on
-    orbit i). A list finds every row's nearest sample in one search over
-    the orbits' times, padded with +inf to a table. All rows flow in one
-    batched product; each row's result is the one a lone call gives.
+    orbit i). The orbits' times, padded with +inf, form a table of one row
+    per orbit (a lone orbit's one row serves all its times), and every
+    time finds its nearest sample in one search over its row: the count of
+    stored times below t, as ``searchsorted`` finds it (the padding is never
+    below t). All rows flow in one batched product; each row's result is
+    the one a lone call gives.
     """
-    gen = _generator(fieldh)
     ts = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(ts)
     if isinstance(orbit, Orbit):
-        flat = np.atleast_1d(ts)
-        _check_times(orbit.t_minus, orbit.t_plus, flat)
-        idx = _nearest_sample(orbit, flat)
-        x, start = orbit.points[idx], orbit.times[idx]
+        orbit, rows = [orbit], np.zeros(len(flat), dtype=int)
+    elif flat.shape != (len(orbit),):
+        raise ValueError(f"{flat.size} times for {len(orbit)} orbits")
     else:
-        flat = ts
-        if flat.shape != (len(orbit),):
-            raise ValueError(f"{flat.size} times for {len(orbit)} orbits")
-        exits = np.array([(o.t_minus, o.t_plus) for o in orbit]).reshape(-1, 2)
-        _check_times(exits[:, 0], exits[:, 1], flat)
-        sizes = np.array([len(o.times) for o in orbit], dtype=int)
-        width = np.max(sizes, initial=0)
-        pad = np.full(width, np.inf)  # pad[:0] leaves an empty list something to join
-        table = np.concatenate(
-            [pad[:0], *(part for o in orbit for part in (o.times, pad[len(o.times):]))]
-        ).reshape(len(orbit), width)
-        # per row what ``_nearest_sample`` finds: the count of stored times
-        # below t is its ``searchsorted``, the padding is never below t
         rows = np.arange(len(orbit))
-        right = np.clip(np.sum(table < flat[:, None], axis=1), 1, sizes - 1)
-        left = np.maximum(right - 1, 0)  # a one-sample orbit has right = 0
-        idx = np.where(flat - table[rows, left] <= table[rows, right] - flat, left, right)
-        x = np.array([o.points[i] for o, i in zip(orbit, idx)]).reshape(-1, fieldh.dim)
-        start = table[rows, idx]
-    x = _flow(gen, x, flat - start)
+    exits = np.array([(o.t_minus, o.t_plus) for o in orbit]).reshape(-1, 2)
+    _check_times(exits[:, 0], exits[:, 1], flat)
+    sizes = np.array([len(o.times) for o in orbit], dtype=int)
+    width = np.max(sizes, initial=0)
+    pad = np.full(width, np.inf)  # pad[:0] leaves an empty list something to join
+    table = np.concatenate(
+        [pad[:0], *(part for o in orbit for part in (o.times, pad[len(o.times):]))]
+    ).reshape(len(orbit), width)
+    right = np.clip(np.sum(table < flat[:, None], axis=1), 1, sizes[rows] - 1)
+    left = np.maximum(right - 1, 0)  # a one-sample orbit has right = 0
+    idx = np.where(flat - table[rows, left] <= table[rows, right] - flat, left, right)
+    x = np.array([orbit[r].points[i] for r, i in zip(rows, idx)]).reshape(-1, fieldh.dim)
+    x = _flow(_generator(fieldh), x, flat - table[rows, idx])
     return x[0] if ts.ndim == 0 else x
 
 
@@ -406,8 +407,6 @@ def certify_jacobian_bounds(fieldh, orbits, times_per_orbit=16):
     The upper bound carries an unspecified constant, so the certificate
     only measures max(-Y_h)/h_upper and asserts the lower bound.
     """
-    if not fieldh.transversal:
-        raise ValueError("Jacobian bounds need a transversal-mode field")
     fwd, full = [], []
     for orbit in orbits:
         ts = np.linspace(orbit.t_minus, orbit.t_plus, times_per_orbit)

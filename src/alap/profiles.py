@@ -163,7 +163,10 @@ def make_logpower(alpha, beta, gamma):
 
     def da(t):
         t = np.asarray(t, dtype=float)
-        return alpha * t ** (alpha - 1.0) * log_term(t) + t**alpha * beta / (beta * t + gamma)
+        second = t**alpha * beta / (beta * np.minimum(t, big) + gamma)
+        if np.any(t > big):  # beta t overflows there: divide by t + gamma / beta
+            second = np.where(t > big, t**alpha / (np.maximum(t, big) + gamma / beta), second)
+        return alpha * t ** (alpha - 1.0) * log_term(t) + second
 
     def big_a(t):
         return gauss_primitive(a, t)

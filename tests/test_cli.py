@@ -120,6 +120,31 @@ def test_cli_solve_failed_constraints_exit_3(tmp_path, monkeypatch):
         assert os.path.exists(os.path.join(out, name))
 
 
+def test_cli_solve_failed_field_certificate_exit_3(tmp_path, monkeypatch):
+    # make_constant_field sets h_upper = max |c|, so the field is built by
+    # hand: |H| = 1 lies above its h_upper at every sample
+    planted = fields.FieldH(
+        kind="constant", coeff=np.zeros((2, 2)), offset=np.array([0.0, 1.0]),
+        h_upper=0.999, h_lower=0.999,
+    )
+    monkeypatch.setattr(config, "_build_field", lambda cfg: planted)
+    real_solve, reports = solver.solve_problem, []
+
+    def recorded(*args, **kwargs):
+        pair, report = real_solve(*args, **kwargs)
+        reports.append(report)
+        return pair, report
+
+    monkeypatch.setattr(solver, "solve_problem", recorded)
+    out = tmp_path / "out_fail"
+    code = cli.main(["solve", "--config", write_config(tmp_path), "--out", str(out)])
+    assert code == cli.EXIT_CERTIFICATION
+    assert [report.constraints.passed for report in reports] == [True]
+    data = np.genfromtxt(out / "field_certification.csv", delimiter=",", names=True)
+    assert data.size == 128 and np.all(data["pass"] == 0)
+    assert sorted(os.listdir(out)) == ["chi.csv", "field_certification.csv", "solve_report.txt", "u.csv"]
+
+
 def test_cli_csv_cells_parse_as_floats(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path)
     trace_args = ["--h", "0.5", "--omega-count", "3"]
@@ -178,6 +203,10 @@ def test_cli_nonconvergence_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, text)
     out = str(tmp_path / "out_nc")
     assert cli.main(["solve", "--config", cfg_path, "--out", out]) == cli.EXIT_NONCONVERGENCE
+    # the report of the stalled solve is written beside the field certificate
+    lines = (tmp_path / "out_nc" / "solve_report.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == ["converged: False", "outer iterations: 1"]
+    assert sorted(os.listdir(out)) == ["field_certification.csv", "solve_report.txt"]
 
 
 def test_cli_check_profile(tmp_path):
@@ -378,6 +407,38 @@ def test_bad_orbit_inputs_exit_4_before_any_work(tmp_path, monkeypatch, capsys,
     assert not any(name.endswith(".csv") for name in os.listdir(out))
 
 
+#: a slow field: an orbit from level 0.5 of the unit square may take up to
+#: 0.5 / 0.0027 = 185.2 to leave it, at or past the (2 MAX_STEPS - 1) dt =
+#: 181.0 that an orbit march follows; 0.5 / 0.0029 = 172.4 lies below it
+SLOW_FIELD = DAM_CONFIG.replace("field.c = 0 1", "field.c = 0 0.0027")
+
+
+@pytest.mark.parametrize("command", ["trace", "extract-fb", "verify-fb"])
+def test_level_a_march_cannot_cross_exits_4_before_any_work(tmp_path, monkeypatch, capsys, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started at a level whose orbits a march cannot follow")
+
+    monkeypatch.setattr(solver, "solve_problem", no_work)
+    monkeypatch.setattr(orbits, "integrate_orbits", no_work)
+    out = tmp_path / "out_slow"
+    argv = [command, "--config", write_config(tmp_path, SLOW_FIELD), "--out", str(out), "--h", "0.5"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: --h = 0.5: h_lower = 0.0027 lets an orbit take up to 185.185 to cross "
+        "the box; a march follows it below 181.019\n"
+    )
+    assert not os.listdir(out)
+    assert orbits.march_capacity(config.load(text=SLOW_FIELD).domain) == pytest.approx(181.019, abs=1e-3)
+
+
+def test_slowest_field_a_march_can_follow_still_traces(tmp_path):
+    out = tmp_path / "trace"
+    cfg_path = write_config(tmp_path, SLOW_FIELD.replace("0 0.0027", "0 0.0029"))
+    assert cli.main(["trace", "--config", cfg_path, "--out", str(out), "--omega-count", "1"]) == 0
+    data = np.genfromtxt(out / "trace.csv", delimiter=",", names=True)
+    assert data["t"][0] < -0.5 / 0.0029 < 0.5 / 0.0029 < data["t"][-1] + 1e-9
+
+
 @pytest.mark.parametrize(
     "command, config_line",
     [
@@ -417,6 +478,28 @@ def test_bad_knob_values_exit_4_before_any_solve(tmp_path, monkeypatch, capsys,
     out = tmp_path / "out_bad"
     assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+    assert not os.listdir(out)
+
+
+#: the key prefix of each config section that a command can require
+SECTION_KEYS = {"domain": "domain.", "resolution": "grid.", "profile": "profile.", "fieldh": "field."}
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [(command, section) for command, (_, sections) in cli._COMMANDS.items() for section in sections],
+)
+def test_config_without_a_section_its_command_reads_exits_4_before_any_solve(
+        tmp_path, monkeypatch, capsys, command, section):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started without a config section")
+
+    monkeypatch.setattr(solver, "solve_problem", no_solve)
+    text = "".join(line + "\n" for line in DAM_CONFIG.splitlines()
+                   if not line.startswith(SECTION_KEYS[section]))
+    out = tmp_path / "out_bad"
+    assert cli.main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config is missing its {section} section\n"
     assert not os.listdir(out)
 
 
@@ -530,7 +613,9 @@ def test_help_exits_0(capsys):
 
 def test_parser_is_built_once_and_each_call_sees_only_its_own_flags(tmp_path, monkeypatch):
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "verify-fb", lambda args: seen.append(vars(args)) or 0)
+    monkeypatch.chdir(tmp_path)  # the call without --out makes the config's out_dir here
+    monkeypatch.setitem(cli._COMMANDS, "verify-fb",
+                        (lambda cfg, args: seen.append(vars(args)) or True, ()))
     cfg_path = write_config(tmp_path)
     base = ["verify-fb", "--config", cfg_path]
     assert cli.main(base + ["--h", "0.2", "--seed", "3", "--out", str(tmp_path)]) == 0

@@ -77,7 +77,7 @@ def _samples(dom, n=64, seed=5):
 def test_certify_constant_transversal_mode():
     dom = unit_square()
     f = fields.make_constant_field([0.0, 1.0])
-    rep = fields.certify_field(f, dom, _samples(dom), mode="transversal")
+    rep = fields.certify_field(f, dom, _samples(dom))
     assert rep.passed
     assert rep.worst["max_fd_mismatch"] <= fields.DIV_FD_TOL
 
@@ -85,7 +85,7 @@ def test_certify_constant_transversal_mode():
 def test_certify_affine_transversal_mode():
     dom = unit_square()
     f = fields.make_affine_field(0.1 * np.eye(2), np.array([0.0, 1.0]), dom)
-    rep = fields.certify_field(f, dom, _samples(dom), mode="transversal")
+    rep = fields.certify_field(f, dom, _samples(dom))
     assert rep.passed
     assert rep.worst["max_abs_div"] == pytest.approx(0.2)
 
@@ -97,15 +97,8 @@ def test_certify_detects_downward_drift():
         kind="constant", coeff=np.zeros((2, 2)), offset=np.array([0.0, -1.0]),
         h_upper=1.0, h_lower=1.0,
     )
-    rep = fields.certify_field(bad, dom, _samples(dom), mode="transversal")
+    rep = fields.certify_field(bad, dom, _samples(dom))
     assert not rep.passed
-
-
-def test_certify_mode_validation():
-    dom = unit_square()
-    f = fields.make_constant_field([0.0, 1.0])
-    with pytest.raises(ValueError):
-        fields.certify_field(f, dom, _samples(dom), mode="sideways")
 
 
 def test_lipschitz_bound_on_sampled_pairs():

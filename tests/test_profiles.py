@@ -1,3 +1,6 @@
+import decimal
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +148,24 @@ def test_logpower_inverse_is_inf_beyond_a_of_float_max():
     got = prof.a_inv(np.array([0.5 * top, top, 2.0 * top, 6.05e7]))
     assert np.isfinite(got[:2]).all() and np.all(got[2:] == np.inf)
     assert prof.a(got[1]) == pytest.approx(top, rel=1e-12)
+
+
+def test_logpower_ratio_follows_the_law_up_to_float_max():
+    # past beta t = float max the second term of a' once read 0, so the
+    # ratio fell to alpha: 0.0100 at t = 2e305, where the law gives 0.011409
+    alpha, beta, gamma = map(decimal.Decimal, DAMLOG_PROFILE.params)
+    t = np.append(np.geomspace(1e-300, 1e308, 400), np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratio = DAMLOG_PROFILE.ratio(t)
+        report = profiles.certify_ellipticity(DAMLOG_PROFILE, t)
+    assert report.passed  # within [a0, a1]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 340  # log(beta t + gamma) of t = 1e-300 needs 300 digits
+        bt = [beta * decimal.Decimal(float(v)) for v in t]
+        law = np.array([float(alpha + b / ((b + gamma) * (b + gamma).ln())) for b in bt])
+    assert np.all(np.abs(ratio - law) <= 1e-12 * law)
+    assert DAMLOG_PROFILE.ratio(2e305) == pytest.approx(0.011409, rel=1e-4)
 
 
 def test_logpower_rejects_small_gamma():
