@@ -159,7 +159,10 @@ def cmd_check_barriers(cfg, args):
     scales = cfg["barriers.hopf_scales"]
     center = tuple(0.5 * (dom.lower + dom.upper))
 
-    b = barriers.make_radial_barrier(center, radius, margin_frac * radius, floor, dom.dim, prof.a0)
+    try:
+        b = barriers.make_radial_barrier(center, radius, margin_frac * radius, floor, dom.dim, prof.a0)
+    except OverflowError as exc:
+        raise ConfigError(f"barriers.radius = {radius} overflows the ring: {exc}") from exc
     plan = barriers.ring_sampling_plan(b, cfg.seed)
     results = [barriers.certify_radial_inequality(b, prof, samples=plan)]
 
@@ -305,8 +308,7 @@ def _fb_setup(cfg, args):
             for k in range(dom.dim - 1)]
     if dom.dim == 2:
         return levels, np.array(axes[0])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return levels, np.stack(mesh, axis=-1).reshape(-1, dom.dim - 1)
+    return levels, geometry.mesh(axes).reshape(-1, dom.dim - 1)
 
 
 def _fb_level(cfg, grid, pair, level, omegas, lsc_tol):
@@ -428,8 +430,10 @@ def cmd_boundary_growth(cfg, args):
 
     dom = cfg.domain
     face = cfg["boundary_growth.face"]
-    if geometry.face_axis_side(face)[0] >= dom.dim:
-        raise ConfigError(f"boundary_growth.face = {face} is not a face of a {dom.dim}D domain")
+    try:
+        dom.face(face)
+    except ValueError as exc:
+        raise ConfigError(f"boundary_growth.face = {exc}") from exc
     # the patch spans the face's dim - 1 free coordinates
     lo, hi = cfg["boundary_growth.anchor_lo"], cfg["boundary_growth.anchor_hi"]
     sphere_r, tube = cfg["boundary_growth.sphere_radius"], cfg["boundary_growth.tube_width"]

@@ -22,9 +22,9 @@ SCHEMA_VERSION = 1
 
 class Key(NamedTuple):
     """One config key. ``kind`` names its parser in ``_KINDS``; ``count`` is
-    1, "any", "dim" or "dim-1" (the domain's dimension, or one less); the
-    ``default`` is config text, None where the key has none; ``bound`` names
-    a check in ``_BOUNDS`` that every value must pass."""
+    1, "any", "1+" (at least one), "dim" or "dim-1" (the domain's dimension,
+    or one less); the ``default`` is config text, None where the key has
+    none; ``bound`` names a check in ``_BOUNDS`` that every value must pass."""
 
     kind: str
     count: object
@@ -37,7 +37,15 @@ def _face(token):
     return token
 
 
-_KINDS = {"float": float, "int": int, "word": str, "face": _face}
+def _finite(token):
+    # a key without a bound would pass nan and inf on, and "> 0" passes inf
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+_KINDS = {"float": _finite, "int": int, "word": str, "face": _face}
 
 #: each bound's name is its rule, as the messages and the README state it
 _BOUNDS = {
@@ -45,7 +53,6 @@ _BOUNDS = {
     ">= 1": lambda v: v >= 1,
     ">= 3": lambda v: v >= 3,
     "> 0": lambda v: v > 0,
-    "finite and > 0": lambda v: 0.0 < v < np.inf,
     "in (0, 1]": lambda v: 0.0 < v <= 1.0,
     "in (0, 1)": lambda v: 0.0 < v < 1.0,
 }
@@ -75,15 +82,15 @@ SCHEMA = {
     "field.coeff": Key("float", "any"),
     "field.offset": Key("float", "dim"),
     # absent solver keys take solver.SolverConfig's defaults
-    "solver.eps": Key("float", 1, None, "finite and > 0"),
-    "solver.inner_tol": Key("float", 1, None, "finite and > 0"),
-    "solver.outer_tol": Key("float", 1, None, "finite and > 0"),
+    "solver.eps": Key("float", 1, None, "> 0"),
+    "solver.inner_tol": Key("float", 1, None, "> 0"),
+    "solver.outer_tol": Key("float", 1, None, "> 0"),
     "solver.max_inner": Key("int", 1, None, ">= 1"),
     "solver.max_outer": Key("int", 1, None, ">= 1"),
     "solver.relax": Key("float", 1, None, "in (0, 1]"),
     "trace.level": Key("float", 1, "0.5"),
     "trace.omega_count": Key("int", 1, "9", ">= 1"),
-    "fb.levels": Key("float", "any", "0.2"),
+    "fb.levels": Key("float", "1+", "0.2"),
     "fb.omega_count": Key("int", 1, "33", ">= 1"),
     "growth.ball_count": Key("int", 1, "5", ">= 1"),
     "growth.resolutions": Key("int", "any", "", ">= 3"),
@@ -98,7 +105,7 @@ SCHEMA = {
     "barriers.margin": Key("float", 1, "0.4", "in (0, 1)"),
     "barriers.floor": Key("float", 1, "1.0", ">= 0"),
     "barriers.kappa_count": Key("int", 1, "5", ">= 1"),
-    "barriers.hopf_scales": Key("float", "any", "0.1 1.0", "> 0"),
+    "barriers.hopf_scales": Key("float", "1+", "0.1 1.0", "> 0"),
 }
 
 
@@ -113,10 +120,13 @@ def parse(key, tokens, dim=None, source=None):
         try:
             values.append(_KINDS[row.kind](token))
         except ValueError:
-            raise ConfigError(f"{source}: {token!r} is not a valid {row.kind}") from None
+            kind = "finite float" if row.kind == "float" else row.kind
+            raise ConfigError(f"{source}: {token!r} is not a valid {kind}") from None
     want = {1: 1, "dim": dim, "dim-1": None if dim is None else dim - 1}.get(row.count)
     if want is not None and len(values) != want:
         raise ConfigError(f"{source} takes {want} value(s), got {len(values)}")
+    if row.count == "1+" and not values:
+        raise ConfigError(f"{source} takes at least one value")
     for value in values:
         if row.bound is not None and not _BOUNDS[row.bound](value):
             raise ConfigError(f"{source} = {value} must be {row.bound}")

@@ -17,8 +17,9 @@ class NonConvergenceError(RuntimeError):
         self.report = report
 
 
-class SingularJacobianError(RuntimeError):
-    """Regularized Jacobian produced non-finite values."""
+class SingularJacobianError(NonConvergenceError):
+    """Regularized Jacobian produced non-finite values: the Newton solve
+    cannot go on."""
 
 
 class StepFailureError(RuntimeError):

@@ -203,12 +203,8 @@ def extract_graph(solution, grid, fieldh, level, omegas, domain, refine_tol=1e-9
         [_wet_is_initial_interval(o, w, phi) for o, w, phi in zip(orbits, wet, values)],
         dtype=bool,
     )
-    dist_to_boundary = np.minimum(
-        np.min(graph_points - domain.lower, axis=-1),
-        np.min(domain.upper - graph_points, axis=-1),
-    )
     near = (
-        (dist_to_boundary <= 4.0 * refine_tol * domain.delta)
+        (domain.distance_to_boundary(graph_points) <= 4.0 * refine_tol * domain.delta)
         | (values >= tmax - 2.0 * steps)
         | (values <= tmin + 2.0 * steps)
     )

@@ -39,8 +39,7 @@ class TRegion:
 
     def contains(self, x, domain, tol):
         """Boolean mask of points of ``x`` (..., n) lying on this region."""
-        axis, side = face_axis_side(self.face)
-        plane = domain.lower[axis] if side == "min" else domain.upper[axis]
+        axis, plane = domain.face(self.face)
         mask = np.abs(x[..., axis] - plane) <= tol
         free_axes = [k for k in range(domain.dim) if k != axis]
         if self.lo is not None:
@@ -109,6 +108,8 @@ class Domain:
             raise ValueError("solution ceiling M must be positive")
         if self.dim not in (2, 3):
             raise ValueError(f"only dimensions 2 and 3 are supported, got {self.dim}")
+        for region in self.t_regions:
+            self.face(region.face)
 
     @property
     def dim(self):
@@ -119,9 +120,21 @@ class Domain:
         """Diameter of the box."""
         return float(np.linalg.norm(self.upper - self.lower))
 
+    def face(self, name):
+        """(axis, plane) of the face ``name``, like 'ymin'; ValueError for a
+        face this box does not have."""
+        axis, side = face_axis_side(name)
+        if axis >= self.dim:
+            raise ValueError(f"{name} is not a face of a {self.dim}D domain")
+        return axis, (self.lower if side == "min" else self.upper)[axis]
+
     def contains(self, x, tol=0.0):
         x = np.asarray(x, dtype=float)
         return np.all(x >= self.lower - tol, axis=-1) & np.all(x <= self.upper + tol, axis=-1)
+
+    def distance_to_boundary(self, x):
+        """Distance from each point of ``x`` (..., n) in the box to its boundary."""
+        return np.minimum(np.min(x - self.lower, axis=-1), np.min(self.upper - x, axis=-1))
 
     def on_marked_boundary(self, x, tol=1e-12):
         x = np.asarray(x, dtype=float)
@@ -171,24 +184,21 @@ class Grid:
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
+    @property
+    def cell_axes(self):
+        """1D cell-center coordinate arrays."""
+        return tuple(ax[:-1] + 0.5 * h for ax, h in zip(self.axes, self.spacing))
+
     def nodes(self):
         """Node coordinates, shape (*counts, dim)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return mesh(self.axes)
 
     def cell_centers(self):
-        half = [ax[:-1] + 0.5 * h for ax, h in zip(self.axes, self.spacing)]
-        mesh = np.meshgrid(*half, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return mesh(self.cell_axes)
 
     def boundary_mask(self):
-        mask = np.zeros(self.counts, dtype=bool)
-        for k in range(self.dim):
-            sl = [slice(None)] * self.dim
-            sl[k] = 0
-            mask[tuple(sl)] = True
-            sl[k] = -1
-            mask[tuple(sl)] = True
+        mask = np.ones(self.counts, dtype=bool)
+        mask[(slice(1, -1),) * self.dim] = False
         return mask
 
     def dirichlet_array(self):
@@ -224,6 +234,27 @@ def build_grid(domain, resolution):
     return Grid(domain=domain, counts=counts, spacing=spacing, axes=axes)
 
 
+def mesh(axes):
+    """Tensor points of the 1D coordinate arrays ``axes``, shape
+    (*lengths, len(axes))."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def shifted(ndim, k, across=slice(None)):
+    """(lo, hi) index tuples of the neighbour pairs along axis k of an
+    ``ndim`` array: lo drops the last index along k, hi the first, and
+    every other axis takes ``across``."""
+    lo = tuple(slice(None, -1) if j == k else across for j in range(ndim))
+    hi = tuple(slice(1, None) if j == k else across for j in range(ndim))
+    return lo, hi
+
+
+def midpoints(a, k):
+    """Means 0.5 * (a[lo] + a[hi]) of the neighbour pairs along axis k."""
+    lo, hi = shifted(a.ndim, k)
+    return 0.5 * (a[lo] + a[hi])
+
+
 def face_normal_differences(grid, u):
     """Exact difference of u across the axis-k faces over h_k, per axis k:
     entries [k][k] of ``face_gradient_components``, bit for bit."""
@@ -247,13 +278,9 @@ def face_gradient_components(grid, u, normals=None):
     if normals is None:
         normals = face_normal_differences(grid, u)
     nodal = [np.gradient(u, grid.spacing[j], axis=j, edge_order=2) for j in range(grid.dim)]
-    out = []
-    for k, normal in enumerate(normals):
-        # the two end nodes of each axis-k face
-        lo = tuple(slice(None, -1) if j == k else slice(None) for j in range(grid.dim))
-        hi = tuple(slice(1, None) if j == k else slice(None) for j in range(grid.dim))
-        out.append([normal if j == k else 0.5 * (g[lo] + g[hi]) for j, g in enumerate(nodal)])
-    return out
+    # a transverse component averages the two end nodes of each axis-k face
+    return [[normal if j == k else midpoints(g, k) for j, g in enumerate(nodal)]
+            for k, normal in enumerate(normals)]
 
 
 def gradient_at_faces(grid, u):
@@ -284,54 +311,43 @@ def cell_average(values):
     """Average a node array onto cells (mean of the 2^dim corners)."""
     out = np.asarray(values, dtype=float)
     for k in range(out.ndim):
-        sl0 = [slice(None)] * out.ndim
-        sl1 = [slice(None)] * out.ndim
-        sl0[k] = slice(None, -1)
-        sl1[k] = slice(1, None)
-        out = 0.5 * (out[tuple(sl0)] + out[tuple(sl1)])
+        out = midpoints(out, k)
     return out
+
+
+def _cells(grid, points):
+    """The cell holding each point, clipped to the grid: per axis, the
+    index of its lower node and the point's offset from that node in units
+    of the spacing. A lone point (shape (dim,)) is taken as one row."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    idx, offsets = [], []
+    for k in range(grid.dim):
+        s = (pts[..., k] - grid.domain.lower[k]) / grid.spacing[k]
+        idx.append(np.clip(np.floor(s).astype(int), 0, grid.counts[k] - 2))
+        offsets.append(s - idx[-1])
+    return idx, offsets
 
 
 def interpolate_nodes(grid, u, points):
     """Multilinear interpolation of a node array at arbitrary points."""
     u = np.asarray(u, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    scalar = pts.ndim == 1
-    if scalar:
-        pts = pts[None, :]
-    dim = grid.dim
-    idx = []
-    wts = []
-    for k in range(dim):
-        s = (pts[..., k] - grid.domain.lower[k]) / grid.spacing[k]
-        i0 = np.clip(np.floor(s).astype(int), 0, grid.counts[k] - 2)
-        idx.append(i0)
-        wts.append(s - i0)
-    vals = np.zeros(pts.shape[:-1])
-    for corner in range(1 << dim):
-        weight = np.ones(pts.shape[:-1])
+    idx, offsets = _cells(grid, points)
+    vals = np.zeros(idx[0].shape)
+    for corner in range(1 << grid.dim):
+        weight = np.ones(idx[0].shape)
         gather = []
-        for k in range(dim):
+        for k in range(grid.dim):
             bit = (corner >> k) & 1
             gather.append(idx[k] + bit)
-            weight = weight * (wts[k] if bit else (1.0 - wts[k]))
+            weight = weight * (offsets[k] if bit else (1.0 - offsets[k]))
         vals += weight * u[tuple(gather)]
-    return float(vals[0]) if scalar else vals
+    return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
 def cell_values_at(grid, chi, points):
     """Value of a cell array in the cell containing each point (no blending)."""
-    chi = np.asarray(chi, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    scalar = pts.ndim == 1
-    if scalar:
-        pts = pts[None, :]
-    gather = []
-    for k in range(grid.dim):
-        s = (pts[..., k] - grid.domain.lower[k]) / grid.spacing[k]
-        gather.append(np.clip(np.floor(s).astype(int), 0, grid.counts[k] - 2))
-    vals = chi[tuple(gather)]
-    return float(vals[0]) if scalar else vals
+    vals = np.asarray(chi, dtype=float)[tuple(_cells(grid, points)[0])]
+    return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
 @dataclass(frozen=True)
@@ -376,11 +392,8 @@ class SolutionPair:
         comp = u_cell * (1.0 - self.chi)
         max_adjacent = self.u
         for k in range(self.u.ndim):
-            sl0 = [slice(None)] * self.u.ndim
-            sl1 = [slice(None)] * self.u.ndim
-            sl0[k] = slice(None, -1)
-            sl1[k] = slice(1, None)
-            max_adjacent = np.maximum(max_adjacent[tuple(sl0)], max_adjacent[tuple(sl1)])
+            lo, hi = shifted(self.u.ndim, k)
+            max_adjacent = np.maximum(max_adjacent[lo], max_adjacent[hi])
         wet_low = int(np.sum((max_adjacent > self.eps_u) & (self.chi < 1.0 - 1e-6)))
         ok = (
             float(np.min(self.u)) >= -1e-12

@@ -91,10 +91,7 @@ def find_touching_balls(solution, grid, count):
         return []
     dist_dry = _distance_to_dry(wet, grid.spacing)
     nodes = grid.nodes()
-    dist_boundary = np.minimum(
-        np.min(nodes - grid.domain.lower, axis=-1),
-        np.min(grid.domain.upper - nodes, axis=-1),
-    )
+    dist_boundary = grid.domain.distance_to_boundary(nodes)
     admissible = np.where(wet, np.minimum(dist_dry, dist_boundary), 0.0)
     flat = admissible.ravel()
     order = np.argsort(flat, kind="stable")[::-1]
@@ -145,9 +142,7 @@ def ball_interior(grid, center, radius):
     interior = ball.copy()
     for k in range(grid.dim):
         interior &= np.roll(ball, 1, axis=k) & np.roll(ball, -1, axis=k)
-    core = np.zeros_like(ball)
-    core[tuple(slice(1, -1) for _ in range(grid.dim))] = True
-    return interior & core
+    return interior & ~grid.boundary_mask()
 
 
 @dataclass(frozen=True)
@@ -263,8 +258,7 @@ def boundary_tube(grid, domain, face, anchor_lo, anchor_hi, tube_width):
     and every node's distance to the face, both built from the grid axes
     (the distance as a read-only broadcast view). The tube is empty for a
     width below one cell or a patch with anchor_lo > anchor_hi."""
-    axis, side = geometry.face_axis_side(face)
-    plane = domain.lower[axis] if side == "min" else domain.upper[axis]
+    axis, plane = domain.face(face)
     patch = zip(np.atleast_1d(anchor_lo), np.atleast_1d(anchor_hi))
     tube = np.ones(grid.counts, dtype=bool)
     for k, coord in enumerate(grid.axes):
@@ -308,8 +302,7 @@ def boundary_growth_report(solution, grid, domain, face, anchor_lo, anchor_hi,
     tube, distance = boundary_tube(grid, domain, face, anchor_lo, anchor_hi, tube_width)
     if not np.any(tube):
         raise ValueError("the boundary tube holds no grid node")
-    axis, side = geometry.face_axis_side(face)
-    plane = domain.lower[axis] if side == "min" else domain.upper[axis]
+    axis, plane = domain.face(face)
     slope0 = boundary_barrier_slope(domain, sphere_radius, profile, fieldh)
     ratios = np.where(tube, solution.u / np.where(distance > 0, distance, 1.0), 0.0)
     rows = []
@@ -373,17 +366,14 @@ def rescale_check(solution, grid, x0, radius, profile, fieldh, tol=1e-6):
     vol = grid.cell_volume
     # residual carries the dual volume; divide it out for the divergence form
     mism = np.abs(res[interior]) / vol * radius
-    grads = geometry.gradient_at_faces(grid, solution.u)
+    faces = geometry.face_gradient_components(grid, solution.u)
     half = _ball_mask(grid, x0, radius / 2.0)
     gmax = 0.0
     for k in range(grid.dim):
-        sl0 = [slice(None)] * grid.dim
-        sl1 = [slice(None)] * grid.dim
-        sl0[k] = slice(None, -1)
-        sl1[k] = slice(1, None)
-        face_in_half = half[tuple(sl0)] & half[tuple(sl1)]
+        lo, hi = geometry.shifted(grid.dim, k)
+        face_in_half = half[lo] & half[hi]
         if np.any(face_in_half):
-            comps = np.moveaxis(grads[k][face_in_half], -1, 0)
+            comps = [c[face_in_half] for c in faces[k]]
             mags = np.sqrt(geometry.component_dot(comps, comps))
             gmax = max(gmax, float(np.max(mags)))
     return RescaleReport(

@@ -12,7 +12,7 @@ augmented matrix M = [[A, b], [0, 0]] (Van Loan 1978; Moler & Van Loan
 a whole batch of seeds by doubling: the samples at times K dt .. (2K-1) dt
 are those at 0 .. (K-1) dt times exp(K dt M), for the seeds still inside
 the box. Exit times are bisected on the exact flow from the last sample
-inside, and dense output is the exact flow from the nearest sample. The
+inside, and dense output is the exact flow from the seed. The
 flow map T_h(t, omega) = X(t, omega) has the Jacobian determinant
 
     Y_h(t, omega) = -H_n(omega, h) exp( int_0^t div H(X(s)) ds )
@@ -271,38 +271,22 @@ def _check_times(t_minus, t_plus, ts):
 
 
 def orbit_point(fieldh, orbit, t):
-    """Dense output X(t): the exact flow from the nearest stored sample.
+    """Dense output X(t): the exact flow from the seed.
 
     ``orbit`` is one Orbit with ``t`` a time or an array of times, or a
     list of orbits with ``t`` one time per orbit (row i is X(t[i]) on
-    orbit i). The orbits' times, padded with +inf, form a table of one row
-    per orbit (a lone orbit's one row serves all its times), and every
-    time finds its nearest sample in one search over its row: the count of
-    stored times below t, as ``searchsorted`` finds it (the padding is never
-    below t). All rows flow in one batched product; each row's result is
-    the one a lone call gives.
+    orbit i); a lone orbit is that orbit listed once per time. All rows
+    flow in one batched product; each row's result is the one a lone call
+    gives.
     """
     ts = np.asarray(t, dtype=float)
     flat = np.atleast_1d(ts)
-    if isinstance(orbit, Orbit):
-        orbit, rows = [orbit], np.zeros(len(flat), dtype=int)
-    elif flat.shape != (len(orbit),):
-        raise ValueError(f"{flat.size} times for {len(orbit)} orbits")
-    else:
-        rows = np.arange(len(orbit))
-    exits = np.array([(o.t_minus, o.t_plus) for o in orbit]).reshape(-1, 2)
-    _check_times(exits[:, 0], exits[:, 1], flat)
-    sizes = np.array([len(o.times) for o in orbit], dtype=int)
-    width = np.max(sizes, initial=0)
-    pad = np.full(width, np.inf)  # pad[:0] leaves an empty list something to join
-    table = np.concatenate(
-        [pad[:0], *(part for o in orbit for part in (o.times, pad[len(o.times):]))]
-    ).reshape(len(orbit), width)
-    right = np.clip(np.sum(table < flat[:, None], axis=1), 1, sizes[rows] - 1)
-    left = np.maximum(right - 1, 0)  # a one-sample orbit has right = 0
-    idx = np.where(flat - table[rows, left] <= table[rows, right] - flat, left, right)
-    x = np.array([orbit[r].points[i] for r, i in zip(rows, idx)]).reshape(-1, fieldh.dim)
-    x = _flow(_generator(fieldh), x, flat - table[rows, idx])
+    listed = [orbit] * len(flat) if isinstance(orbit, Orbit) else orbit
+    if flat.shape != (len(listed),):
+        raise ValueError(f"{flat.size} times for {len(listed)} orbits")
+    _check_times([o.t_minus for o in listed], [o.t_plus for o in listed], flat)
+    seeds = np.array([(*o.omega, o.level) for o in listed]).reshape(-1, fieldh.dim)
+    x = _flow(_generator(fieldh), seeds, flat)
     return x[0] if ts.ndim == 0 else x
 
 

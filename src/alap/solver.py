@@ -180,13 +180,8 @@ class SolveReport:
 
 
 def _face_point_axes(grid, k):
-    axes = []
-    for j in range(grid.dim):
-        if j == k:
-            axes.append(grid.axes[j][:-1] + 0.5 * grid.spacing[j])
-        else:
-            axes.append(grid.axes[j])
-    return axes
+    """1D coordinate arrays of the axis-k face midpoints."""
+    return [grid.cell_axes[j] if j == k else grid.axes[j] for j in range(grid.dim)]
 
 
 def _face_field_values(grid, fieldh):
@@ -196,11 +191,8 @@ def _face_field_values(grid, fieldh):
     grid; each axis keeps a copy of its own component only, not a view
     that would hold every component alive.
     """
-    out = []
-    for k in range(grid.dim):
-        mesh = np.meshgrid(*_face_point_axes(grid, k), indexing="ij")
-        out.append(fieldh(np.stack(mesh, axis=-1))[..., k].copy())
-    return out
+    return [fieldh(geometry.mesh(_face_point_axes(grid, k)))[..., k].copy()
+            for k in range(grid.dim)]
 
 
 def _face_chi(grid, chi, k):
@@ -323,13 +315,11 @@ def _neg_jacobian_apply(weights, v, padded):
     out = None
     for k, w in enumerate(weights):
         # the nodes below and above each face, across the interior rows
-        below = tuple(slice(None, -1) if j == k else slice(1, -1) for j in range(dim))
-        above = tuple(slice(1, None) if j == k else slice(1, -1) for j in range(dim))
+        below, above = geometry.shifted(dim, k, slice(1, -1))
         flux = padded[above] - padded[below]
         flux *= w
         # each interior node's lower and upper face along axis k
-        lower = tuple(slice(None, -1) if j == k else slice(None) for j in range(dim))
-        upper = tuple(slice(1, None) if j == k else slice(None) for j in range(dim))
+        lower, upper = geometry.shifted(dim, k)
         if out is None:
             out = flux[lower] - flux[upper]
         else:
@@ -350,8 +340,8 @@ def _diagonal_scaling(grid, weights):
     diag = 0.0
     d_ref = 0.0
     for k, w in enumerate(weights):
-        w = np.moveaxis(w, k, 0)
-        diag = diag + np.moveaxis(w[:-1] + w[1:], 0, k)
+        lo, hi = geometry.shifted(w.ndim, k)
+        diag = diag + (w[lo] + w[hi])
         d_ref += 2.0 * (grid.cell_volume / grid.spacing[k] ** 2)
     if not np.all(diag > 0.0):
         raise SingularJacobianError("vanishing diagonal in Newton operator")
@@ -622,9 +612,7 @@ def energy(grid, profile, fieldh, u, chi):
     for k, g in enumerate(normals):
         for j in range(grid.dim):  # onto cell centers along the other axes
             if j != k:
-                lo = tuple(slice(None, -1) if i == j else slice(None) for i in range(grid.dim))
-                hi = tuple(slice(1, None) if i == j else slice(None) for i in range(grid.dim))
-                g = 0.5 * (g[lo] + g[hi])
+                g = geometry.midpoints(g, j)
         comps.append(g)
     mag = np.sqrt(geometry.component_dot(comps, comps))
     hcells = fieldh(grid.cell_centers())

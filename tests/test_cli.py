@@ -517,6 +517,10 @@ def test_config_without_a_section_its_command_reads_exits_4_before_any_solve(
         ("", "barriers.hopf_scales = 0.1 -1"),
         ("", "boundary_growth.sphere_radius = -1"),
         ("domain.t_faces = ymax", "domain.t_faces = top"),
+        # a float that is not finite fails at load, so no solve sees it
+        ("domain.m = 0.6", "domain.m = inf"),
+        ("field.c = 0 1", "field.c = 0 nan"),
+        ("", "barriers.radius = inf"),
         # a tube of negative width holds no sample to certify
         ("", "boundary_growth.tube_width = -1"),
     ],
@@ -547,6 +551,74 @@ def test_negative_seed_flag_exits_4_before_any_work(tmp_path, monkeypatch, capsy
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "config error: --seed = -1 must be >= 0" in capsys.readouterr().err
     assert not os.listdir(out)
+
+
+FLOAT_KEYS = sorted(key for key, row in config.SCHEMA.items() if row.kind == "float")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_refuses_a_value_that_is_not_finite(key, token):
+    with pytest.raises(ConfigError, match=f"{key}: '{token}' is not a valid finite float"):
+        config.parse(key, [token])
+
+
+#: a line of a 17^2 copy of configs/dam.cfg changed from ``old`` to ``new`` (an
+#: empty ``old`` appends ``new``), and the exit codes of the ten commands on it:
+#: one code for all, or a dict of those that are not 0
+FAULTY_LINES = [
+    ("domain.m = 0.6", "domain.m = inf", 4),
+    ("field.c = 0 1", "field.c = 0 nan", 4),
+    ("field.c = 0 1", "field.c = 0 inf", 4),
+    ("field.kind = constant\nfield.c = 0 1",
+     "field.kind = affine\nfield.coeff = nan 0 0 0\nfield.offset = 0 1", 4),
+    ("domain.upper = 1 1", "domain.upper = inf 1", 4),
+    ("domain.g.level = 0.6", "domain.g.level = nan", 4),
+    ("profile.p = 2", "profile.p = inf", 4),
+    ("", "barriers.radius = inf", 4),
+    # a(t) overflows: every solve exits 2, boundary-growth refuses its
+    # infinite barrier slope before it solves, and trace reads no profile
+    pytest.param("profile.p = 2", "profile.p = 1e6", {
+        "solve": 2, "check-profile": 3, "check-barriers": 3, "trace": 0, "extract-fb": 2,
+        "verify-fb": 2, "growth": 2, "boundary-growth": 4, "harnack": 2, "rescale": 2,
+    }, marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                        "ignore:invalid value:RuntimeWarning")),
+    ("fb.levels = 0.1 0.2 0.3", "fb.levels =", 4),
+    ("", "barriers.hopf_scales =", 4),
+    ("", "barriers.radius = 1e200", {"check-barriers": 4}),
+    ("domain.t_faces = ymax", "domain.t_faces = zmax", 4),
+]
+
+
+@pytest.mark.parametrize("old, new, codes", FAULTY_LINES)
+def test_no_faulty_line_ends_in_a_traceback_or_a_silent_pass(tmp_path, old, new, codes):
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    with open(os.path.join(root, "dam.cfg"), encoding="utf-8") as fh:
+        text = fh.read().replace("129 129", "17 17")
+    assert old in text
+    text = text.replace(old, new) if old else text + new + "\n"
+    path = write_config(tmp_path, text)
+    want = {c: codes if isinstance(codes, int) else codes.get(c, 0) for c in cli._COMMANDS}
+    # an exception that escapes main fails the test by itself
+    got = {c: cli.main([c, "--config", path, "--out", str(tmp_path / c)]) for c in cli._COMMANDS}
+    assert got == want
+
+
+def test_newton_operator_that_is_not_finite_exits_2(tmp_path, capsys):
+    out = tmp_path / "out_nc"
+    path = write_config(tmp_path, DAM_CONFIG.replace("profile.p = 2", "profile.p = 1e6"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["solve", "--config", path, "--out", str(out)]) == cli.EXIT_NONCONVERGENCE
+    err = capsys.readouterr().err
+    assert err == "solver did not converge: non-finite face conductance in Newton operator\n"
+
+
+def test_a_3d_config_with_zmax_still_loads():
+    # on a 2-D config it exits 4 (``FAULTY_LINES``)
+    text = DAM_CONFIG.replace("0 0\n", "0 0 0\n").replace("1 1\n", "1 1 1\n")
+    text = text.replace("33 33", "5 5 5").replace("field.c = 0 1", "field.c = 0 0 1")
+    cfg = config.load(text=text.replace("t_faces = ymax", "t_faces = zmax"))
+    assert cfg.domain.face("zmax") == (2, 1.0)
 
 
 def test_count_of_a_dimension_dependent_default_is_checked_by_its_reader():

@@ -64,6 +64,19 @@ def test_face_name_validation():
     assert geometry.face_axis_side("zmin") == (2, "min")
 
 
+def test_domain_face_gives_axis_and_plane_of_its_own_faces_only():
+    zero = geometry.BoundaryData("zero")
+    box = geometry.box_domain([0, -1], [2, 3], ["ymax"], zero, 1.0)
+    assert box.face("xmax") == (0, 2.0) and box.face("ymin") == (1, -1.0)
+    for bad in ("zmax", "top"):
+        with pytest.raises(ValueError):
+            box.face(bad)
+    # a T face the box lacks fails at construction, not in a later lookup
+    with pytest.raises(ValueError, match="zmax is not a face of a 2D domain"):
+        geometry.box_domain([0, 0], [1, 1], ["zmax"], zero, 1.0)
+    assert geometry.box_domain([0, 0, 0], [1, 1, 4], ["zmax"], zero, 1.0).face("zmax") == (2, 4.0)
+
+
 def test_gradient_exact_for_affine():
     dom = dam_domain()
     grid = geometry.build_grid(dom, (17, 33))
